@@ -76,7 +76,7 @@ def _merge_config(args, parser, argv):
 
 def _quad_spec(args) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.quad_rel_tol, abs_tol=args.quad_abs_tol,
-                          max_refinement_levels=args.quad_levels)
+                          max_refinement_levels=args.quad_levels).validate()
 
 
 def _emit(pairs):
@@ -107,10 +107,10 @@ def cmd_solve(args, parser):
 
 
 def cmd_periods(args, parser):
-    from .periods import period_report, resolve_params
+    from .periods import period_report_for, resolve_params
     spec = _quad_spec(args)
     p = resolve_params(args.t, args.X_offset, args.a, args.b)
-    rep = period_report(args.t, args.X_offset, args.a, args.b, spec)
+    rep = period_report_for(p, spec)
     _emit([("a", p.a), ("b", p.b), ("y", p.y), ("r", rep.r), ("R", rep.R),
            ("I", rep.I), ("J", rep.J), ("K", rep.K),
            ("pi1", rep.pi1), ("pi2", rep.pi2),

@@ -20,6 +20,11 @@ class InvalidResolution(SaddleForgeError):
     exit_code = EXIT_INVALID_INPUT
 
 
+class InvalidQuadrature(SaddleForgeError):
+    """Quadrature tolerances or endpoint exponents out of range."""
+    exit_code = EXIT_INVALID_INPUT
+
+
 class PathThroughBranchPoint(SaddleForgeError):
     """A continuation path passed within the configured clearance of a
     branch point of the curve."""
@@ -47,7 +52,11 @@ class NoConvergence(SaddleForgeError):
 
 
 class NoRoot(SaddleForgeError):
-    """No sign change found in the search interval."""
+    """No real root of the equation in the search interval."""
+
+
+class DegenerateRoot(NoRoot):
+    """A root too close to a puncture to resolve in double precision."""
 
 
 class SeedBoxExhausted(SaddleForgeError):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, NoConvergence, NoRoot, SeedBoxExhausted
+from .errors import (DegenerateRoot, DomainViolation, NoConvergence, NoRoot,
+                     SeedBoxExhausted)
 from .params import SurfaceParams, SymFuncs, from_family, sym_funcs
 from .quad import DEFAULT_SPEC, QuadratureSpec, integrate_singular, integrate_to_infinity
 
@@ -76,7 +77,7 @@ def I_integral(p: SurfaceParams, s: SymFuncs,
                    / ((t*t - 1.0)*(t*t - a*a)*np.sqrt(rad)))
         return _finite_tail(out)
 
-    return float(integrate_to_infinity(f, b, spec, singular_at_lo=True, scale=b)[0])
+    return float(integrate_to_infinity(f, b, spec, scale=b)[0])
 
 
 def J_integral(p: SurfaceParams, s: SymFuncs,
@@ -125,71 +126,53 @@ def F_eval(a: float, b: float, x: float, X: float, y: float) -> float:
             - B*B*(1 - y*y)*(1 - b*b)*(1 - x*x))
 
 
-def dF_dy(a: float, b: float, x: float, X: float, y: float) -> float:
-    """Analytic y-derivative of F (S2 and S4 are linear in y)."""
-    s = sym_funcs(SurfaceParams(a=a, b=b, x=x, X=X, y=y))
-    dS2 = b - x - 2*X
-    dS4 = 2*b*x*X + (b - x)*X*X
-    A = 1 + s.S2 + s.S4
-    B = a**4 + s.S2*a*a + s.S4
-    dA = dS2 + dS4
-    dB = dS2*a*a + dS4
-    return (2*A*dA*(a*a - x*x)*(a*a - b*b)*(a*a - y*y)
-            + A*A*(a*a - x*x)*(a*a - b*b)*(-2*y)
-            - 2*B*dB*(1 - y*y)*(1 - b*b)*(1 - x*x)
-            - B*B*(-2*y)*(1 - b*b)*(1 - x*x))
+def _F_coeffs(a: float, b: float, x: float, X: float) -> np.ndarray:
+    """Monomial coefficients of the quartic F in y, highest degree first:
+    S2, S4 and hence A = 1+S2+S4 and B = a^4+S2*a^2+S4 are linear in y."""
+    S2 = np.array([b - x - 2*X, X*X + 2*(x - b)*X - b*x])
+    S4 = np.array([2*b*x*X + (b - x)*X*X, -b*x*X*X])
+    A = S2 + S4 + [0.0, 1.0]
+    B = a*a*S2 + S4 + [0.0, a**4]
+    return ((a*a - x*x)*(a*a - b*b)*np.convolve(np.convolve(A, A), [-1, 0, a*a])
+            - (1 - b*b)*(1 - x*x)*np.convolve(np.convolve(B, B), [-1, 0, 1]))
 
 
-def solve_y(a: float, b: float, x: float, X: float,
-            tol: float = 1e-12, n_scan: int = 400) -> float:
-    """Root of F in (1, b): bracketing scan, bisection, Newton polish."""
-    ys = np.linspace(1 + 1e-9, b - 1e-9, n_scan)
-    Fs = np.array([F_eval(a, b, x, X, yy) for yy in ys])
-    sign_change = np.where(np.sign(Fs[:-1])*np.sign(Fs[1:]) < 0)[0]
-    if len(sign_change) == 0:
-        raise NoRoot(f"F has no sign change in (1, {b}) for "
+def solve_y(a: float, b: float, x: float, X: float, tol: float = 1e-12) -> float:
+    """Smallest root of F in (1, b), from the quartic's companion matrix,
+    polished by Newton with values from the factored F_eval (the monomial
+    form cancels badly as y -> 1).  Raises NoRoot if there is none, and
+    DegenerateRoot if it sits so close to y = 1 that r = R cannot be
+    resolved in double precision."""
+    c = _F_coeffs(a, b, x, X)
+    roots = np.roots(c)
+    real = roots.real[(roots.imag == 0) & (roots.real > 1.0) & (roots.real < b)]
+    if real.size == 0:
+        raise NoRoot(f"F has no real root in (1, {b}) for "
                      f"(a,b,x,X)=({a},{b},{x},{X})")
-    k = sign_change[0]
-    y0, y1 = ys[k], ys[k + 1]
-    f0 = F_eval(a, b, x, X, y0)
-    for _ in range(200):
-        ym = 0.5*(y0 + y1)
-        fm = F_eval(a, b, x, X, ym)
-        if f0*fm <= 0:
-            y1 = ym
-        else:
-            y0, f0 = ym, fm
-        if y1 - y0 < 1e-13:
-            break
-    yy = 0.5*(y0 + y1)
-    for _ in range(50):
-        fv = F_eval(a, b, x, X, yy)
-        dv = dF_dy(a, b, x, X, yy)
-        if dv == 0:
-            break
-        step = fv/dv
+    yy = float(real.min())
+    dc = np.polyder(c)
+    for _ in range(3):
+        step = F_eval(a, b, x, X, yy)/np.polyval(dc, yy)
         yn = yy - step
         if not (1.0 < yn < b):
             break
         yy = yn
         if abs(step) < tol*yy:
             break
+    p = SurfaceParams(a=a, b=b, x=x, X=X, y=yy)
+    s = sym_funcs(p)
+    r, R = residue_r(p, s), residue_R(p, s)
+    mismatch = abs(r - R)/max(abs(r), abs(R))
+    if mismatch > 1e-8:
+        raise DegenerateRoot(f"root y = 1 + {yy - 1:.3g} of F misses r = R by "
+                             f"{mismatch:.3g} relative for (a,b,x,X)=({a},{b},{x},{X})")
     return float(yy)
 
 
-def resolve_params(t: float, X_offset: float, a: float, b: float,
-                   y_tol: float = 1e-12) -> SurfaceParams:
+def resolve_params(t: float, X_offset: float, a: float, b: float) -> SurfaceParams:
     """Full moduli from family coordinates: y from the residue match."""
-    x = a - t
-    X = a + X_offset
-    y = solve_y(a, b, x, X, tol=y_tol)
+    y = solve_y(a, b, a - t, a + X_offset)
     return from_family(t, X_offset, a, b, y)
-
-
-def period_report(t: float, X_offset: float, a: float, b: float,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> PeriodReport:
-    p = resolve_params(t, X_offset, a, b)
-    return period_report_for(p, spec)
 
 
 def period_report_for(p: SurfaceParams, spec: QuadratureSpec = DEFAULT_SPEC) -> PeriodReport:
@@ -210,8 +193,9 @@ DEFAULT_SEED_BOX = (0.82, 0.98, 1.01, 1.51)
 
 
 def _pis(t, X_offset, a, b, spec):
-    rep = period_report(t, X_offset, a, b, spec)
-    return np.array([rep.pi1, rep.pi2]), rep
+    p = resolve_params(t, X_offset, a, b)
+    rep = period_report_for(p, spec)
+    return np.array([rep.pi1, rep.pi2]), (p, rep)
 
 
 # largest perturbation of the family coordinates for which the warm-started
@@ -253,12 +237,10 @@ def solve_periods(t: float, X_offset: float,
     best_v, best_pv = None, None
     for start in starts:
         try:
-            v, pv = _newton2(t, X_offset, start, tol, spec, max_iter)
+            v, pv, (p, rep) = _newton2(t, X_offset, start, tol, spec, max_iter)
         except (NoRoot, NoConvergence):
             continue
         if np.max(np.abs(pv)) < tol:
-            p = resolve_params(t, X_offset, v[0], v[1])
-            rep = period_report_for(p, spec)
             return FamilySolution(t=t, X_offset=X_offset, a=float(v[0]),
                                   b=float(v[1]), y=p.y, report=rep)
         if best_pv is None or np.max(np.abs(pv)) < np.max(np.abs(best_pv)):
@@ -272,12 +254,13 @@ def solve_periods(t: float, X_offset: float,
 
 
 def _newton2(t, X_offset, v0, tol, spec, max_iter):
+    """Returns the last iterate, its residuals and its (params, report)."""
     a_min, a_max, b_min, b_max = SEARCH_BOX
     v = np.array(v0, dtype=float)
-    pv, _ = _pis(t, X_offset, v[0], v[1], spec)
+    pv, at = _pis(t, X_offset, v[0], v[1], spec)
     for _ in range(max_iter):
         if np.max(np.abs(pv)) < tol:
-            return v, pv
+            return v, pv, at
         h = 1e-7
         Jm = np.zeros((2, 2))
         for j in range(2):
@@ -290,16 +273,16 @@ def _newton2(t, X_offset, v0, tol, spec, max_iter):
             vn = v + lam*dv
             if a_min < vn[0] < a_max and b_min < vn[1] < b_max:
                 try:
-                    pn, _ = _pis(t, X_offset, vn[0], vn[1], spec)
+                    pn, an = _pis(t, X_offset, vn[0], vn[1], spec)
                     if np.linalg.norm(pn) < np.linalg.norm(pv) or lam <= 0.25:
-                        v, pv = vn, pn
+                        v, pv, at = vn, pn, an
                         break
                 except (NoRoot, FloatingPointError):
                     pass
             lam *= 0.5
             if lam < 1e-8:
-                return v, pv
-    return v, pv
+                return v, pv, at
+    return v, pv, at
 
 
 def sweep_family(t_grid, X_grid, spec: QuadratureSpec = DEFAULT_SPEC,

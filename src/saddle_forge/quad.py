@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import InvalidQuadrature, NoConvergence
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,10 @@ class QuadratureSpec:
     endpoint_exponents: tuple[float, float] = (-0.5, -0.5)
 
     def validate(self) -> "QuadratureSpec":
-        assert self.rel_tol > 0 and self.abs_tol > 0
-        assert all(e > -1.0 for e in self.endpoint_exponents)
+        if not (self.rel_tol > 0 and self.abs_tol > 0
+                and all(e > -1.0 for e in self.endpoint_exponents)):
+            raise InvalidQuadrature(f"need positive tolerances and endpoint "
+                                    f"exponents above -1, got {self}")
         return self
 
 
@@ -98,16 +100,14 @@ def integrate_singular(f, lo: float, hi: float,
 
 def integrate_to_infinity(f, lo: float,
                           spec: QuadratureSpec = DEFAULT_SPEC,
-                          singular_at_lo: bool = False,
                           scale: float = 1.0):
     """Integrate f on (lo, inf); f must decay at least like t^-2.
 
     Uses the exp-sinh double-exponential substitution x = lo + scale*e^s.
     The distance to the finite endpoint is passed exactly, so an
     inverse-square-root singularity at lo is handled without special
-    casing (singular_at_lo is accepted for interface clarity).
+    casing.
     """
-    del singular_at_lo
     spec.validate()
     deltas = _wants_deltas(f)
 

@@ -43,6 +43,12 @@ def test_solve_rejects_negative_t(capsys):
     assert "error" in err
 
 
+def test_solve_rejects_bad_quadrature_tolerance(capsys):
+    code, _, err = run_cli(capsys, "solve", "--quad-rel-tol", "0")
+    assert code == 3
+    assert "InvalidQuadrature" in err
+
+
 def test_periods_at_explicit_moduli(capsys):
     code, out, _ = run_cli(capsys, "periods", "--t", "0.02",
                            "--a", "0.9", "--b", "1.26")

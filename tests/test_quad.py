@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import elliptic_oracle
-from saddle_forge.errors import NoConvergence
+from saddle_forge.errors import InvalidQuadrature, NoConvergence
 from saddle_forge.quad import (QuadratureSpec, contour_integral,
                                gauss_legendre_01, integrate_singular,
                                integrate_to_infinity)
@@ -50,7 +50,7 @@ def test_semi_infinite_singular_endpoint():
     # int_b^inf dt/(t sqrt(t^2-b^2)) = pi/(2b), here b = 2
     b = 2.0
     v, _ = integrate_to_infinity(lambda t, dlo, dhi: 1.0/(t*np.sqrt(dlo*(t + b))),
-                                 b, singular_at_lo=True, scale=b)
+                                 b, scale=b)
     assert abs(v - np.pi/4) < 1e-11
 
 
@@ -62,6 +62,20 @@ def test_no_convergence_reports_best():
                            0.0, 1.0, spec)
     assert exc.value.best is not None
     assert exc.value.residual is not None
+
+
+@pytest.mark.parametrize("spec", [
+    QuadratureSpec(rel_tol=0.0),
+    QuadratureSpec(abs_tol=-1e-13),
+    QuadratureSpec(rel_tol=float("nan")),
+    QuadratureSpec(endpoint_exponents=(-0.5, -1.0)),
+])
+def test_validate_rejects_bad_spec(spec):
+    # a typed error, not an assert that vanishes under python -O
+    with pytest.raises(InvalidQuadrature):
+        spec.validate()
+    with pytest.raises(InvalidQuadrature):
+        integrate_singular(lambda t: t, 0.0, 1.0, spec)
 
 
 def test_contour_residue_of_simple_pole():
