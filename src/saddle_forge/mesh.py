@@ -12,16 +12,19 @@ Positions come from integrating the Weierstrass forms edge by edge with
 Gauss quadrature; edges near a branch point or puncture are integrated along
 an analytically substituted path (square-root map at branch points, log map
 at the simple poles), which is legitimate because the forms are holomorphic
-between the singularities.  Per-cell loop-closure residuals certify the
-integration; they sit at the rounding floor for a correct branch of w.
+between the singularities.  The increments are summed along a spanning tree
+of the grid; per-cell loop-closure residuals (the signed sum of each quad's
+four edge increments) certify the integration; they sit at the rounding
+floor for a correct branch of w.
 
 The assembled tower is the orbit of the piece under the three coordinate
-reflections and vertical translations by the period T.
+reflections and vertical translations by the period T.  The reflection that
+fixes each symmetry stretch says which copies share its vertices, so the
+copies are welded by index, never by comparing coordinates.
 """
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +71,11 @@ class DomainGrid:
     z: np.ndarray            # flat complex node positions
     edges: np.ndarray        # (n_edges, 2) node index pairs
     quads: np.ndarray        # (n_quads, 4) node indices, ccw in the grid
+    quad_edges: np.ndarray   # (n_quads, 4) edge indices along the ccw walk
+    quad_signs: np.ndarray   # (n_quads, 4) +1 where the edge runs ccw, else -1
+    tree_parent: np.ndarray  # spanning tree: parent node (the root: itself)
+    tree_edge: np.ndarray    # edge joining each node to its parent
+    tree_sign: np.ndarray    # +1 if that edge runs parent -> node, -1 if not
     tags: dict = field(default_factory=dict)   # tag -> node index array
 
 
@@ -141,25 +149,44 @@ def build_grid(p: SurfaceParams, resolution: int,
     idx[alive] = np.arange(alive.sum())
     z = (xs2d + 1j*eta[:, None])[alive]
 
-    edges = []
-    for i in range(nr):
-        for j in range(nc - 1):
-            if alive[i, j] and alive[i, j + 1]:
-                edges.append((idx[i, j], idx[i, j + 1]))
-    for j in range(nc):
-        for i in range(nr - 1):
-            if alive[i, j] and alive[i + 1, j]:
-                edges.append((idx[i, j], idx[i + 1, j]))
-    edges = np.array(edges)
+    # edges: horizontal row-major, then vertical column-major; hid/vid hold
+    # each edge's index at its lower-left node (-1 where an end is dead)
+    h = alive[:, :-1] & alive[:, 1:]
+    v = alive[:-1, :] & alive[1:, :]
+    nh = int(h.sum())
+    hid = -np.ones(h.shape, int)
+    hid[h] = np.arange(nh)
+    vid = -np.ones(v.shape, int)
+    vid.T[v.T] = nh + np.arange(int(v.sum()))
+    edges = np.concatenate([
+        np.stack([idx[:, :-1][h], idx[:, 1:][h]], axis=1),
+        np.stack([idx[:-1, :].T[v.T], idx[1:, :].T[v.T]], axis=1)])
 
-    quads = []
-    for i in range(nr - 1):
-        for j in range(nc - 1):
-            if (alive[i, j] and alive[i, j + 1]
-                    and alive[i + 1, j + 1] and alive[i + 1, j]):
-                quads.append((idx[i, j], idx[i, j + 1],
-                              idx[i + 1, j + 1], idx[i + 1, j]))
-    quads = np.array(quads)
+    # quads row-major, ccw; the edges around each one with the sign that
+    # orients them along the ccw walk (bottom, right, top, left)
+    q = h[:-1] & h[1:] & v[:, :-1] & v[:, 1:]
+    quads = np.stack([idx[:-1, :-1][q], idx[:-1, 1:][q],
+                      idx[1:, 1:][q], idx[1:, :-1][q]], axis=1)
+    quad_edges = np.stack([hid[:-1][q], vid[:, 1:][q],
+                           hid[1:][q], vid[:, :-1][q]], axis=1)
+    quad_signs = np.tile([1.0, 1.0, -1.0, -1.0], (len(quads), 1))
+
+    # spanning tree rooted at the top-left node: the top row is chained left
+    # to right and every other node hangs from the node above it (each
+    # column is alive from the top row down to a window).  A node left as
+    # its own parent is not reached.
+    tree_parent = np.arange(len(z))
+    tree_edge = np.zeros(len(z), int)
+    tree_sign = np.zeros(len(z))
+    top = h[-1]
+    kids = idx[-1, 1:][top]
+    tree_parent[kids] = idx[-1, :-1][top]
+    tree_edge[kids] = hid[-1][top]
+    tree_sign[kids] = 1.0
+    kids = idx[:-1][v]
+    tree_parent[kids] = idx[1:][v]
+    tree_edge[kids] = vid[v]
+    tree_sign[kids] = -1.0
 
     # boundary tags: AL is the imaginary-axis column; the rest partition the
     # bottom row by the marked points, endpoints shared between neighbours
@@ -174,7 +201,9 @@ def build_grid(p: SurfaceParams, resolution: int,
     return DomainGrid(p=p, resolution=int(resolution), far_radius=far_radius,
                       cut_a=cut_a, cut_1=cut_1, eta=eta, xs2d=xs2d,
                       alive=alive, idx=idx, z=z, edges=edges, quads=quads,
-                      tags=tags)
+                      quad_edges=quad_edges, quad_signs=quad_signs,
+                      tree_parent=tree_parent, tree_edge=tree_edge,
+                      tree_sign=tree_sign, tags=tags)
 
 
 def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
@@ -243,7 +272,8 @@ def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
 
 def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8,
                     n_gauss: int = 8) -> PieceMesh:
-    """Positions by breadth-first accumulation of real edge increments.
+    """Positions by accumulating real edge increments along the grid's
+    spanning tree.
 
     Every grid quad provides a loop-closure residual; each must stay below
     lc_tol times the cell scale (largest edge increment of the quad), with
@@ -254,48 +284,24 @@ def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8,
     inc = edge_increments(p, grid.z[E0], grid.z[E1], n_gauss=n_gauss)
     rinc = np.real(inc)
 
-    einc = {}
-    for k in range(len(E0)):
-        einc[(E0[k], E1[k])] = rinc[k]
+    e = grid.quad_signs[:, :, None]*rinc[grid.quad_edges]
+    lc = np.linalg.norm(e.sum(axis=1), axis=1)
+    scale = np.linalg.norm(e, axis=2).max(axis=1)
 
-    def get(u, v):
-        return einc[(u, v)] if (u, v) in einc else -einc[(v, u)]
-
-    lc = np.empty(len(grid.quads))
-    scale = np.empty(len(grid.quads))
-    for q, (q0, q1, q2, q3) in enumerate(grid.quads):
-        e = [get(q0, q1), get(q1, q2), get(q2, q3), get(q3, q0)]
-        lc[q] = np.linalg.norm(e[0] + e[1] + e[2] + e[3])
-        scale[q] = max(np.linalg.norm(ei) for ei in e)
-
-    nnode = len(grid.z)
-    adj = [[] for _ in range(nnode)]
-    for k in range(len(E0)):
-        adj[E0[k]].append((E1[k], k, 1.0))
-        adj[E1[k]].append((E0[k], k, -1.0))
-    pos = np.zeros((nnode, 3))
-    seen = np.zeros(nnode, bool)
-    root = grid.idx[0, 0]
-    seen[root] = True
-    dq = deque([root])
-    while dq:
-        u = dq.popleft()
-        for (v, k, sg) in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                pos[v] = pos[u] + sg*rinc[k]
-                dq.append(v)
-    if not seen.all():
-        raise BranchInconsistency(f"grid is disconnected: {int(np.sum(~seen))} "
+    # pointer jumping: pos holds each node's offset from par, and par climbs
+    # twice as far up the tree per step until it is a root
+    par = grid.tree_parent
+    pos = grid.tree_sign[:, None]*rinc[grid.tree_edge]
+    while True:
+        up = par[par]
+        if np.array_equal(up, par):
+            break
+        pos += pos[par]
+        par = up
+    unreached = int(np.sum(par != grid.idx[-1, 0]))
+    if unreached:
+        raise BranchInconsistency(f"grid is disconnected: {unreached} "
                                   "nodes unreachable")
-
-    floor = 64*np.finfo(float).eps*np.max(np.abs(pos))
-    bad = lc > np.maximum(lc_tol*scale, floor)
-    if bad.any():
-        q = int(np.argmax(lc/np.maximum(scale, 1e-300)))
-        raise BranchInconsistency(
-            f"{int(bad.sum())} cells violate loop closure; worst residual "
-            f"{lc[q]:.3e} at cell scale {scale[q]:.3e}")
 
     boundary = {tag: np.asarray(nodes) for tag, nodes in grid.tags.items()}
 
@@ -312,6 +318,14 @@ def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8,
               "CB": float(np.mean(pos[boundary["CB"], 0])),
               "BA": float(np.mean(pos[boundary["BA"], 2]))}
     T = 2.0*abs(lvl_ED)
+
+    floor = 64*np.finfo(float).eps*np.max(np.abs(pos))
+    bad = lc > np.maximum(lc_tol*scale, floor)
+    if bad.any():
+        q = int(np.argmax(lc/np.maximum(scale, 1e-300)))
+        raise BranchInconsistency(
+            f"{int(bad.sum())} cells violate loop closure; worst residual "
+            f"{lc[q]:.3e} at cell scale {scale[q]:.3e}")
 
     tris = np.concatenate([grid.quads[:, [0, 1, 2]], grid.quads[:, [0, 2, 3]]])
     return PieceMesh(grid=grid, vertices=pos, faces=tris, loop_residuals=lc,
@@ -346,12 +360,19 @@ def assemble(piece: PieceMesh, n_periods: int = 1,
              weld_tol: float = 1e-9, check: bool = True) -> AssembledMesh:
     """Orbit of the piece under {+-x1} x {+-x2} x {+-x3} and k*T*e3.
 
-    Vertices are welded by quantizing coordinates to weld_tol times the
-    bounding-box diagonal.  With unsolved period parameters the symmetry
-    stretches fail to lie in the reflection planes and the copies cannot be
-    glued; this is reported as WeldMismatch before any welding is attempted.
+    Copy c is period c // 8 with signs in itertools.product order, so bits
+    4, 2, 1 of c flip x1, x2, x3.  Each symmetry stretch lies in the mirror
+    of one reflection, and the copies that reflection pairs share its
+    vertices: AL (x2 = 0), LF (x1 = 0), FE and DC (x3 = 0) within a period,
+    ED and BA (the half-period mirror) across adjacent periods.  Vertices
+    are welded by these index maps, never by coordinates.  Stretches off
+    their planes (unsolved period parameters) or welded vertices more than
+    weld_tol times the bounding-box diagonal apart raise WeldMismatch.
     """
+    if not isinstance(n_periods, (int, np.integer)) or n_periods < 1:
+        raise InvalidResolution(f"n_periods must be an integer >= 1, got {n_periods!r}")
     v = piece.vertices
+    n = len(v)
     bbox = np.linalg.norm(v.max(axis=0) - v.min(axis=0))
     tol = weld_tol*bbox
     if check:
@@ -366,43 +387,55 @@ def assemble(piece: PieceMesh, n_periods: int = 1,
                 f"with ED): gap {level_gap:.3e} exceeds tol {tol:.3e} -- "
                 f"period problem not solved")
 
-    verts_out = []
-    faces_out = []
-    vmap = {}
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    copies = np.arange(8*n_periods)
+    n_copies = len(copies)
+    # at the half-period mirror the s3 = +1 copies of period k meet the
+    # s3 = -1 copies of period k + up
+    up = 1 if piece.levels["ED"] > 0 else -1
+    k_up = copies//8 + up
+    lo = copies[(copies % 2 == 0) & (0 <= k_up) & (k_up < n_periods)]
+    seams = [("AL", copies, copies ^ 2), ("LF", copies, copies ^ 4),
+             ("FE", copies, copies ^ 1), ("DC", copies, copies ^ 1),
+             ("ED", lo, lo + 8*up + 1), ("BA", lo, lo + 8*up + 1)]
+    ia = np.concatenate([(c0*n)[:, None] + piece.boundary[tag]
+                         for tag, c0, _ in seams], axis=None)
+    ib = np.concatenate([(c1*n)[:, None] + piece.boundary[tag]
+                         for tag, _, c1 in seams], axis=None)
 
-    def key(q):
-        return (int(round(q[0]/tol)), int(round(q[1]/tol)), int(round(q[2]/tol)))
+    # every vertex takes the smallest copy-major id of its welded group
+    label = np.arange(n_copies*n)
+    while True:
+        m = np.minimum(label[ia], label[ib])
+        if np.array_equal(m, label[ia]) and np.array_equal(m, label[ib]):
+            break
+        np.minimum.at(label, ia, m)
+        np.minimum.at(label, ib, m)
+    rep, inv = np.unique(label, return_inverse=True)
+    per_copy = inv.reshape(n_copies, n)
+    if np.any(np.diff(np.sort(per_copy, axis=1), axis=1) == 0):
+        raise WeldMismatch("weld merged two vertices of one copy")
 
-    for kper in range(n_periods):
-        shift = np.array([0.0, 0.0, kper*piece.T])
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            sg = np.array(signs)
-            vv = v*sg + shift
-            flip = sg[0]*sg[1]*sg[2] < 0
-            local = np.empty(len(vv), int)
-            for i, q in enumerate(vv):
-                kq = key(q)
-                j = vmap.get(kq)
-                if j is None:
-                    j = len(verts_out)
-                    vmap[kq] = j
-                    verts_out.append(q)
-                local[i] = j
-            f = local[piece.faces]
-            if flip:
-                f = f[:, ::-1]
-            faces_out.append(f)
-    vertices = np.array(verts_out)
-    faces = np.concatenate(faces_out)
-    # drop faces degenerated by welding, and exact duplicates from faces
-    # lying inside a reflection plane
-    ok = ((faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2])
-          & (faces[:, 2] != faces[:, 0]))
-    faces = faces[ok]
-    canon = np.sort(faces, axis=1)
-    _, keep = np.unique(canon, axis=0, return_index=True)
-    faces = faces[np.sort(keep)]
-    return AssembledMesh(vertices=vertices, faces=faces, T=piece.T,
+    def place(ids):
+        c = ids//n
+        return v[ids % n]*signs[c % 8] + np.outer(c//8*piece.T, [0.0, 0.0, 1.0])
+
+    if check:
+        merged = np.flatnonzero(label != np.arange(n_copies*n))
+        gap = np.max(np.linalg.norm(place(merged) - place(label[merged]), axis=1),
+                     initial=0.0)
+        if gap > tol:
+            raise WeldMismatch(f"welded vertices {gap:.3e} apart, beyond "
+                               f"{tol:.3e}")
+
+    faces = per_copy[:, piece.faces]
+    odd = np.prod(signs[copies % 8], axis=1) < 0
+    faces[odd] = faces[odd][:, :, ::-1]
+    faces = faces.reshape(-1, 3)
+    if len(faces) != n_copies*len(piece.faces):
+        raise WeldMismatch(f"tower has {len(faces)} faces, expected "
+                           f"{n_copies*len(piece.faces)}")
+    return AssembledMesh(vertices=place(rep), faces=faces, T=piece.T,
                          n_periods=n_periods)
 
 
@@ -436,17 +469,14 @@ def curvature_stats(vertices: np.ndarray, faces: np.ndarray):
     for k in range(3):
         np.add.at(A, faces[:, k], dblA/6.0)
 
-    ecount = defaultdict(int)
-    for t in faces:
-        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            ecount[(min(e), max(e))] += 1
-    bnd = set()
-    for e, c in ecount.items():
-        if c == 1:
-            bnd.update(e)
+    # an edge used by a single face is a boundary edge
+    e = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, count = np.unique(e[:, 0].astype(np.int64)*nnode + e[:, 1],
+                            return_counts=True)
+    bnd = keys[count == 1]
     interior = np.ones(nnode, bool)
-    if bnd:
-        interior[list(bnd)] = False
+    interior[bnd//nnode] = False
+    interior[bnd % nnode] = False
     H = np.linalg.norm(L, axis=1)/(4.0*np.maximum(A, 1e-300))
     return H, A, interior
 
@@ -462,12 +492,18 @@ def mean_curvature_norm(vertices: np.ndarray, faces: np.ndarray) -> float:
 def export_obj(mesh, path, pi1: float = 0.0, pi2: float = 0.0,
                comment: str | None = None):
     """Deterministic OBJ writer; the header records the period residuals."""
-    lines = [f"# pi1={pi1:.17g} pi2={pi2:.17g}"]
+    head = f"# pi1={pi1:.17g} pi2={pi2:.17g}\n"
     if comment:
-        lines.append(f"# {comment}")
-    for v in mesh.vertices:
-        lines.append("v %.12e %.12e %.12e" % (v[0], v[1], v[2]))
-    for f in mesh.faces:
-        lines.append("f %d %d %d" % (f[0] + 1, f[1] + 1, f[2] + 1))
+        head += f"# {comment}\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head)
+        _write_rows(fh, "v %.12e %.12e %.12e\n", mesh.vertices)
+        _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
+
+
+def _write_rows(fh, fmt, rows):
+    """One %-format per block of 4096 rows instead of one per row; a single
+    format over all rows would hold the whole text in memory at once."""
+    for s in range(0, len(rows), 4096):
+        block = rows[s:s + 4096]
+        fh.write((fmt*len(block)) % tuple(block.ravel().tolist()))

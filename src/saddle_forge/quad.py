@@ -17,6 +17,10 @@ import numpy as np
 from .errors import InvalidQuadrature, NoConvergence
 
 
+# convergence is first tested at this refinement level
+_MIN_LEVELS = 5
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     rel_tol: float = 1e-11
@@ -29,6 +33,9 @@ class QuadratureSpec:
                 and all(e > -1.0 for e in self.endpoint_exponents)):
             raise InvalidQuadrature(f"need positive tolerances and endpoint "
                                     f"exponents above -1, got {self}")
+        if self.max_refinement_levels < _MIN_LEVELS:
+            raise InvalidQuadrature(f"need at least {_MIN_LEVELS} refinement "
+                                    f"levels, got {self}")
         return self
 
 
@@ -61,7 +68,8 @@ def _refine(term, spec, first_range, reach):
         new = 0.5*val + h*term(h, ks[ks % 2 != 0])
         delta = abs(new - val)
         val = new
-        if level > 4 and delta <= max(spec.abs_tol, spec.rel_tol*abs(val)):
+        if (level >= _MIN_LEVELS
+                and delta <= max(spec.abs_tol, spec.rel_tol*abs(val))):
             return val, delta
         prev = delta
     raise NoConvergence("double-exponential refinement did not converge",

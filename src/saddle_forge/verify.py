@@ -411,18 +411,6 @@ def _candidate_keys_by_level(lo, hi, eps_abs):
             yield np.unique(np.concatenate(key_chunks))
 
 
-def _aabb_overlap_pairs(lo, hi, eps_abs):
-    """All pairs of triangles with overlapping (inflated) bounding boxes,
-    as a (m, 2) index array with first index smaller.  Materializes the
-    full candidate set; use the level generator directly for large meshes."""
-    chunks = list(_candidate_keys_by_level(lo, hi, eps_abs))
-    if not chunks:
-        return np.empty((0, 2), int)
-    keys = np.unique(np.concatenate(chunks))
-    n = len(lo)
-    return np.stack([keys // n, keys % n], axis=1)
-
-
 def check_self_intersections(vertices: np.ndarray, faces: np.ndarray,
                              eps: float = 1e-9,
                              chunk: int = 2_000_000) -> CheckResult:

@@ -49,6 +49,12 @@ def test_solve_rejects_bad_quadrature_tolerance(capsys):
     assert "InvalidQuadrature" in err
 
 
+def test_solve_rejects_too_few_quadrature_levels(capsys):
+    code, _, err = run_cli(capsys, "solve", "--quad-levels", "4")
+    assert code == 3
+    assert "InvalidQuadrature" in err
+
+
 def test_periods_at_explicit_moduli(capsys):
     code, out, _ = run_cli(capsys, "periods", "--t", "0.02",
                            "--a", "0.9", "--b", "1.26")
@@ -82,6 +88,15 @@ def test_mesh_io_failure_is_exit_4(capsys, tmp_path):
 def test_mesh_rejects_bad_resolution(capsys):
     code, _, err = run_cli(capsys, "mesh", "--resolution", "2")
     assert code == 3
+
+
+def test_mesh_rejects_empty_tower(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "mesh", "--t", "0.02", "--tol", "1e-9",
+                           "--resolution", "32", "--n-periods", "0",
+                           "-o", str(tmp_path/"t.obj"))
+    assert code == 3
+    assert "InvalidResolution" in err
+    assert not (tmp_path/"t.obj").exists()
 
 
 def test_sweep_writes_csv(capsys, tmp_path):
@@ -174,6 +189,32 @@ def test_entry_point_runs_in_subprocess(tmp_path):
     assert res.returncode == 0, res.stderr
     assert "pi1 = " in res.stdout
     assert parse_kv(res.stdout)["openblas_at_numpy_import"] == "'1'"
+
+
+_MESH_PROBE = """
+import sys
+from saddle_forge import cli
+
+code = cli.main(["mesh", "--resolution", "16", "--lc-tol", "1e-6",
+                 "--tol", "1e-9", "-o", sys.argv[1]])
+print(f"exit = {code}")
+print(f"scipy_loaded = {'scipy' in sys.modules}")
+"""
+
+
+def test_mesh_runs_on_numpy_alone(tmp_path):
+    # the runtime depends on numpy only; importing scipy would also cost
+    # every command its start-up time
+    src = str(Path(saddle_forge.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", _MESH_PROBE, str(tmp_path/"t.obj")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src,
+             "SADDLE_FORGE_THREADS": "1"})
+    assert res.returncode == 0, res.stderr
+    vals = parse_kv(res.stdout)
+    assert vals["exit"] == "0", res.stderr
+    assert vals["scipy_loaded"] == "False"
 
 
 def test_cli_output_is_deterministic(capsys):

@@ -1,3 +1,6 @@
+import itertools
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,31 @@ def test_grid_tags_cover_boundary(solved_params):
     assert len(np.intersect1d(g.tags["DC"], g.tags["CB"])) == 1
     assert len(np.intersect1d(g.tags["CB"], g.tags["BA"])) == 1
     assert len(np.intersect1d(g.tags["ED"], g.tags["DC"])) == 0
+
+
+def test_grid_arrays_match_nested_loops(solved_params):
+    # edges: horizontal row-major, then vertical column-major; quads
+    # row-major -- the order the face arrays depend on
+    g = build_grid(solved_params, 16)
+    alive, idx = g.alive, g.idx
+    nr, nc = alive.shape
+    edges = [(idx[i, j], idx[i, j + 1]) for i in range(nr)
+             for j in range(nc - 1) if alive[i, j] and alive[i, j + 1]]
+    edges += [(idx[i, j], idx[i + 1, j]) for j in range(nc)
+              for i in range(nr - 1) if alive[i, j] and alive[i + 1, j]]
+    quads = [(idx[i, j], idx[i, j + 1], idx[i + 1, j + 1], idx[i + 1, j])
+             for i in range(nr - 1) for j in range(nc - 1)
+             if alive[i, j] and alive[i, j + 1]
+             and alive[i + 1, j + 1] and alive[i + 1, j]]
+    assert np.array_equal(g.edges, np.array(edges))
+    assert np.array_equal(g.quads, np.array(quads))
+    # each quad's signed edges walk its corners ccw
+    walk = g.edges[g.quad_edges]
+    fwd = g.quad_signs > 0
+    start = np.where(fwd, walk[:, :, 0], walk[:, :, 1])
+    end = np.where(fwd, walk[:, :, 1], walk[:, :, 0])
+    assert np.array_equal(start, g.quads)
+    assert np.array_equal(end, np.roll(g.quads, -1, axis=1))
 
 
 def test_grid_windows_are_dead(solved_params):
@@ -92,6 +120,22 @@ def test_loop_closure_at_machine_level(piece64):
                                                  floor)
 
 
+def test_positions_reproduce_edge_increments(solved_params):
+    # every edge difference equals its increment up to the loop-closure
+    # residuals enclosed between the edge and the spanning-tree path; tree
+    # edges reproduce it to rounding
+    g = build_grid(solved_params, 32)
+    piece = integrate_piece(g)
+    E0, E1 = g.edges[:, 0], g.edges[:, 1]
+    rinc = np.real(edge_increments(solved_params, g.z[E0], g.z[E1]))
+    dev = np.linalg.norm(piece.vertices[E1] - piece.vertices[E0] - rinc, axis=1)
+    floor = 64*np.finfo(float).eps*np.max(np.abs(piece.vertices))
+    assert np.max(dev) <= np.sum(piece.loop_residuals) + floor
+    tree = g.tree_edge[g.tree_parent != np.arange(len(g.z))]
+    assert len(tree) == len(g.z) - 1
+    assert np.max(dev[tree]) <= floor
+
+
 def test_vertical_period_equals_horizontal_flux(solved, piece64):
     # the tower period from the mesh must reproduce the residue computation
     assert piece64.T == pytest.approx(solved.report.r, rel=1e-6)
@@ -107,6 +151,20 @@ def test_symmetry_stretches_are_planar(piece64):
 
 def test_piece_is_minimal_to_discretization_error(piece64):
     assert mean_curvature_norm(piece64.vertices, piece64.faces) < 0.05
+
+
+def test_curvature_interior_matches_edge_count_loop(piece64):
+    faces = piece64.faces
+    ecount = defaultdict(int)
+    for t in faces:
+        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            ecount[(min(e), max(e))] += 1
+    interior = np.ones(len(piece64.vertices), bool)
+    for e, c in ecount.items():
+        if c == 1:
+            interior[list(e)] = False
+    _, _, got = curvature_stats(piece64.vertices, faces)
+    assert np.array_equal(got, interior)
 
 
 def test_curvature_stats_flat_sheet_is_exact():
@@ -148,6 +206,64 @@ def test_assemble_welds_and_is_symmetric(piece64):
     for (u, v), c in cnt.items():
         assert c == 1
         assert cnt.get((v, u), 0) <= 1
+
+
+def _copy_maps(piece, m):
+    """Tower vertex of each piece vertex, one row per copy; copies are
+    period-major, signs in itertools.product order, and odd copies carry
+    reversed faces."""
+    nf = len(piece.faces)
+    signs = list(itertools.product((1, -1), repeat=3))
+    maps = np.full((8*m.n_periods, len(piece.vertices)), -1)
+    for c in range(len(maps)):
+        fc = m.faces[c*nf:(c + 1)*nf]
+        if np.prod(signs[c % 8]) < 0:
+            fc = fc[:, ::-1]
+        maps[c][piece.faces] = fc
+        assert np.array_equal(maps[c][piece.faces], fc)
+    return maps, np.array(signs)
+
+
+@pytest.mark.parametrize("n_periods", [1, 2])
+@pytest.mark.parametrize("piece_name", ["piece64", "piece128"])
+def test_tower_is_welded_along_every_seam(piece_name, n_periods, request):
+    piece = request.getfixturevalue(piece_name)
+    m = assemble(piece, n_periods=n_periods)
+    assert len(m.faces) == 8*n_periods*len(piece.faces)
+    maps, signs = _copy_maps(piece, m)
+    used = np.unique(piece.faces)
+    v = piece.vertices
+    bbox = np.linalg.norm(v.max(0) - v.min(0))
+    for c, cmap in enumerate(maps):
+        # no two vertices of one copy share a tower vertex
+        assert len(np.unique(cmap[used])) == len(used)
+        placed = v[used]*signs[c % 8] + [0.0, 0.0, (c//8)*piece.T]
+        assert np.max(np.abs(m.vertices[cmap[used]] - placed)) < 1e-9*bbox
+
+    # count the faces on each tower edge
+    e = np.sort(m.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, count = np.unique(e[:, 0]*len(m.vertices) + e[:, 1],
+                            return_counts=True)
+
+    def uses(a, b):
+        k = np.minimum(a, b)*len(m.vertices) + np.maximum(a, b)
+        pos = np.searchsorted(keys, k)
+        assert np.all(keys[pos] == k)
+        return count[pos]
+
+    g = piece.grid
+    seam_edges = {tag: g.edges[np.isin(g.edges, piece.boundary[tag]).all(axis=1)]
+                  for tag in ("AL", "LF", "FE", "ED", "DC", "BA")}
+    # the half-period mirror of copy (k, s3) sits at height k*T + s3*ED level;
+    # the copy of opposite s3 at the same height is in period k + s3*up
+    up = 1 if piece.levels["ED"] > 0 else -1
+    for c, cmap in enumerate(maps):
+        k, s3 = c//8, signs[c % 8][2]
+        for tag, se in seam_edges.items():
+            assert len(se) >= 1, tag
+            n = uses(cmap[se[:, 0]], cmap[se[:, 1]])
+            welded = tag not in ("ED", "BA") or 0 <= k + s3*up < n_periods
+            assert np.all(n == (2 if welded else 1)), (tag, c, np.unique(n))
 
 
 def test_assemble_stacks_periods(piece64):
@@ -197,3 +313,14 @@ def test_export_obj_deterministic_and_round_trips(piece64, solved, tmp_path):
     p3 = tmp_path/"c.obj"
     export_obj(m2, p3, pi1=solved.report.pi1, pi2=solved.report.pi2)
     assert p3.read_bytes() == b1
+
+
+def test_export_obj_matches_line_writer(piece64, tmp_path):
+    lines = [f"# pi1={1.25e-12:.17g} pi2={-3.5e-11:.17g}", "# piece"]
+    lines += ["v %.12e %.12e %.12e" % (v[0], v[1], v[2])
+              for v in piece64.vertices]
+    lines += ["f %d %d %d" % (f[0] + 1, f[1] + 1, f[2] + 1)
+              for f in piece64.faces]
+    path = tmp_path/"piece.obj"
+    export_obj(piece64, path, pi1=1.25e-12, pi2=-3.5e-11, comment="piece")
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

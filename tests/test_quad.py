@@ -69,6 +69,8 @@ def test_no_convergence_reports_best():
     QuadratureSpec(abs_tol=-1e-13),
     QuadratureSpec(rel_tol=float("nan")),
     QuadratureSpec(endpoint_exponents=(-0.5, -1.0)),
+    # convergence is first tested at level 5, so fewer levels never converge
+    QuadratureSpec(max_refinement_levels=4),
 ])
 def test_validate_rejects_bad_spec(spec):
     # a typed error, not an assert that vanishes under python -O
