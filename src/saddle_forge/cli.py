@@ -213,8 +213,11 @@ def _sweep_fig6(args, spec):
     fixed family coordinates, for contour plotting of the two zero sets."""
     import csv
 
-    from .periods import (DEFAULT_SEED_BOX, period_report_for,
-                          resolve_params)
+    from .periods import (DEFAULT_SEED_BOX, check_family_coords,
+                          period_report_for, resolve_params)
+    # a point error below is recorded as a row; a bad (t, X_offset) would
+    # fail every point, so it is rejected before the grid
+    check_family_coords(args.t, args.X_offset)
     a_lo, a_hi, b_lo, b_hi = DEFAULT_SEED_BOX
     a_grid = np.linspace(a_lo, a_hi, args.n_a)
     b_grid = np.linspace(b_lo, b_hi, args.n_b)

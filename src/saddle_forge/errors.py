@@ -21,7 +21,7 @@ class InvalidResolution(SaddleForgeError):
 
 
 class InvalidQuadrature(SaddleForgeError):
-    """Quadrature tolerances or endpoint exponents out of range."""
+    """Quadrature tolerances or refinement levels out of range."""
     exit_code = EXIT_INVALID_INPUT
 
 

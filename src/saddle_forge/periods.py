@@ -290,14 +290,15 @@ def sweep_family(t_grid, X_grid, spec: QuadratureSpec = DEFAULT_SPEC,
     """Solve the family over a (t, X_offset) grid with warm starts.
 
     Returns a list of (t, X_offset, solution_or_None) rows in grid order;
-    failures are recorded, not fatal.  t = 0 rows are rejected up front
-    (degenerate limit: y -> 1 collides with an integration endpoint).
+    solve failures are recorded, not fatal.  Grid points outside the family
+    domain raise DomainViolation before any solve.
     """
+    for t in t_grid:
+        for X_offset in X_grid:
+            check_family_coords(t, X_offset)
     rows = []
     seed = None
     for t in t_grid:
-        if t <= 0:
-            raise ValueError("t must be positive (t = 0 is the degenerate limit)")
         for X_offset in X_grid:
             try:
                 sol = solve_periods(t, X_offset, tol=tol, spec=spec, seed=seed)

@@ -26,13 +26,10 @@ class QuadratureSpec:
     rel_tol: float = 1e-11
     abs_tol: float = 1e-13
     max_refinement_levels: int = 12
-    endpoint_exponents: tuple[float, float] = (-0.5, -0.5)
 
     def validate(self) -> "QuadratureSpec":
-        if not (self.rel_tol > 0 and self.abs_tol > 0
-                and all(e > -1.0 for e in self.endpoint_exponents)):
-            raise InvalidQuadrature(f"need positive tolerances and endpoint "
-                                    f"exponents above -1, got {self}")
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
+            raise InvalidQuadrature(f"need positive tolerances, got {self}")
         if self.max_refinement_levels < _MIN_LEVELS:
             raise InvalidQuadrature(f"need at least {_MIN_LEVELS} refinement "
                                     f"levels, got {self}")

@@ -11,13 +11,14 @@ All stochastic checks take an explicit seed and default to a fixed one.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContourTooClose, GaussMapPole, NotApplicable
 from .mesh import PieceMesh
-from .params import SurfaceParams, SymFuncs, sym_funcs
+from .params import SurfaceParams, sym_funcs
 from .weier import CurvePoint, dh_eval, g_eval, vertical_normal_points, w_closed
 
 DEFAULT_SEED = 20260823
@@ -103,7 +104,6 @@ def check_symmetry_table(p: SurfaceParams, tol: float = 1e-9,
     """The boundary stretches must carry the symmetry data of the table:
     real/imaginary/unit-circle constraints on g and dh with fixed signs."""
     p.validate()
-    s = sym_funcs(p)
     rep = VerificationReport()
     for tag, zs in _stretch_samples(p, far, n_samples).items():
         (gk, gs), (dk, ds) = SYMMETRY_TABLE[tag]
@@ -116,7 +116,7 @@ def check_symmetry_table(p: SurfaceParams, tol: float = 1e-9,
                 worst_g = max(worst_g, _cond_residual(g, gk, gs))
             except GaussMapPole:
                 pass
-            dh = complex(dh_eval(p, s, cp))
+            dh = complex(dh_eval(p, cp))
             worst_dh = max(worst_dh, _cond_residual(dh, dk, ds))
         rep.add(f"symmetry[{tag}].g", worst_g <= tol, worst_g)
         rep.add(f"symmetry[{tag}].dh", worst_dh <= tol, worst_dh)
@@ -273,16 +273,12 @@ def _crossing_interval(tri, d, axis):
     return np.minimum(t1, t2), np.maximum(t1, t2), valid
 
 
-def _tri_tri_intersect(t1, t2, eps, n1=None, n2=None):
+def _tri_tri_intersect(t1, t2, n1, n2, eps):
     """Vectorized triangle-triangle crossing test (Moller interval test on
-    the plane-intersection line).  t1, t2: (m, 3, 3) vertex stacks; returns
-    a mask of transversally crossing pairs.  Coplanar or merely touching
-    (within eps along the line) pairs are not counted.  Plane normals may
-    be passed in when precomputed per triangle."""
-    if n1 is None:
-        n1 = np.cross(t1[:, 1] - t1[:, 0], t1[:, 2] - t1[:, 0])
-    if n2 is None:
-        n2 = np.cross(t2[:, 1] - t2[:, 0], t2[:, 2] - t2[:, 0])
+    the plane-intersection line).  t1, t2: (m, 3, 3) vertex stacks with
+    plane normals n1, n2; returns a mask of transversally crossing pairs.
+    Coplanar or merely touching (within eps along the line) pairs are not
+    counted."""
     d2 = np.einsum("mkj,mj->mk", t2 - t1[:, None, 0], n1)
     d1 = np.einsum("mkj,mj->mk", t1 - t2[:, None, 0], n2)
     s1 = np.linalg.norm(n1, axis=1)*eps
@@ -311,45 +307,34 @@ def _tri_tri_intersect(t1, t2, eps, n1=None, n2=None):
 
 
 _HASH = (np.int64(73856093), np.int64(19349663), np.int64(83492791))
+# bound on the (member, cell entry) pairings enumerated at once; it sets the
+# peak memory of both phases, and chunks this small also run faster than
+# much larger ones
+_CHUNK_PAIRS = 1_000_000
 
 
-def _cell_entries(lo, hi, ids, h, eps_abs):
-    """Spatial-hash registration of the (inflated) boxes of `ids` on a grid
-    of cell size h.  Every box has extent <= h per axis at its own level, so
-    it covers at most two cells per axis; all eight corner combinations are
-    emitted (duplicates are harmless, pairs are deduplicated later).
-    Returns (hash_keys, triangle_ids)."""
-    i0 = np.floor((lo[ids] - eps_abs)/h).astype(np.int64)
-    i1 = np.floor((hi[ids] + eps_abs)/h).astype(np.int64)
-    keys = []
-    tris = []
-    for cx in (0, 1):
-        ix = (i1[:, 0] if cx else i0[:, 0])*_HASH[0]
-        for cy in (0, 1):
-            iy = (i1[:, 1] if cy else i0[:, 1])*_HASH[1]
-            for cz in (0, 1):
-                iz = (i1[:, 2] if cz else i0[:, 2])*_HASH[2]
-                keys.append(ix ^ iy ^ iz)
-                tris.append(ids)
-    return np.concatenate(keys), np.concatenate(tris)
+def _cell_key(cells):
+    """Spatial-hash key of integer cell coordinates, one row per axis."""
+    return (cells[0]*_HASH[0]) ^ (cells[1]*_HASH[1]) ^ (cells[2]*_HASH[2])
 
 
-def _candidate_keys_by_level(lo, hi, eps_abs):
-    """Yield, level by level, deduplicated packed keys i*n + j (i < j) of
-    triangle pairs with overlapping (inflated) bounding boxes.
+def _candidate_pairs(lo, hi, eps_abs):
+    """Yield (i, j) index arrays (i < j) of the triangle pairs whose bounding
+    boxes lie within eps_abs of each other on every axis; over all yields
+    each pair comes exactly once.
 
     Size-binned spatial hash: each triangle is registered at the grid level
-    whose cell size bounds its extent, so no box straddles more than eight
-    cells and strongly graded sizes cannot blow up the registration.  At
-    each level the triangles of exactly that size class are paired, within
-    shared cells, against everything of their own size class and below;
-    overlapping boxes always share at least one cell at the coarser of the
-    two levels.  Hash collisions only add candidates, which the exact box
-    test removes.  Pairs spanning two levels are reported at the coarser
-    level only; a pair can still reappear across levels through different
-    shared cells of a multi-cell box, so the caller must tolerate repeats
-    between (not within) yielded arrays."""
-    n = len(lo)
+    whose cell size bounds its extent, so its box (inflated by eps_abs)
+    covers at most two cells per axis and is registered in those eight
+    corner cells.  At each level the triangles of exactly that size class
+    are paired, within shared cells, against everything of their own size
+    class and below, so a pair spanning two levels is met at the coarser
+    one only.  The exact box test removes hash collisions.  Of the cells
+    two overlapping boxes share, a pair is kept only in the one holding the
+    low corner of their intersection: that corner lies in both inflated
+    boxes, so both registered its cell, and its floor is the registration's
+    own, so exactly one shared hash key equals its key even under
+    collisions."""
     ext = np.max(hi - lo, axis=1) + 2*eps_abs
     # the base cell tracks the smallest triangles: strongly graded meshes
     # cluster thousands of tiny triangles in a region a large cell would
@@ -357,6 +342,8 @@ def _candidate_keys_by_level(lo, hi, eps_abs):
     h0 = max(np.percentile(ext, 1), 10*eps_abs, 1e-300)
     level = np.clip(np.ceil(np.log2(np.maximum(ext/h0, 1e-12))),
                     0, 40).astype(int)
+    # one row per axis; hi is inflated by eps_abs from here on
+    lo, hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T + eps_abs)
 
     for lev in range(int(level.max()) + 1):
         h = h0*2.0**lev
@@ -364,91 +351,70 @@ def _candidate_keys_by_level(lo, hi, eps_abs):
         members = level[below] == lev
         if not members.any():
             continue
-        hk, tid = _cell_entries(lo, hi, below, h, eps_abs)
+        c0 = np.floor((lo[:, below] - eps_abs)/h).astype(np.int64)
+        c1 = np.floor(hi[:, below]/h).astype(np.int64)
+        hk = np.concatenate([_cell_key(cell)
+                             for cell in itertools.product(*zip(c0, c1))])
+        tid = np.tile(below, 8)
         memb = np.tile(members, 8)
-        order = np.lexsort((tid, hk))
+        # within a cell, the triangles of smaller size classes come first and
+        # this level's members follow by id, so each member pairs with the
+        # entries before it and every pair of the cell is met once
+        order = np.lexsort((tid, memb, hk))
         hk, tid, memb = hk[order], tid[order], memb[order]
         # drop duplicate (cell, triangle) registrations (a box whose corner
         # combinations coincide registers the same cell several times)
         first = np.r_[True, (np.diff(hk) != 0) | (np.diff(tid) != 0)]
         hk, tid, memb = hk[first], tid[first], memb[first]
-        seg_start = np.r_[0, np.where(np.diff(hk) != 0)[0] + 1]
-        seg_len = np.diff(np.r_[seg_start, len(hk)])
-        start_of = np.repeat(seg_start, seg_len)
-        len_of = np.repeat(seg_len, seg_len)
-        # each member entry pairs with every entry of its cell segment;
-        # generated in bounded chunks so a dense level cannot exhaust memory
-        midx = np.where(memb & (len_of > 1))[0]
+        pos = np.arange(len(hk))
+        n_before = pos - np.maximum.accumulate(
+            np.where(np.r_[True, hk[1:] != hk[:-1]], pos, 0))
+        midx = np.where(memb & (n_before > 0))[0]
         if len(midx) == 0:
             continue
-        lev_mask = level == lev
-        cum = np.cumsum(len_of[midx])
-        bounds = np.searchsorted(cum, np.arange(
-            20_000_000, int(cum[-1]) + 20_000_000, 20_000_000), side="right")
-        bounds = np.unique(np.r_[0, bounds + 1, len(midx)])
-        key_chunks = []
-        for c0, c1 in zip(bounds[:-1], bounds[1:]):
-            mc = midx[c0:c1]
+        # generated in bounded chunks so a dense level cannot exhaust memory
+        cum = np.cumsum(n_before[midx])
+        splits = np.searchsorted(cum, np.arange(_CHUNK_PAIRS, cum[-1], _CHUNK_PAIRS))
+        for mc in np.split(midx, splits):
             if len(mc) == 0:
                 continue
-            reps = len_of[mc]
-            ii = np.repeat(tid[mc], reps)
-            offs = np.arange(int(reps.sum())) - np.repeat(
-                np.cumsum(reps) - reps, reps)
-            jj = tid[np.repeat(start_of[mc], reps) + offs]
-            # drop self-pairs and the double generation of same-level pairs
-            # (each member of the pair enumerates the other)
-            keep = (ii < jj) | ((ii > jj) & ~lev_mask[jj])
-            ii, jj = ii[keep], jj[keep]
-            # exact box test (removes hash collisions, corner-only sharing)
-            ov = np.all((lo[ii] <= hi[jj] + eps_abs)
-                        & (lo[jj] <= hi[ii] + eps_abs), axis=1)
-            ii, jj = ii[ov], jj[ov]
-            if len(ii):
-                key_chunks.append(np.minimum(ii, jj).astype(np.int64)*n
-                                  + np.maximum(ii, jj))
-        if key_chunks:
-            yield np.unique(np.concatenate(key_chunks))
+            reps = n_before[mc]
+            entry = np.repeat(mc, reps)
+            ii = tid[entry]
+            jj = tid[np.arange(len(entry)) + np.repeat(mc - np.cumsum(reps), reps)]
+            # exact box test, one axis at a time on the survivors
+            for lo_k, hi_k in zip(lo, hi):
+                near = (lo_k[ii] <= hi_k[jj]) & (lo_k[jj] <= hi_k[ii])
+                entry, ii, jj = entry[near], ii[near], jj[near]
+            corner = np.floor((np.maximum(lo[:, ii], lo[:, jj]) - eps_abs)/h)
+            own = _cell_key(corner.astype(np.int64)) == hk[entry]
+            ii, jj = ii[own], jj[own]
+            yield np.minimum(ii, jj), np.maximum(ii, jj)
 
 
 def check_self_intersections(vertices: np.ndarray, faces: np.ndarray,
-                             eps: float = 1e-9,
-                             chunk: int = 2_000_000) -> CheckResult:
+                             eps: float = 1e-9) -> CheckResult:
     """Count transversally crossing triangle pairs.
 
-    Broad phase: size-binned spatial hashing, streamed level by level so the
-    candidate set (which grows large for strongly graded, near-coincident
+    Broad phase: size-binned spatial hashing, streamed in bounded chunks so
+    the candidate set (which grows large for strongly graded, near-coincident
     sheet meshes) is never materialized at once.  Narrow phase: vectorized
     interval test with precomputed plane normals; pairs sharing a vertex are
-    excluded (seam neighbours).  Only actual crossings are collected, and
-    deduplicated at the end (a pair can be generated by several grid cells)."""
+    excluded (seam neighbours)."""
     tri = vertices[faces]                       # (m, 3, 3)
     lo = tri.min(axis=1)
     hi = tri.max(axis=1)
     bbox = np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0))
     eps_abs = eps*bbox
     normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    n = len(tri)
 
-    n_cand = 0
-    hit_keys = []
-    for keys in _candidate_keys_by_level(lo, hi, eps_abs):
-        n_cand += len(keys)
-        for s in range(0, len(keys), chunk):
-            i = keys[s:s + chunk] // n
-            j = keys[s:s + chunk] % n
-            f0 = faces[i]
-            f1 = faces[j]
-            share = np.zeros(len(i), bool)
-            for u in range(3):
-                for w in range(3):
-                    share |= f0[:, u] == f1[:, w]
-            i, j = i[~share], j[~share]
-            hits = _tri_tri_intersect(tri[i], tri[j], eps_abs,
-                                      n1=normals[i], n2=normals[j])
-            if hits.any():
-                hit_keys.append(i[hits]*np.int64(n) + j[hits])
-    count = len(np.unique(np.concatenate(hit_keys))) if hit_keys else 0
+    n_cand = count = 0
+    for i, j in _candidate_pairs(lo, hi, eps_abs):
+        n_cand += len(i)
+        share = (faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
+        i, j = i[~share], j[~share]
+        count += int(np.count_nonzero(
+            _tri_tri_intersect(tri[i], tri[j], normals[i], normals[j], eps_abs)))
     return CheckResult("self_intersection", count == 0, count,
                        f"{n_cand} candidate pairs tested")
 

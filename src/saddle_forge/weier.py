@@ -38,7 +38,6 @@ class CurvePoint:
 @dataclass(frozen=True)
 class WeierstrassValue:
     g: complex
-    dh: complex
     phi1: complex
     phi2: complex
     phi3: complex
@@ -171,9 +170,8 @@ def _EB(p: SurfaceParams, z, w):
     return E, B
 
 
-def dh_eval(p: SurfaceParams, s: SymFuncs, cp: CurvePoint, tol: float = 1e-12) -> complex:
+def dh_eval(p: SurfaceParams, cp: CurvePoint, tol: float = 1e-12) -> complex:
     """Density of the height differential dh against dz."""
-    del s
     z = cp.z
     for pole in (1.0, -1.0, p.a, -p.a):
         if abs(z - pole) < tol:
@@ -197,7 +195,7 @@ def phi_eval(p: SurfaceParams, s: SymFuncs, cp: CurvePoint) -> WeierstrassValue:
         g = g_eval(p, cp)
     except GaussMapPole:
         g = complex(np.inf)
-    return WeierstrassValue(g=complex(g), dh=complex(phi3), phi1=complex(phi1),
+    return WeierstrassValue(g=complex(g), phi1=complex(phi1),
                             phi2=complex(phi2), phi3=complex(phi3))
 
 
@@ -214,7 +212,7 @@ def rotated_data(p: SurfaceParams, s: SymFuncs, cp: CurvePoint, tol: float = 1e-
     if min(abs(g - 1j), abs(g + 1j)) < tol:
         raise DegeneratePoint(f"g = +-i at z = {cp.z}")
     G = -1j*(g + 1j)/(g - 1j)
-    dh = dh_eval(p, s, cp)
+    dh = dh_eval(p, cp)
     dH_data = 0.5j*(1.0/g + g)*dh
     z = cp.z
     dH_closed = (p.X*p.X - z*z)/((z*z - 1.0)*(p.a*p.a - z*z))

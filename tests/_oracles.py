@@ -36,7 +36,6 @@ def residue_contour_oracle(p: SurfaceParams, center: float,
     the start value of w comes from polyline continuation from z = 0 routed
     over the branch points on the real axis.
     """
-    s = sym_funcs(p)
     radius = 0.4*min(center - p.x, p.y - center, abs(center - p.a) or np.inf,
                      abs(center - 1.0) or np.inf)
     z0 = center + radius
@@ -49,7 +48,7 @@ def residue_contour_oracle(p: SurfaceParams, center: float,
         rhs = ((p.b + z)/(p.b - z))*((p.x - z)/(p.x + z))*((p.y + z)/(p.y - z))
         root = np.sqrt(rhs)
         w = root if abs(root - w) <= abs(-root - w) else -root
-        vals[k] = dh_eval(p, s, CurvePoint(z=z, w=w))
+        vals[k] = dh_eval(p, CurvePoint(z=z, w=w))
     # trapezoid on the circle (first/last node coincide)
     e = np.exp(1j*theta[:-1])
     return (2j*np.pi*radius/n)*np.sum(vals[:-1]*e)

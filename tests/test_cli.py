@@ -128,6 +128,25 @@ def test_sweep_fig6_emits_period_landscape(capsys, tmp_path):
     assert min(pi1) < 0 < max(pi1)
 
 
+def test_sweep_rejects_nonpositive_t_min(capsys, tmp_path):
+    out_path = tmp_path/"sweep.csv"
+    code, _, err = run_cli(capsys, "sweep", "--t-min", "0", "-o", str(out_path))
+    assert code == 3
+    assert "DomainViolation" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("t", ["0", "-0.5"])
+def test_sweep_fig6_rejects_nonpositive_t(capsys, tmp_path, t):
+    # every grid point would fail; no file of failure rows is written
+    out_path = tmp_path/"fig6.csv"
+    code, _, err = run_cli(capsys, "sweep", "--fig6", "--t", t,
+                           "--n-a", "2", "--n-b", "2", "-o", str(out_path))
+    assert code == 3
+    assert "DomainViolation" in err
+    assert not out_path.exists()
+
+
 def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):
     cfg = tmp_path/"run.cfg"
     cfg.write_text("t = 0.015\ntol = 1e-8\n")

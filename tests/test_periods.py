@@ -222,6 +222,10 @@ def test_sweep_family_and_csv_round_trip(tmp_path):
     assert np.all(data["converged"] == 1)
 
 
-def test_sweep_family_rejects_nonpositive_t():
-    with pytest.raises(ValueError):
-        sweep_family([0.0, 0.02], [0.0])
+def test_sweep_family_rejects_nonpositive_t(monkeypatch):
+    # the whole grid is checked before the first solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the grid was checked")
+    monkeypatch.setattr("saddle_forge.periods.solve_periods", no_solve)
+    with pytest.raises(DomainViolation):
+        sweep_family([0.02, 0.0], [0.0])

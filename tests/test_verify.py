@@ -5,7 +5,7 @@ import pytest
 
 import saddle_forge.verify as verify
 from saddle_forge.errors import ContourTooClose, NotApplicable
-from saddle_forge.mesh import assemble
+from saddle_forge.mesh import assemble, build_grid, integrate_piece
 from saddle_forge.params import SurfaceParams, sym_funcs
 from saddle_forge.verify import (SYMMETRY_TABLE, case_diagnostics,
                                  check_injectivity, check_profile_bell,
@@ -106,6 +106,40 @@ def test_self_intersection_excludes_shared_vertex_neighbours(piece64):
     v = np.vstack([v, [(1, 1, 1)]])
     f = np.vstack([f, [(0, 1, 3)]])
     assert check_self_intersections(v, f).passed
+
+
+@pytest.fixture(scope="module")
+def piece16_and_copy(solved_params):
+    # res 16 closes its worst cell to 1.8e-7 of the cell size
+    piece = integrate_piece(build_grid(solved_params, 16), lc_tol=1e-6)
+    v = np.vstack([piece.vertices, piece.vertices + 1e-3])
+    f = np.vstack([piece.faces, piece.faces + len(piece.vertices)])
+    return v, f
+
+
+@pytest.mark.parametrize("hash_mult", [None, (1, 1, 1)])
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_candidate_pairs_match_all_pairs_box_test(piece16_and_copy, monkeypatch,
+                                                  eps, hash_mult):
+    # the broad phase yields every near pair of boxes exactly once, also when
+    # a degenerate hash makes most cells collide
+    v, f = piece16_and_copy
+    if hash_mult is not None:
+        monkeypatch.setattr(verify, "_HASH", tuple(map(np.int64, hash_mult)))
+    tri = v[f]
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    eps_abs = eps*np.linalg.norm(v.max(axis=0) - v.min(axis=0))
+    ext = np.max(hi - lo, axis=1) + 2*eps_abs
+    assert ext.max() > 8*np.percentile(ext, 1)      # at least 3 size levels
+
+    near = np.all((lo[:, None] <= hi[None] + eps_abs)
+                  & (lo[None] <= hi[:, None] + eps_abs), axis=2)
+    want = np.argwhere(np.triu(near, k=1))
+    got = np.concatenate([np.stack(ij, axis=1)
+                          for ij in verify._candidate_pairs(lo, hi, eps_abs)])
+    assert np.all(got[:, 0] < got[:, 1])
+    assert len(np.unique(got, axis=0)) == len(got)          # no repeats
+    assert np.array_equal(np.unique(got, axis=0), want)
 
 
 def test_self_intersection_embedded_piece(piece64):
