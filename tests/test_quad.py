@@ -68,6 +68,7 @@ def test_no_convergence_reports_best():
     QuadratureSpec(rel_tol=0.0),
     QuadratureSpec(abs_tol=-1e-13),
     QuadratureSpec(rel_tol=float("nan")),
+    QuadratureSpec(abs_tol=float("nan")),
     # convergence is first tested at level 5, so fewer levels never converge
     QuadratureSpec(max_refinement_levels=4),
 ])
