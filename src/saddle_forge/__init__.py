@@ -40,6 +40,7 @@ from .mesh import (AssembledMesh, DomainGrid, PieceMesh, assemble, build_grid,
                    integrate_piece, mean_curvature_norm)
 from .verify import (VerificationReport, case_diagnostics, check_injectivity,
                      check_profile_bell, check_self_intersections,
-                     check_symmetry_table, degree_diagnostic)
+                     check_symmetry_table, check_tower_embedded,
+                     degree_diagnostic)
 
 __version__ = "0.1.0"

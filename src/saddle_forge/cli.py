@@ -145,8 +145,8 @@ def cmd_mesh(args, parser):
 def cmd_verify(args, parser):
     from .mesh import assemble, build_grid, integrate_piece
     from .verify import (case_diagnostics, check_injectivity,
-                         check_profile_bell, check_self_intersections,
-                         check_symmetry_table, degree_diagnostic)
+                         check_profile_bell, check_symmetry_table,
+                         check_tower_embedded, degree_diagnostic)
     from .errors import NotApplicable
     spec = _quad_spec(args)
     sol, p = _solved_params(args, spec)
@@ -161,7 +161,8 @@ def cmd_verify(args, parser):
                                dd["degree"], str(dd["windings"])))
 
     piece = integrate_piece(build_grid(p, args.resolution,
-                                       far_radius=args.far_radius))
+                                       far_radius=args.far_radius),
+                            lc_tol=args.lc_tol)
     results.append(check_injectivity(piece.vertices, n_pairs=args.n_pairs,
                                      seed=args.seed))
     try:
@@ -171,7 +172,8 @@ def cmd_verify(args, parser):
 
     if not args.skip_intersections:
         asm = assemble(piece, n_periods=2)
-        results.append(check_self_intersections(asm.vertices, asm.faces))
+        results.append(check_tower_embedded(piece, asm))
+        print(f"self_intersection: {results[-1].detail}", file=sys.stderr)
 
     diag = case_diagnostics(p)
     print(f"diagnostics: discriminant={diag['discriminant']:.6g} "
@@ -259,6 +261,13 @@ def _add_common(sp):
                     default=DEFAULT_SPEC.max_refinement_levels)
 
 
+def _add_mesh_options(sp):
+    sp.add_argument("--resolution", type=int, default=64)
+    sp.add_argument("--far-radius", type=float, default=20.0)
+    sp.add_argument("--lc-tol", type=float, default=1e-8,
+                    help="loop-closure tolerance relative to cell size")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="saddle-forge",
@@ -279,10 +288,7 @@ def build_parser():
 
     sp = sub.add_parser("mesh", help="solve, mesh, assemble, export OBJ")
     _add_common(sp)
-    sp.add_argument("--resolution", type=int, default=64)
-    sp.add_argument("--far-radius", type=float, default=20.0)
-    sp.add_argument("--lc-tol", type=float, default=1e-8,
-                    help="loop-closure tolerance relative to cell size")
+    _add_mesh_options(sp)
     sp.add_argument("--n-periods", type=int, default=1)
     sp.add_argument("--piece-only", action="store_true",
                     help="export the fundamental piece instead of the tower")
@@ -291,8 +297,7 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run the verification checks")
     _add_common(sp)
-    sp.add_argument("--resolution", type=int, default=64)
-    sp.add_argument("--far-radius", type=float, default=20.0)
+    _add_mesh_options(sp)
     sp.add_argument("--symmetry-tol", type=float, default=1e-9)
     sp.add_argument("--n-pairs", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=20260823)

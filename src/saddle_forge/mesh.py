@@ -44,6 +44,13 @@ _ETA_ROWS_PER_64 = 3.3
 
 BOUNDARY_TAGS = ("AL", "LF", "FE", "ED", "DC", "CB", "BA")
 
+# The mirror each welded symmetry stretch lies in: the coordinate axis its
+# reflection flips, and whether the mirror is the half-period plane
+# x3 = levels["ED"] (welding adjacent periods) rather than the plane through 0.
+SEAM_MIRRORS = (("AL", 1, False), ("LF", 0, False), ("FE", 2, False),
+                ("DC", 2, False), ("ED", 2, True), ("BA", 2, True))
+WELD_TOL = 1e-9      # welded vertices agree to this fraction of the bbox
+
 
 def _u_sym(s):
     return s**4/(s**4 + (1 - s)**4)
@@ -357,17 +364,18 @@ def _seam_deviation(piece: PieceMesh):
 
 
 def assemble(piece: PieceMesh, n_periods: int = 1,
-             weld_tol: float = 1e-9, check: bool = True) -> AssembledMesh:
+             weld_tol: float = WELD_TOL, check: bool = True) -> AssembledMesh:
     """Orbit of the piece under {+-x1} x {+-x2} x {+-x3} and k*T*e3.
 
     Copy c is period c // 8 with signs in itertools.product order, so bits
     4, 2, 1 of c flip x1, x2, x3.  Each symmetry stretch lies in the mirror
-    of one reflection, and the copies that reflection pairs share its
-    vertices: AL (x2 = 0), LF (x1 = 0), FE and DC (x3 = 0) within a period,
-    ED and BA (the half-period mirror) across adjacent periods.  Vertices
-    are welded by these index maps, never by coordinates.  Stretches off
-    their planes (unsolved period parameters) or welded vertices more than
-    weld_tol times the bounding-box diagonal apart raise WeldMismatch.
+    of one reflection (SEAM_MIRRORS), and the copies that reflection pairs
+    share its vertices: AL (x2 = 0), LF (x1 = 0), FE and DC (x3 = 0) within
+    a period, ED and BA (the half-period mirror) across adjacent periods.
+    Vertices are welded by these index maps, never by coordinates.
+    Stretches off their planes (unsolved period parameters) or welded
+    vertices more than weld_tol times the bounding-box diagonal apart raise
+    WeldMismatch.
     """
     if not isinstance(n_periods, (int, np.integer)) or n_periods < 1:
         raise InvalidResolution(f"n_periods must be an integer >= 1, got {n_periods!r}")
@@ -395,9 +403,9 @@ def assemble(piece: PieceMesh, n_periods: int = 1,
     up = 1 if piece.levels["ED"] > 0 else -1
     k_up = copies//8 + up
     lo = copies[(copies % 2 == 0) & (0 <= k_up) & (k_up < n_periods)]
-    seams = [("AL", copies, copies ^ 2), ("LF", copies, copies ^ 4),
-             ("FE", copies, copies ^ 1), ("DC", copies, copies ^ 1),
-             ("ED", lo, lo + 8*up + 1), ("BA", lo, lo + 8*up + 1)]
+    seams = [(tag, lo, lo + 8*up + 1) if half
+             else (tag, copies, copies ^ (4 >> axis))
+             for tag, axis, half in SEAM_MIRRORS]
     ia = np.concatenate([(c0*n)[:, None] + piece.boundary[tag]
                          for tag, c0, _ in seams], axis=None)
     ib = np.concatenate([(c1*n)[:, None] + piece.boundary[tag]

@@ -4,10 +4,23 @@ Checks fall into three groups:
   * curve-level: boundary symmetry table of (g, dh), winding-number degree
     count of the Gauss map, interior vertical-normal configuration;
   * mesh-level: injectivity sampling, triangle self-intersection scan,
+    embeddedness of the tower certified from the reflection chamber,
     shape of the lower-mirror profile curve in the X = a case;
   * negative controls: deliberately broken inputs must make the checks fail
     (exercised by the test suite through the same entry points).
 All stochastic checks take an explicit seed and default to a fixed one.
+
+Embeddedness of the tower follows from the piece by the chamber argument
+for surfaces built by Schwarz reflection (Karcher, Manuscripta Math. 62,
+1988).  The mirrors of the welded stretches bound a convex chamber holding
+the piece, and the reflected and translated copies occupy disjoint
+chambers.  If the piece is embedded, lies strictly inside its chamber away
+from its stretches, and meets each mirror in simple seam polylines, then
+faces of two copies can only meet in the welded seam vertices and edges
+they share.  check_tower_embedded certifies these three conditions at the
+cost of the piece alone and otherwise falls back to
+check_self_intersections on the whole tower, which stays the independent
+oracle.
 """
 from __future__ import annotations
 
@@ -17,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContourTooClose, GaussMapPole, NotApplicable
-from .mesh import PieceMesh
+from .mesh import SEAM_MIRRORS, WELD_TOL, AssembledMesh, PieceMesh
 from .params import SurfaceParams, sym_funcs
 from .weier import CurvePoint, dh_eval, g_eval, vertical_normal_points, w_closed
 
@@ -417,6 +430,80 @@ def check_self_intersections(vertices: np.ndarray, faces: np.ndarray,
             _tri_tri_intersect(tri[i], tri[j], normals[i], normals[j], eps_abs)))
     return CheckResult("self_intersection", count == 0, count,
                        f"{n_cand} candidate pairs tested")
+
+
+def _seam_crossings(pts, chains):
+    """Number of segment pairs that touch or cross among planar polylines.
+
+    pts: (n, 2) points; chains: index arrays into pts, one per polyline.
+    Segments sharing a vertex are neighbours and not tested, as in
+    check_self_intersections."""
+    seg = np.concatenate([np.stack([c[:-1], c[1:]], axis=1) for c in chains])
+    i, j = np.triu_indices(len(seg), k=1)
+    a, b, c, d = pts[seg[i, 0]], pts[seg[i, 1]], pts[seg[j, 0]], pts[seg[j, 1]]
+
+    def side(p, q, r):
+        return (q[:, 0] - p[:, 0])*(r[:, 1] - p[:, 1]) \
+            - (q[:, 1] - p[:, 1])*(r[:, 0] - p[:, 0])
+
+    boxes = np.all((np.minimum(a, b) <= np.maximum(c, d))
+                   & (np.minimum(c, d) <= np.maximum(a, b)), axis=1)
+    meet = (side(a, b, c)*side(a, b, d) <= 0) & (side(c, d, a)*side(c, d, b) <= 0)
+    share = (seg[i][:, :, None] == seg[j][:, None, :]).any(axis=(1, 2))
+    return int(np.count_nonzero(meet & boxes & ~share))
+
+
+def check_tower_embedded(piece: PieceMesh, tower: AssembledMesh) -> CheckResult:
+    """Embeddedness of tower, which must be assemble(piece, ...), certified
+    from the reflection chamber (see the module docstring).
+
+    The walls are the mirrors of SEAM_MIRRORS and the chamber is the side
+    of each wall the piece lies on.  The certificate holds when every
+    vertex on no boundary stretch lies strictly inside the chamber, every
+    stretch vertex lies inside it or on its own stretch's wall within the
+    weld tolerance, the seam polylines on each wall are simple in its
+    plane, and the piece alone has no crossing pair.  Otherwise the detail
+    names the failed condition (for the chamber, the wall and its worst
+    vertex) and the verdict is check_self_intersections on the tower."""
+    v = piece.vertices
+    tol = WELD_TOL*np.linalg.norm(v.max(axis=0) - v.min(axis=0))
+    on_stretch = np.zeros(len(v), bool)
+    for nodes in piece.boundary.values():
+        on_stretch[nodes] = True
+    walls = {}
+    for tag, axis, half in SEAM_MIRRORS:
+        level = piece.levels["ED"] if half else 0.0
+        walls.setdefault((axis, level), []).append(tag)
+
+    outside, crossings, margins = [], [], []
+    for (axis, level), tags in walls.items():
+        name = f"x{axis + 1} = {level:.6g} ({'/'.join(tags)})"
+        d = v[:, axis] - level
+        d *= np.sign(np.mean(d))             # positive inside the chamber
+        own = np.zeros(len(v), bool)
+        for tag in tags:
+            own[piece.boundary[tag]] = True
+        bad = np.flatnonzero((d <= 0) & ~(own & (d >= -tol)))
+        if len(bad):
+            i = bad[np.argmin(d[bad])]
+            outside.append((d[i], f"{name} vertex {i} at {d[i]:.3e}"))
+        n = _seam_crossings(np.delete(v, axis, axis=1),
+                            [piece.boundary[tag] for tag in tags])
+        if n:
+            crossings.append(f"seam on {name}: {n} segment pairs meet")
+        margins.append(f"{name} {np.min(d[~on_stretch]):.2e}")
+    why = min(outside)[1] if outside else "; ".join(crossings)
+    if not why:
+        res = check_self_intersections(v, piece.faces)
+        if res.passed:
+            return CheckResult("self_intersection", True, 0,
+                               "certified by chamber; smallest interior margin "
+                               + ", ".join(margins))
+        why = f"piece has {res.value} crossing pairs"
+    res = check_self_intersections(tower.vertices, tower.faces)
+    return CheckResult("self_intersection", res.passed, res.value,
+                       f"not certified: {why}; generic check on "
+                       f"{len(tower.faces)} faces, {res.detail}")
 
 
 def check_profile_bell(piece: PieceMesh, tol: float = 1e-6) -> CheckResult:

@@ -180,7 +180,7 @@ def dh_eval(p: SurfaceParams, cp: CurvePoint, tol: float = 1e-12) -> complex:
     return complex(E - B)
 
 
-def phi_eval(p: SurfaceParams, s: SymFuncs, cp: CurvePoint) -> WeierstrassValue:
+def phi_eval(p: SurfaceParams, cp: CurvePoint) -> WeierstrassValue:
     """All Weierstrass data at a curve point.
 
     (phi1, phi2, phi3) = 1/2 (1/g - g, i/g + i g, 2) dh, evaluated through
@@ -199,7 +199,7 @@ def phi_eval(p: SurfaceParams, s: SymFuncs, cp: CurvePoint) -> WeierstrassValue:
                             phi2=complex(phi2), phi3=complex(phi3))
 
 
-def rotated_data(p: SurfaceParams, s: SymFuncs, cp: CurvePoint, tol: float = 1e-12):
+def rotated_data(p: SurfaceParams, cp: CurvePoint, tol: float = 1e-12):
     """Rotated Weierstrass pair (G, dH) with the closed-form cross-check.
 
     G = -i (g+i)/(g-i); dH is computed both from the data, (i/2)(1/g + g) dh,

@@ -24,7 +24,7 @@ from saddle_forge.periods import (DEFAULT_SEED_BOX, F_eval, residue_R,
                                   sweep_family)
 from saddle_forge.verify import (check_injectivity, check_profile_bell,
                                  check_self_intersections,
-                                 check_symmetry_table)
+                                 check_symmetry_table, check_tower_embedded)
 from saddle_forge.weier import (CurvePoint, curve_rhs, phi_eval, rotated_data,
                                 w_closed)
 
@@ -61,7 +61,7 @@ def test_criterion_1_algebraic_identities():
         rhs = complex(curve_rhs(p, z))
         assert abs(w*w - rhs) < 1e-10*abs(rhs)
         assert quartic_identity_residual(p, s, z) < 1e-10
-        v = phi_eval(p, s, CurvePoint(z=z, w=w))
+        v = phi_eval(p, CurvePoint(z=z, w=w))
         scale = abs(v.phi1)**2 + abs(v.phi2)**2 + abs(v.phi3)**2
         assert abs(v.phi1**2 + v.phi2**2 + v.phi3**2) < 1e-10*scale
     assert time.monotonic() - t0 < 5.0
@@ -134,12 +134,11 @@ def test_criterion_5_rotated_data():
     checked = 0
     while checked < 1000:
         p = draw_params(rng)
-        s = sym_funcs(p)
         z = complex(rng.uniform(0.02, 4.0), rng.uniform(0.02, 4.0))
         w = complex(w_closed(p, z))
         cp = CurvePoint(z=z, w=w)
-        v = phi_eval(p, s, cp)
-        G, dH_data, dH_closed = rotated_data(p, s, cp)
+        v = phi_eval(p, cp)
+        G, dH_data, dH_closed = rotated_data(p, cp)
         assert abs(dH_data - dH_closed) < 1e-10*max(1.0, abs(dH_closed))
         lhs1 = 0.5*(1.0/G - G)*dH_data
         assert abs(lhs1 - v.phi1) < 1e-10*max(1.0, abs(v.phi1))
@@ -190,10 +189,14 @@ def test_criterion_7_injectivity(piece128):
 def test_criterion_7_embeddedness(piece128, asm128):
     """The assembled two-period tower at resolution 128 has zero
     transversally crossing triangle pairs; the offset-copy negative control
-    must report crossings."""
+    must report crossings.  The chamber certificate that `verify` uses
+    must hold and agree with this oracle."""
     res = check_self_intersections(asm128.vertices, asm128.faces)
     assert res.passed, res.detail
     assert res.value == 0
+    cert = check_tower_embedded(piece128, asm128)
+    assert cert.detail.startswith("certified by chamber"), cert.detail
+    assert cert.passed and cert.value == res.value
 
     v2 = np.vstack([piece128.vertices,
                     piece128.vertices + np.array([0.3, 0.2, 0.45])])

@@ -99,6 +99,18 @@ def test_mesh_rejects_empty_tower(capsys, tmp_path):
     assert not (tmp_path/"t.obj").exists()
 
 
+def test_verify_takes_the_mesh_options(capsys):
+    # res 16 closes its worst cell to 1.8e-7 of the cell size, so it needs
+    # the same --lc-tol as `mesh`; the embeddedness path is named on stderr
+    code, out, err = run_cli(capsys, "verify", "--t", "0.02", "--tol", "1e-9",
+                             "--resolution", "16", "--lc-tol", "1e-6")
+    assert code == 0, err
+    vals = parse_kv(out)
+    assert vals["verified"] == "1"
+    assert vals["check[self_intersection]"] == "pass"
+    assert "self_intersection: certified by chamber" in err
+
+
 def test_sweep_writes_csv(capsys, tmp_path):
     out_path = tmp_path/"sweep.csv"
     code, out, _ = run_cli(capsys, "sweep", "--t-min", "0.015",

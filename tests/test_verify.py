@@ -10,7 +10,8 @@ from saddle_forge.params import SurfaceParams, sym_funcs
 from saddle_forge.verify import (SYMMETRY_TABLE, case_diagnostics,
                                  check_injectivity, check_profile_bell,
                                  check_self_intersections,
-                                 check_symmetry_table, degree_diagnostic)
+                                 check_symmetry_table, check_tower_embedded,
+                                 degree_diagnostic)
 
 P0 = SurfaceParams(a=0.5, b=2.0, x=0.3, X=0.5, y=1.5)
 
@@ -157,6 +158,76 @@ def test_self_intersection_offset_copy_negative_control(piece64):
     res = check_self_intersections(v, f)
     assert not res.passed
     assert res.value > 0
+
+
+# ------------------------------------------------- chamber certificate
+
+@pytest.fixture(scope="module")
+def piece32(solved_params):
+    return integrate_piece(build_grid(solved_params, 32))
+
+
+@pytest.mark.parametrize("name", ["piece32", "piece64"])
+def test_tower_certified_by_chamber(request, name):
+    piece = request.getfixturevalue(name)
+    tower = assemble(piece, n_periods=2)
+    res = check_tower_embedded(piece, tower)
+    assert res.passed and res.value == 0
+    assert res.detail.startswith("certified by chamber"), res.detail
+    assert check_self_intersections(tower.vertices, tower.faces).value == 0
+
+
+@pytest.mark.parametrize("shift, wall", [((-1e-2, 0, 0), "x1 = 0"),
+                                         ((0, 1e-2, 0), "x2 = 0"),
+                                         ((0, 0, 1e-2), "x3 = 0")],
+                         ids=["x1", "x2", "x3"])
+def test_chamber_negative_control(piece32, shift, wall):
+    # the piece pushed across one wall: the certificate must refuse and the
+    # generic check on the tower must decide
+    piece = dataclasses.replace(piece32, vertices=piece32.vertices + shift)
+    tower = assemble(piece, n_periods=2, check=False)
+    res = check_tower_embedded(piece, tower)
+    assert not res.passed
+    assert res.detail.startswith(f"not certified: {wall} "), res.detail
+    generic = check_self_intersections(tower.vertices, tower.faces)
+    assert res.value == generic.value > 0
+
+
+@pytest.mark.parametrize("where, reason", [("seam", "seam on x3 = "),
+                                           ("piece", "piece has ")],
+                         ids=["seam", "piece"])
+def test_crossing_inside_the_chamber_is_not_certified(piece32, where, reason):
+    # two vertices trade places and stay inside the chamber (two neighbours
+    # on the ED stretch stay on its wall), but the seam polyline or the
+    # piece then crosses itself
+    if where == "seam":
+        i, j = piece32.boundary["ED"][5:7]
+    else:
+        on_stretch = np.zeros(len(piece32.vertices), bool)
+        for nodes in piece32.boundary.values():
+            on_stretch[nodes] = True
+        inner = np.flatnonzero(~on_stretch)
+        i, j = inner[len(inner)//3], inner[2*len(inner)//3]
+    v = piece32.vertices.copy()
+    v[[i, j]] = v[[j, i]]
+    piece = dataclasses.replace(piece32, vertices=v)
+    tower = assemble(piece, n_periods=2)
+    res = check_tower_embedded(piece, tower)
+    assert not res.passed
+    assert res.detail.startswith(f"not certified: {reason}"), res.detail
+    generic = check_self_intersections(tower.vertices, tower.faces)
+    assert res.value == generic.value > 0
+
+
+def test_seam_crossings_in_the_plane():
+    pts = np.array([(0, 0), (1, 1), (1, 0), (0, 1), (2, 0), (3, 1), (2, 1)],
+                   float)
+    assert verify._seam_crossings(pts, [np.array([0, 1, 2])]) == 0
+    assert verify._seam_crossings(pts, [np.array([0, 1, 2, 3])]) == 1   # bow tie
+    assert verify._seam_crossings(pts, [np.array([0, 1]), np.array([2, 3])]) == 1
+    assert verify._seam_crossings(pts, [np.array([4, 5]), np.array([4, 6])]) == 0
+    # touching without a shared vertex counts
+    assert verify._seam_crossings(pts, [np.array([0, 4]), np.array([2, 1])]) == 1
 
 
 # ------------------------------------------------------------ bell profile

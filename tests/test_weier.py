@@ -104,12 +104,11 @@ def test_dh_pole_detection():
 def test_phi_null_and_dh_consistency():
     # conformality: phi1^2 + phi2^2 + phi3^2 = 0 and phi3 = dh
     rng = np.random.default_rng(5)
-    s = sym_funcs(P0)
     for _ in range(100):
         z = complex(rand_z(rng)[0])
         w = complex(w_closed(P0, z))
         cp = CurvePoint(z=z, w=w)
-        v = phi_eval(P0, s, cp)
+        v = phi_eval(P0, cp)
         null = v.phi1**2 + v.phi2**2 + v.phi3**2
         scale = abs(v.phi1)**2 + abs(v.phi2)**2 + abs(v.phi3)**2
         assert abs(null) < 1e-10*scale
@@ -152,17 +151,15 @@ def test_gauss_map_at_vertical_normal_roots():
 
 def test_rotated_data_identities():
     rng = np.random.default_rng(9)
-    s = None
     for _ in range(100):
         p = draw_params(rng)
-        s = sym_funcs(p)
         z = complex(rand_z(rng)[0])
         w = complex(w_closed(p, z))
         cp = CurvePoint(z=z, w=w)
         g = g_eval(p, cp)
         dh = dh_eval(p, cp)
         try:
-            G, dH_data, dH_closed = rotated_data(p, s, cp)
+            G, dH_data, dH_closed = rotated_data(p, cp)
         except DegeneratePoint:
             continue
         assert abs(dH_data - dH_closed) < 1e-10*max(1.0, abs(dH_closed))
@@ -180,18 +177,17 @@ def test_rotated_closed_form_vanishes_at_X():
     val = (p.X*p.X - p.X*p.X)
     assert val == 0.0
     w = complex(w_closed(p, z))
-    _, dH_data, dH_closed = rotated_data(p, sym_funcs(p), CurvePoint(z=z, w=w))
+    _, dH_data, dH_closed = rotated_data(p, CurvePoint(z=z, w=w))
     assert abs(dH_data - dH_closed) < 1e-10*max(1.0, abs(dH_closed))
 
 
 def test_phi_vec_matches_pointwise():
     rng = np.random.default_rng(13)
-    s = sym_funcs(P0)
     zs = rand_z(rng, 20)
     vec = phi_vec(P0, zs)
     for k, z in enumerate(zs):
         w = complex(w_closed(P0, complex(z)))
-        v = phi_eval(P0, s, CurvePoint(z=complex(z), w=w))
+        v = phi_eval(P0, CurvePoint(z=complex(z), w=w))
         assert np.allclose(vec[k], [v.phi1, v.phi2, v.phi3], rtol=1e-12)
 
 
