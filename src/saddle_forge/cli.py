@@ -65,13 +65,25 @@ def _merge_config(args, parser, argv):
                 sys.exit(EXIT_INVALID_INPUT)
             # flags given on the command line override the file
             if k not in explicit:
-                cur = getattr(args, k)
-                cast = type(cur) if cur is not None else str
-                if cast is bool:
-                    setattr(args, k, v.lower() in ("1", "true", "yes"))
-                else:
-                    setattr(args, k, cast(v))
+                setattr(args, k, _config_value(k, v, getattr(args, k)))
     return args
+
+
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
+def _config_value(key, text, default):
+    """`text` cast to the type of the option's default; exit 3 if it does
+    not parse."""
+    try:
+        if isinstance(default, bool):
+            return _BOOLS[text.lower()]
+        return type(default)(text) if default is not None else text
+    except (KeyError, TypeError, ValueError):
+        print(f"error: config key {key!r}: invalid value {text!r}",
+              file=sys.stderr)
+        sys.exit(EXIT_INVALID_INPUT)
 
 
 def _quad_spec(args) -> QuadratureSpec:

@@ -186,6 +186,7 @@ def test_criterion_7_injectivity(piece128):
     assert not check_injectivity(dup, n_pairs=100_000).passed
 
 
+@pytest.mark.slow
 def test_criterion_7_embeddedness(piece128, asm128):
     """The assembled two-period tower at resolution 128 has zero
     transversally crossing triangle pairs; the offset-copy negative control

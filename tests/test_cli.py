@@ -180,6 +180,34 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("line", ["resolution = abc", "piece_only = maybe",
+                                  "fn = solve"])
+def test_config_rejects_invalid_value(line, capsys, tmp_path):
+    # a value that fails its option's type, a boolean that is none of
+    # 1/true/yes/0/false/no, or a key naming no option value is invalid
+    # input, not a traceback or False
+    cfg = tmp_path/"bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "mesh", "--config", str(cfg),
+                "-o", str(tmp_path/"t.obj"))
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path/"t.obj").exists()
+
+
+def test_config_reads_boolean_values(capsys, tmp_path):
+    from saddle_forge.cli import _merge_config, build_parser
+    parser = build_parser()
+    for text, expected in (("Yes", True), ("1", True), ("false", False),
+                           ("NO", False)):
+        cfg = tmp_path/"b.cfg"
+        cfg.write_text(f"piece-only = {text}\n")
+        argv = ["mesh", "--config", str(cfg)]
+        args = _merge_config(parser.parse_args(argv), parser, argv)
+        assert args.piece_only is expected
+
+
 # Run in a fresh interpreter: records OPENBLAS_NUM_THREADS at the moment numpy
 # is first looked up, then runs the CLI entry point as `python -m` would.
 _ENTRY_PROBE = """

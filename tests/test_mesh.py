@@ -1,14 +1,15 @@
 import itertools
+import os
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from saddle_forge.errors import InvalidResolution, WeldMismatch
-from saddle_forge.mesh import (BOUNDARY_TAGS, assemble, build_grid,
-                               curvature_stats, edge_increments, export_obj,
-                               integrate_piece, mean_curvature_norm,
-                               _seam_deviation)
+from saddle_forge.mesh import (BOUNDARY_TAGS, AssembledMesh, assemble,
+                               build_grid, curvature_stats, edge_increments,
+                               export_obj, integrate_piece,
+                               mean_curvature_norm, _seam_deviation)
 from saddle_forge.params import SurfaceParams
 from saddle_forge.periods import resolve_params
 
@@ -324,3 +325,102 @@ def test_export_obj_matches_line_writer(piece64, tmp_path):
     path = tmp_path/"piece.obj"
     export_obj(piece64, path, pi1=1.25e-12, pi2=-3.5e-11, comment="piece")
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _line_writer(vertices, faces):
+    """The OBJ text of `export_obj` at pi1 = pi2 = 0, one row at a time."""
+    lines = [f"# pi1={0.0:.17g} pi2={0.0:.17g}"]
+    lines += ["v %.12e %.12e %.12e" % tuple(v) for v in vertices.tolist()]
+    lines += ["f %d %d %d" % tuple(f) for f in (faces + 1).tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _export_bytes(vertices, faces, path):
+    export_obj(AssembledMesh(vertices=vertices, faces=faces, T=1.0,
+                             n_periods=1), path)
+    return path.read_bytes()
+
+
+def test_export_obj_matches_line_writer_on_edge_values(tmp_path):
+    # signed zeros, a NaN with its sign bit set ('%.12e' prints 'nan'
+    # whatever the sign), infinities, the smallest subnormal, three-digit
+    # exponents and a value whose mantissa rounds up into the next decade
+    vals = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf,
+                     -np.inf, 5e-324, -5e-324, 1e-100, -1e-100, 1e300,
+                     -1e300, 9.9999999999995, -9.9999999999995, 1.0, -0.1,
+                     123.456])
+    V = np.column_stack([vals, vals[::-1], np.roll(vals, 5)])
+    V = np.concatenate([V, -V, V[::2]])
+    assert "1.000000000000e+01" in "%.12e" % 9.9999999999995
+    F = np.arange(3*len(V)).reshape(-1, 3) % len(V)
+    assert _export_bytes(V, F, tmp_path/"edge.obj") == _line_writer(V, F)
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 99, 100, 101])
+def test_export_obj_matches_line_writer_at_index_widths(n, tmp_path):
+    rng = np.random.default_rng(n)
+    V = rng.normal(scale=10.0**rng.integers(-3, 4, (n, 1)), size=(n, 3))
+    # column-major like the piece's faces, so rows are not contiguous
+    F = np.asfortranarray(rng.integers(0, n, size=(2*n + 1, 3)))
+    F[0] = (n - 1, 0, n - 1)
+    assert _export_bytes(V, F, tmp_path/"w.obj") == _line_writer(V, F)
+
+
+def test_export_obj_matches_line_writer_on_two_period_tower(solved_params,
+                                                            tmp_path):
+    # the second period's x3 is the first's shifted by T, so its magnitudes
+    # repeat less than the reflections' within one period
+    tower = assemble(integrate_piece(build_grid(solved_params, 32)),
+                     n_periods=2)
+    assert (_export_bytes(tower.vertices, tower.faces, tmp_path/"t.obj")
+            == _line_writer(tower.vertices, tower.faces))
+
+
+@pytest.mark.parametrize("failure", ["disk_full", "bad_face_index"])
+def test_export_obj_failure_keeps_previous_file(failure, tmp_path,
+                                                monkeypatch):
+    import saddle_forge.mesh as mesh_mod
+    V = np.arange(3*50, dtype=float).reshape(-1, 3)
+    F = np.arange(3*40).reshape(-1, 3) % len(V)
+    if failure == "disk_full":
+        write_block = mesh_mod._write_block
+        calls = []
+
+        def fail_on_second_block(fh, rows):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            write_block(fh, rows)
+        monkeypatch.setattr(mesh_mod, "_write_block", fail_on_second_block)
+        expected = OSError
+    else:
+        F[-1, 1] = len(V)
+        expected = ValueError
+    path = tmp_path/"tower.obj"
+    path.write_bytes(b"previous\n")
+    with pytest.raises(expected):
+        _export_bytes(V, F, path)
+    # the error came after the header and the vertex rows had been written
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["tower.obj"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_export_obj_writes_into_a_pipe_in_place(tmp_path):
+    # renaming a finished file over a pipe or a device (-o /dev/stdout)
+    # would replace it; such a target is written directly
+    import stat
+    import threading
+    fifo = tmp_path/"pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    V = np.arange(12, dtype=float).reshape(-1, 3)
+    F = np.array([[0, 1, 2], [1, 2, 3]])
+    export_obj(AssembledMesh(vertices=V, faces=F, T=1.0, n_periods=1), fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [_line_writer(V, F)]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)

@@ -149,6 +149,7 @@ def test_self_intersection_embedded_piece(piece64):
     assert res.value == 0
 
 
+@pytest.mark.slow
 def test_self_intersection_offset_copy_negative_control(piece64):
     # overlaying a slightly shifted copy of the piece forces real crossings
     m = assemble(piece64, n_periods=1)
