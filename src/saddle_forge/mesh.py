@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -517,27 +518,49 @@ def export_obj(mesh, path, pi1: float = 0.0, pi2: float = 0.0,
 
     The file is written under a temporary name in the target directory and
     renamed over `path` once complete, so a failed write leaves any earlier
-    file in place and no partial one.  A target that exists and is not a
-    regular file (a pipe or a device) is written in place.
+    file in place and no partial one.  Only a missing path or a regular file
+    is replaced that way.  Anything else is written in place: a rename would
+    replace a symlink (``-o /dev/stdout`` is one) rather than the file it
+    points to, and a pipe or a device rather than feed it.  A regular file
+    in a folder that takes no new file is written in place as well.
     """
     path = os.fspath(path)
     head = f"# pi1={pi1:.17g} pi2={pi2:.17g}\n"
     if comment:
         head += f"# {comment}\n"
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as fh:
-            _write_obj(fh, head, mesh)
-        return
-    folder, name = os.path.split(path)
-    tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
-    fh = open(tmp, "xb")
+    fh, tmp = _open_target(path)
     try:
         with fh:
             _write_obj(fh, head, mesh)
-        os.replace(tmp, path)
+        if tmp is not None:
+            os.replace(tmp, path)
     except BaseException:
-        os.remove(tmp)
+        if tmp is not None:
+            os.remove(tmp)
         raise
+
+
+def _open_target(path):
+    """(file, temporary name) to write `path` through: a new file beside it
+    to be renamed over it, or `path` itself with name None."""
+    try:
+        kind = os.lstat(path).st_mode
+    except FileNotFoundError:
+        kind = None
+    if kind is None or stat.S_ISREG(kind):
+        folder, name = os.path.split(path)
+        # a killed run leaves its temporary behind; never reuse one
+        for n in itertools.count():
+            tmp = os.path.join(folder, f".{name}.{os.getpid()}.{n}.tmp")
+            try:
+                return open(tmp, "xb"), tmp
+            except FileExistsError:
+                continue
+            except PermissionError:
+                if kind is None:
+                    raise
+                break
+    return open(path, "wb"), None
 
 
 # rows per written block; larger blocks are no faster and raise the peak

@@ -424,3 +424,103 @@ def test_export_obj_writes_into_a_pipe_in_place(tmp_path):
     assert not reader.is_alive()
     assert got == [_line_writer(V, F)]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def _small_mesh():
+    V = np.arange(12, dtype=float).reshape(-1, 3)
+    F = np.array([[0, 1, 2], [1, 2, 3]])
+    return AssembledMesh(vertices=V, faces=F, T=1.0, n_periods=1)
+
+
+def test_export_obj_through_a_symlink_writes_its_target(tmp_path):
+    # a rename would replace the link with a plain file and leave the file
+    # it points to as it was
+    target = tmp_path/"store"/"tower.obj"
+    target.parent.mkdir()
+    target.write_bytes(b"previous\n")
+    link = tmp_path/"tower.obj"
+    link.symlink_to(target)
+    m = _small_mesh()
+    export_obj(m, link)
+    assert link.is_symlink()
+    assert target.read_bytes() == _line_writer(m.vertices, m.faces)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "store", "tower.obj", "tower.obj"]
+
+
+_STDOUT_PROBE = """
+import sys
+import numpy as np
+from saddle_forge.mesh import AssembledMesh, export_obj
+
+V = np.arange(12, dtype=float).reshape(-1, 3)
+F = np.array([[0, 1, 2], [1, 2, 3]])
+export_obj(AssembledMesh(vertices=V, faces=F, T=1.0, n_periods=1),
+           sys.argv[1])
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_export_obj_to_stdout_link_sent_to_a_file(tmp_path):
+    # `saddle-forge mesh -o /dev/stdout > tower.obj`, with a link of our own
+    # to the process's fd 1 in place of /dev/stdout: the text must reach the
+    # redirected file, and the link must not be renamed over
+    import subprocess
+    import sys
+    import saddle_forge
+    src = os.path.dirname(os.path.dirname(saddle_forge.__file__))
+    link = tmp_path/"stdout"
+    link.symlink_to("/proc/self/fd/1")
+    out = tmp_path/"tower.obj"
+    with open(out, "wb") as fh:
+        res = subprocess.run([sys.executable, "-c", _STDOUT_PROBE, str(link)],
+                             stdout=fh, stderr=subprocess.PIPE, cwd=tmp_path,
+                             timeout=300,
+                             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src,
+                                  "SADDLE_FORGE_THREADS": "1"})
+    assert res.returncode == 0, res.stderr.decode()
+    m = _small_mesh()
+    assert out.read_bytes() == _line_writer(m.vertices, m.faces)
+    assert os.readlink(link) == "/proc/self/fd/1"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stdout",
+                                                          "tower.obj"]
+
+
+def test_export_obj_skips_a_stale_temporary(tmp_path):
+    # a killed run with the same pid (a container's PID 1) leaves its
+    # temporary behind; the next export must not trip over it
+    path = tmp_path/"tower.obj"
+    stale = tmp_path/f".tower.obj.{os.getpid()}.0.tmp"
+    stale.write_bytes(b"stale\n")
+    m = _small_mesh()
+    export_obj(m, path)
+    assert path.read_bytes() == _line_writer(m.vertices, m.faces)
+    assert stale.read_bytes() == b"stale\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["tower.obj", stale.name])
+
+
+def test_export_obj_writes_in_place_when_the_folder_takes_no_file(
+        tmp_path, monkeypatch):
+    # a writable file in a read-only folder: no temporary can be made
+    # beside it, so the file itself is overwritten.  The folder's refusal
+    # is simulated, since permission bits do not bind every user.
+    import builtins
+    import saddle_forge.mesh as mesh_mod
+
+    def no_new_file(file, mode="r", *args, **kwargs):
+        if "x" in mode:
+            raise PermissionError(13, "Permission denied", file)
+        return builtins.open(file, mode, *args, **kwargs)
+    monkeypatch.setattr(mesh_mod, "open", no_new_file, raising=False)
+    path = tmp_path/"tower.obj"
+    path.write_bytes(b"previous\n")
+    m = _small_mesh()
+    export_obj(m, path)
+    assert path.read_bytes() == _line_writer(m.vertices, m.faces)
+    assert [p.name for p in tmp_path.iterdir()] == ["tower.obj"]
+    # with no file to overwrite, the refusal is the error
+    with pytest.raises(PermissionError):
+        export_obj(m, tmp_path/"new.obj")
+    assert [p.name for p in tmp_path.iterdir()] == ["tower.obj"]
