@@ -27,8 +27,7 @@ from .errors import (BranchInconsistency, ContourTooClose, DegeneratePoint,
                      NoRoot, NotApplicable, PathThroughBranchPoint, PoleAtEnd,
                      SaddleForgeError, SeedBoxExhausted, WeldMismatch)
 from .params import SurfaceParams, SymFuncs, from_family, sym_funcs
-from .quad import QuadratureSpec, contour_integral, integrate_singular, \
-    integrate_to_infinity
+from .quad import QuadratureSpec, integrate_singular, integrate_to_infinity
 from .weier import CurvePoint, WeierstrassValue, curve_rhs, dh_eval, g_eval, \
     phi_eval, phi_vec, rotated_data, vertical_normal_points, w_closed, w_eval
 from .periods import (FamilySolution, PeriodReport, F_eval, I_integral,

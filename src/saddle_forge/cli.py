@@ -17,11 +17,14 @@ or NUMEXPR_NUM_THREADS takes precedence.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 import numpy as np
 
-from .errors import EXIT_INVALID_INPUT, EXIT_IO, EXIT_OK, SaddleForgeError
+from . import mesh, periods, verify
+from .errors import (EXIT_INVALID_INPUT, EXIT_IO, EXIT_OK, InvalidResolution,
+                     NotApplicable, SaddleForgeError)
 from .params import SurfaceParams
 from .quad import DEFAULT_SPEC, QuadratureSpec
 
@@ -47,25 +50,21 @@ def _read_config(path):
         sys.exit(EXIT_INVALID_INPUT)
 
 
-def _explicit_keys(argv):
-    keys = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            keys.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    return keys
-
-
-def _merge_config(args, parser, argv):
-    if getattr(args, "config", None):
-        file_values = _read_config(args.config)
-        explicit = _explicit_keys(argv)
-        for k, v in file_values.items():
+def parse_args(argv):
+    """The options of argv.  The values of a --config file become the
+    subcommand's defaults for a second parse of argv, so every flag given
+    on the command line wins over the file, however it is spelled."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        defaults = {}
+        for k, v in _read_config(args.config).items():
             if not hasattr(args, k):
                 print(f"error: unknown config key {k!r}", file=sys.stderr)
                 sys.exit(EXIT_INVALID_INPUT)
-            # flags given on the command line override the file
-            if k not in explicit:
-                setattr(args, k, _config_value(k, v, getattr(args, k)))
+            defaults[k] = _config_value(k, v, getattr(args, k))
+        parser.subcommands[args.command].set_defaults(**defaults)
+        args = parser.parse_args(argv)
     return args
 
 
@@ -100,14 +99,13 @@ def _emit(pairs):
 
 
 def _solved_params(args, spec):
-    from .periods import solve_periods
-    sol = solve_periods(args.t, args.X_offset, tol=args.tol, spec=spec)
+    sol = periods.solve_periods(args.t, args.X_offset, tol=args.tol, spec=spec)
     p = SurfaceParams(a=sol.a, b=sol.b, x=sol.a - args.t,
                       X=sol.a + args.X_offset, y=sol.y)
     return sol, p
 
 
-def cmd_solve(args, parser):
+def cmd_solve(args):
     spec = _quad_spec(args)
     sol, _ = _solved_params(args, spec)
     rep = sol.report
@@ -118,11 +116,10 @@ def cmd_solve(args, parser):
     return EXIT_OK
 
 
-def cmd_periods(args, parser):
-    from .periods import period_report_for, resolve_params
+def cmd_periods(args):
     spec = _quad_spec(args)
-    p = resolve_params(args.t, args.X_offset, args.a, args.b)
-    rep = period_report_for(p, spec)
+    p = periods.resolve_params(args.t, args.X_offset, args.a, args.b)
+    rep = periods.period_report_for(p, spec)
     _emit([("a", p.a), ("b", p.b), ("y", p.y), ("r", rep.r), ("R", rep.R),
            ("I", rep.I), ("J", rep.J), ("K", rep.K),
            ("pi1", rep.pi1), ("pi2", rep.pi2),
@@ -130,21 +127,20 @@ def cmd_periods(args, parser):
     return EXIT_OK
 
 
-def cmd_mesh(args, parser):
-    from .mesh import assemble, build_grid, export_obj, integrate_piece
+def cmd_mesh(args):
     spec = _quad_spec(args)
     sol, p = _solved_params(args, spec)
-    grid = build_grid(p, args.resolution, far_radius=args.far_radius)
-    piece = integrate_piece(grid, lc_tol=args.lc_tol)
+    grid = mesh.build_grid(p, args.resolution, far_radius=args.far_radius)
+    piece = mesh.integrate_piece(grid, lc_tol=args.lc_tol)
     rep = sol.report
     if args.piece_only:
         out_mesh = piece
     else:
-        out_mesh = assemble(piece, n_periods=args.n_periods)
+        out_mesh = mesh.assemble(piece, n_periods=args.n_periods)
     try:
-        export_obj(out_mesh, args.output, pi1=rep.pi1, pi2=rep.pi2,
-                   comment=f"t={sol.t:.17g} X_offset={sol.X_offset:.17g} "
-                           f"resolution={args.resolution} T={piece.T:.17g}")
+        mesh.export_obj(out_mesh, args.output, pi1=rep.pi1, pi2=rep.pi2,
+                        comment=f"t={sol.t:.17g} X_offset={sol.X_offset:.17g} "
+                                f"resolution={args.resolution} T={piece.T:.17g}")
     except OSError as e:
         print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
         return EXIT_IO
@@ -154,40 +150,35 @@ def cmd_mesh(args, parser):
     return EXIT_OK
 
 
-def cmd_verify(args, parser):
-    from .mesh import assemble, build_grid, integrate_piece
-    from .verify import (case_diagnostics, check_injectivity,
-                         check_profile_bell, check_symmetry_table,
-                         check_tower_embedded, degree_diagnostic)
-    from .errors import NotApplicable
+def cmd_verify(args):
     spec = _quad_spec(args)
     sol, p = _solved_params(args, spec)
     results = []
 
-    rep = check_symmetry_table(p, tol=args.symmetry_tol)
+    rep = verify.check_symmetry_table(p, tol=args.symmetry_tol)
     results.extend(rep.results)
 
-    dd = degree_diagnostic(p)
-    from .verify import CheckResult
-    results.append(CheckResult("gauss_degree", dd["degree"] == 5,
-                               dd["degree"], str(dd["windings"])))
+    dd = verify.degree_diagnostic(p)
+    results.append(verify.CheckResult("gauss_degree", dd["degree"] == 5,
+                                      dd["degree"], str(dd["windings"])))
 
-    piece = integrate_piece(build_grid(p, args.resolution,
-                                       far_radius=args.far_radius),
-                            lc_tol=args.lc_tol)
-    results.append(check_injectivity(piece.vertices, n_pairs=args.n_pairs,
-                                     seed=args.seed))
+    piece = mesh.integrate_piece(mesh.build_grid(p, args.resolution,
+                                                 far_radius=args.far_radius),
+                                 lc_tol=args.lc_tol)
+    results.append(verify.check_injectivity(piece.vertices,
+                                            n_pairs=args.n_pairs,
+                                            seed=args.seed))
     try:
-        results.append(check_profile_bell(piece))
+        results.append(verify.check_profile_bell(piece))
     except NotApplicable as e:
         print(f"profile_bell: skipped ({e})", file=sys.stderr)
 
     if not args.skip_intersections:
-        asm = assemble(piece, n_periods=2)
-        results.append(check_tower_embedded(piece, asm))
+        asm = mesh.assemble(piece, n_periods=2)
+        results.append(verify.check_tower_embedded(piece, asm))
         print(f"self_intersection: {results[-1].detail}", file=sys.stderr)
 
-    diag = case_diagnostics(p)
+    diag = verify.case_diagnostics(p)
     print(f"diagnostics: discriminant={diag['discriminant']:.6g} "
           f"conjugate_quadruple={diag['conjugate_quadruple']} "
           f"theta_outer_range={diag['theta_outer_range']}", file=sys.stderr)
@@ -202,17 +193,23 @@ def cmd_verify(args, parser):
     return EXIT_OK if ok else 2
 
 
-def cmd_sweep(args, parser):
-    from .periods import sweep_family, write_sweep_csv
+def _grid(lo, hi, n, flag):
+    """n points from lo to hi; a grid of no points is invalid input."""
+    if n < 1:
+        raise InvalidResolution(f"{flag} must be at least 1, got {n}")
+    return np.linspace(lo, hi, n)
+
+
+def cmd_sweep(args):
     spec = _quad_spec(args)
     if args.fig6:
         return _sweep_fig6(args, spec)
-    t_grid = np.linspace(args.t_min, args.t_max, args.n_t)
-    X_grid = np.linspace(args.X_min, args.X_max, args.n_X) \
-        if args.n_X > 1 else [args.X_offset]
-    rows = sweep_family(t_grid, X_grid, spec=spec, tol=args.tol)
+    t_grid = _grid(args.t_min, args.t_max, args.n_t, "--n-t")
+    X_grid = [args.X_offset] if args.n_X == 1 \
+        else _grid(args.X_min, args.X_max, args.n_X, "--n-X")
+    rows = periods.sweep_family(t_grid, X_grid, spec=spec, tol=args.tol)
     try:
-        write_sweep_csv(rows, args.output)
+        periods.write_sweep_csv(rows, args.output)
     except OSError as e:
         print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
         return EXIT_IO
@@ -225,16 +222,12 @@ def cmd_sweep(args, parser):
 def _sweep_fig6(args, spec):
     """Raw period-residual landscape: pi1 and pi2 over an (a, b) grid at
     fixed family coordinates, for contour plotting of the two zero sets."""
-    import csv
-
-    from .periods import (DEFAULT_SEED_BOX, check_family_coords,
-                          period_report_for, resolve_params)
     # a point error below is recorded as a row; a bad (t, X_offset) would
     # fail every point, so it is rejected before the grid
-    check_family_coords(args.t, args.X_offset)
-    a_lo, a_hi, b_lo, b_hi = DEFAULT_SEED_BOX
-    a_grid = np.linspace(a_lo, a_hi, args.n_a)
-    b_grid = np.linspace(b_lo, b_hi, args.n_b)
+    periods.check_family_coords(args.t, args.X_offset)
+    a_lo, a_hi, b_lo, b_hi = periods.DEFAULT_SEED_BOX
+    a_grid = _grid(a_lo, a_hi, args.n_a, "--n-a")
+    b_grid = _grid(b_lo, b_hi, args.n_b, "--n-b")
     n_ok = 0
     try:
         with open(args.output, "w", newline="") as fh:
@@ -243,8 +236,8 @@ def _sweep_fig6(args, spec):
             for a in a_grid:
                 for b in b_grid:
                     try:
-                        p = resolve_params(args.t, args.X_offset, a, b)
-                        rep = period_report_for(p, spec)
+                        p = periods.resolve_params(args.t, args.X_offset, a, b)
+                        rep = periods.period_report_for(p, spec)
                         wr.writerow([f"{v:.17g}" for v in
                                      (a, b, p.y, rep.pi1, rep.pi2)] + ["1"])
                         n_ok += 1
@@ -333,17 +326,14 @@ def build_parser():
                     help="fig6 grid size in b")
     sp.add_argument("--output", "-o", default="sweep.csv")
     sp.set_defaults(fn=cmd_sweep)
+    ap.subcommands = sub.choices         # name -> subparser, for --config
     return ap
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(argv)
-    args = _merge_config(args, parser, argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.fn(args, parser)
+        code = args.fn(args)
     except SaddleForgeError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         code = e.exit_code

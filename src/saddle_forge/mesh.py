@@ -18,9 +18,10 @@ four edge increments) certify the integration; they sit at the rounding
 floor for a correct branch of w.
 
 The assembled tower is the orbit of the piece under the three coordinate
-reflections and vertical translations by the period T.  The reflection that
-fixes each symmetry stretch says which copies share its vertices, so the
-copies are welded by index, never by comparing coordinates.
+reflections and vertical translations by the period T.  One table,
+STRETCHES, names the mirror each boundary stretch lies in; it fixes the
+normalization of the piece and which copies share each stretch's vertices,
+so the copies are welded by index, never by comparing coordinates.
 """
 from __future__ import annotations
 
@@ -36,22 +37,37 @@ from .params import SurfaceParams
 from .quad import gauss_legendre_01
 from .weier import phi_vec, phi_vec_delta
 
-# column segments of the real axis: (start point name resolved per surface),
-# grading map, node count at reference resolution 64
-_SEG_COUNTS = (20, 20, 70, 22, 15, 25)
 _REF_RES = 64
 _GAMMA = 1.0          # softening strength of column clustering with height
 _SUB_FACTOR = 10.0    # switch to substituted paths within 10 edge lengths
 _ETA_ROWS_PER_64 = 3.3
+_CUT_FRACTION = 0.3   # puncture window, share of the gap to the next point
 
-BOUNDARY_TAGS = ("AL", "LF", "FE", "ED", "DC", "CB", "BA")
-
-# The mirror each welded symmetry stretch lies in: the coordinate axis its
-# reflection flips, and whether the mirror is the half-period plane
-# x3 = levels["ED"] (welding adjacent periods) rather than the plane through 0.
-SEAM_MIRRORS = (("AL", 1, False), ("LF", 0, False), ("FE", 2, False),
-                ("DC", 2, False), ("ED", 2, True), ("BA", 2, True))
+# The boundary stretches in boundary order, each with the mirror it lies
+# in: the axis the mirror fixes and its plane, ORIGIN (through 0) or
+# HALF_PERIOD (x3 = levels["ED"], joining adjacent periods).  Welding, the
+# level check and the chamber walls all read this table.  CB is planar at
+# x1 = I + J but welded to nothing; it joins LF's mirror only once the
+# period solve closes that horizontal period (ROADMAP).
+ORIGIN, HALF_PERIOD = "origin", "half-period"
+STRETCHES = {
+    "AL": (1, ORIGIN),
+    "LF": (0, ORIGIN),
+    "FE": (2, ORIGIN),
+    "ED": (2, HALF_PERIOD),
+    "DC": (2, ORIGIN),
+    "CB": (0, None),
+    "BA": (2, HALF_PERIOD),
+}
 WELD_TOL = 1e-9      # welded vertices agree to this fraction of the bbox
+
+
+def stretch_intervals(p: SurfaceParams, far: float) -> dict:
+    """Extent of each boundary stretch out to radius far: for AL the range
+    of t on z = i t, for the others the range of z on the real axis."""
+    return {"AL": (0.0, far), "LF": (0.0, p.x), "FE": (p.x, p.a),
+            "ED": (p.a, 1.0), "DC": (1.0, p.y), "CB": (p.y, p.b),
+            "BA": (p.b, far)}
 
 
 def _u_sym(s):
@@ -64,6 +80,12 @@ def _u_right(s):
 
 def _u_left(s):
     return s**4
+
+
+# the grid columns run along the real-axis stretches: per stretch, the
+# grading map of its columns and their count at reference resolution 64
+_COLUMNS = {"LF": (_u_right, 20), "FE": (_u_sym, 20), "ED": (_u_sym, 70),
+            "DC": (_u_sym, 22), "CB": (_u_sym, 15), "BA": (_u_left, 25)}
 
 
 @dataclass
@@ -96,7 +118,7 @@ class PieceMesh:
     loop_residuals: np.ndarray   # per quad
     cell_scales: np.ndarray      # per quad, largest edge increment norm
     boundary: dict               # tag -> vertex index array (grid order)
-    levels: dict                 # tag -> plane constant for planar stretches
+    levels: dict                 # tag -> mean coordinate on its mirror's axis
     T: float                     # vertical period of the tower
 
 
@@ -109,8 +131,7 @@ class AssembledMesh:
 
 
 def build_grid(p: SurfaceParams, resolution: int,
-               far_radius: float = 20.0,
-               cut_fraction: float = 0.3) -> DomainGrid:
+               far_radius: float = 20.0) -> DomainGrid:
     """Grid over the first quadrant with puncture windows removed.
 
     resolution is a linear density knob; node counts scale linearly with it
@@ -121,9 +142,9 @@ def build_grid(p: SurfaceParams, resolution: int,
         raise InvalidResolution(f"resolution must be an integer >= 8, got {resolution!r}")
     if far_radius <= p.b + 1.0:
         raise InvalidResolution(f"far_radius must exceed b + 1 = {p.b + 1.0}")
-    a, b, x, y = p.a, p.b, p.x, p.y
-    cut_a = cut_fraction*min(a - x, 1.0 - a)
-    cut_1 = cut_fraction*min(1.0 - a, y - 1.0)
+    a, x, y = p.a, p.x, p.y
+    cut_a = _CUT_FRACTION*min(a - x, 1.0 - a)
+    cut_1 = _CUT_FRACTION*min(1.0 - a, y - 1.0)
 
     # rows: exponential grading from eta ~ far*(res/2)^-4 (clamped well below
     # the z = 1 window so first-row vertical edges never straddle the pole)
@@ -135,13 +156,13 @@ def build_grid(p: SurfaceParams, resolution: int,
 
     # columns: graded segments, softened toward uniform where the local row
     # spacing exceeds what the clustering could match
-    segs = [(0.0, x, _u_right), (x, a, _u_sym), (a, 1.0, _u_sym),
-            (1.0, y, _u_sym), (y, b, _u_sym), (b, far_radius, _u_left)]
+    intervals = stretch_intervals(p, far_radius)
     deta = lam*np.maximum(eta, eta[1])/n_eta
     rows = []
     for i in range(len(eta)):
         xs = [0.0]
-        for (A, B, umap), n64 in zip(segs, _SEG_COUNTS):
+        for tag, (umap, n64) in _COLUMNS.items():
+            A, B = intervals[tag]
             n = int(np.ceil(n64*resolution/_REF_RES))
             ss = np.arange(1, n + 1)/n
             wsoft = min(1.0, _GAMMA*n*deta[i]/(B - A))
@@ -202,9 +223,8 @@ def build_grid(p: SurfaceParams, resolution: int,
     tags = {"AL": idx[:, 0][alive[:, 0]]}
     xi0 = xs2d[0]
     alive0 = alive[0]
-    stretches = {"LF": (0.0, x), "FE": (x, a), "ED": (a, 1.0),
-                 "DC": (1.0, y), "CB": (y, b), "BA": (b, far_radius)}
-    for tag, (lo, hi) in stretches.items():
+    for tag in _COLUMNS:
+        lo, hi = intervals[tag]
         m = alive0 & (xi0 >= lo - tol) & (xi0 <= hi + tol)
         tags[tag] = idx[0][m]
     return DomainGrid(p=p, resolution=int(resolution), far_radius=far_radius,
@@ -279,8 +299,7 @@ def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
     return out
 
 
-def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8,
-                    n_gauss: int = 8) -> PieceMesh:
+def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8) -> PieceMesh:
     """Positions by accumulating real edge increments along the grid's
     spanning tree.
 
@@ -290,7 +309,7 @@ def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8,
     """
     p = grid.p
     E0, E1 = grid.edges[:, 0], grid.edges[:, 1]
-    inc = edge_increments(p, grid.z[E0], grid.z[E1], n_gauss=n_gauss)
+    inc = edge_increments(p, grid.z[E0], grid.z[E1])
     rinc = np.real(inc)
 
     e = grid.quad_signs[:, :, None]*rinc[grid.quad_edges]
@@ -314,19 +333,18 @@ def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8,
 
     boundary = {tag: np.asarray(nodes) for tag, nodes in grid.tags.items()}
 
-    # normalization: the vertical plane of the imaginary-axis curve (AL) to
-    # x2 = 0, the vertical plane of the first bottom stretch (LF) to x1 = 0,
-    # the lower horizontal mirror (FE) to x3 = 0
-    pos[:, 0] -= np.mean(pos[boundary["LF"], 0])
-    pos[:, 1] -= np.mean(pos[boundary["AL"], 1])
-    lvl_FE = np.mean(pos[boundary["FE"], 2])
-    pos[:, 2] -= lvl_FE
-    lvl_ED = np.mean(pos[boundary["ED"], 2])
-    lvl_DC = np.mean(pos[boundary["DC"], 2])
-    levels = {"LF": 0.0, "AL": 0.0, "FE": 0.0, "ED": lvl_ED, "DC": lvl_DC,
-              "CB": float(np.mean(pos[boundary["CB"], 0])),
-              "BA": float(np.mean(pos[boundary["BA"], 2]))}
-    T = 2.0*abs(lvl_ED)
+    # normalization: each axis's first ORIGIN stretch (AL, LF, FE) is moved
+    # onto its mirror; every other stretch's level is the mean coordinate
+    # it lands on
+    levels, anchored = {}, set()
+    for tag, (axis, plane) in STRETCHES.items():
+        level = float(np.mean(pos[boundary[tag], axis]))
+        if plane == ORIGIN and axis not in anchored:
+            pos[:, axis] -= level
+            anchored.add(axis)
+            level = 0.0
+        levels[tag] = level
+    T = 2.0*abs(levels["ED"])
 
     floor = 64*np.finfo(float).eps*np.max(np.abs(pos))
     bad = lc > np.maximum(lc_tol*scale, floor)
@@ -342,60 +360,62 @@ def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8,
                      T=float(T))
 
 
-def _seam_deviation(piece: PieceMesh):
-    """Max out-of-plane deviation of each symmetry stretch, and the mismatch
-    of the horizontal levels against the two-mirror structure.
+def mirror_planes(piece: PieceMesh) -> dict:
+    """tag -> (axis, level), the mirror x[axis] = level of a welded stretch."""
+    half = piece.levels["ED"]
+    return {tag: (axis, half if plane == HALF_PERIOD else 0.0)
+            for tag, (axis, plane) in STRETCHES.items() if plane}
 
-    The four horizontal stretches must occupy exactly two levels: FE and DC
-    at 0 (the lower mirror) and ED and BA at the half-period; the level gaps
-    measure how badly an unsolved period problem breaks this."""
-    v = piece.vertices
-    bd = piece.boundary
-    dev = {
-        "AL": float(np.max(np.abs(v[bd["AL"], 1]))),
-        "LF": float(np.max(np.abs(v[bd["LF"], 0]))),
-        "FE": float(np.max(np.abs(v[bd["FE"], 2]))),
-        "ED": float(np.max(np.abs(v[bd["ED"], 2] - piece.levels["ED"]))),
-        "DC": float(np.max(np.abs(v[bd["DC"], 2] - piece.levels["DC"]))),
-        "CB": float(np.max(np.abs(v[bd["CB"], 0] - piece.levels["CB"]))),
-        "BA": float(np.max(np.abs(v[bd["BA"], 2] - piece.levels["BA"]))),
-    }
-    level_gap = max(abs(piece.levels["DC"]),
-                    abs(piece.levels["BA"] - piece.levels["ED"]))
-    return dev, float(level_gap)
+
+def _level_gaps(piece: PieceMesh) -> dict:
+    """Distance of each welded stretch's level from its mirror (nonzero
+    where the period problem is not solved)."""
+    return {tag: abs(piece.levels[tag] - level)
+            for tag, (_, level) in mirror_planes(piece).items()}
+
+
+def _seam_deviation(piece: PieceMesh):
+    """Max deviation of each stretch from its own level, and the largest
+    level gap of a welded stretch from its mirror."""
+    v, bd = piece.vertices, piece.boundary
+    dev = {tag: float(np.max(np.abs(v[bd[tag], axis] - piece.levels[tag])))
+           for tag, (axis, _) in STRETCHES.items()}
+    return dev, max(_level_gaps(piece).values())
 
 
 def assemble(piece: PieceMesh, n_periods: int = 1,
-             weld_tol: float = WELD_TOL, check: bool = True) -> AssembledMesh:
+             check: bool = True) -> AssembledMesh:
     """Orbit of the piece under {+-x1} x {+-x2} x {+-x3} and k*T*e3.
 
     Copy c is period c // 8 with signs in itertools.product order, so bits
-    4, 2, 1 of c flip x1, x2, x3.  Each symmetry stretch lies in the mirror
-    of one reflection (SEAM_MIRRORS), and the copies that reflection pairs
-    share its vertices: AL (x2 = 0), LF (x1 = 0), FE and DC (x3 = 0) within
-    a period, ED and BA (the half-period mirror) across adjacent periods.
-    Vertices are welded by these index maps, never by coordinates.
-    Stretches off their planes (unsolved period parameters) or welded
-    vertices more than weld_tol times the bounding-box diagonal apart raise
-    WeldMismatch.
+    4, 2, 1 of c flip x1, x2, x3.  Each welded stretch lies in the mirror
+    of one reflection (STRETCHES), and the copies that reflection pairs
+    share its vertices: within a period for a mirror through 0, across
+    adjacent periods for the half-period mirror.  Vertices are welded by
+    these index maps, never by coordinates.  Stretches off their mirrors
+    (unsolved period parameters) or welded vertices more than WELD_TOL times
+    the bounding-box diagonal apart raise WeldMismatch.
     """
     if not isinstance(n_periods, (int, np.integer)) or n_periods < 1:
         raise InvalidResolution(f"n_periods must be an integer >= 1, got {n_periods!r}")
     v = piece.vertices
     n = len(v)
     bbox = np.linalg.norm(v.max(axis=0) - v.min(axis=0))
-    tol = weld_tol*bbox
+    tol = WELD_TOL*bbox
     if check:
-        dev, level_gap = _seam_deviation(piece)
+        dev, _ = _seam_deviation(piece)
         bad = {k: d for k, d in dev.items() if d > tol}
         if bad:
             raise WeldMismatch(f"symmetry stretches off their planes beyond "
                                f"{tol:.3e}: {bad}")
-        if level_gap > tol:
+        gaps = _level_gaps(piece)
+        worst = max(gaps, key=gaps.get)
+        if gaps[worst] > tol:
+            axis, level = mirror_planes(piece)[worst]
             raise WeldMismatch(
-                f"horizontal mirror levels do not pair up (DC with FE, BA "
-                f"with ED): gap {level_gap:.3e} exceeds tol {tol:.3e} -- "
-                f"period problem not solved")
+                f"stretch {worst} lies {gaps[worst]:.3e} off its mirror "
+                f"x{axis + 1} = {level:.6g}, beyond tol {tol:.3e} -- period "
+                f"problem not solved")
 
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
     copies = np.arange(8*n_periods)
@@ -405,9 +425,9 @@ def assemble(piece: PieceMesh, n_periods: int = 1,
     up = 1 if piece.levels["ED"] > 0 else -1
     k_up = copies//8 + up
     lo = copies[(copies % 2 == 0) & (0 <= k_up) & (k_up < n_periods)]
-    seams = [(tag, lo, lo + 8*up + 1) if half
+    seams = [(tag, lo, lo + 8*up + 1) if plane == HALF_PERIOD
              else (tag, copies, copies ^ (4 >> axis))
-             for tag, axis, half in SEAM_MIRRORS]
+             for tag, (axis, plane) in STRETCHES.items() if plane]
     ia = np.concatenate([(c0*n)[:, None] + piece.boundary[tag]
                          for tag, c0, _ in seams], axis=None)
     ib = np.concatenate([(c1*n)[:, None] + piece.boundary[tag]

@@ -137,7 +137,11 @@ def _F_coeffs(a: float, b: float, x: float, X: float) -> np.ndarray:
             - (1 - b*b)*(1 - x*x)*np.convolve(np.convolve(B, B), [-1, 0, 1]))
 
 
-def solve_y(a: float, b: float, x: float, X: float, tol: float = 1e-12) -> float:
+# Newton on y stops once its step falls below this share of y
+_Y_TOL = 1e-12
+
+
+def solve_y(a: float, b: float, x: float, X: float) -> float:
     """Smallest root of F in (1, b), from the quartic's companion matrix,
     polished by Newton with values from the factored F_eval (the monomial
     form cancels badly as y -> 1).  Raises NoRoot if there is none, and
@@ -157,7 +161,7 @@ def solve_y(a: float, b: float, x: float, X: float, tol: float = 1e-12) -> float
         if not (1.0 < yn < b):
             break
         yy = yn
-        if abs(step) < tol*yy:
+        if abs(step) < _Y_TOL*yy:
             break
     p = SurfaceParams(a=a, b=b, x=x, X=X, y=yy)
     s = sym_funcs(p)
@@ -201,30 +205,31 @@ def _pis(t, X_offset, a, b, spec):
 # largest perturbation of the family coordinates for which the warm-started
 # Newton continuation is supported
 FAMILY_EPS = 0.05
+# Newton iterations per start of the period solve
+_MAX_ITER = 80
 
 
-def check_family_coords(t: float, X_offset: float,
-                        eps: float = FAMILY_EPS) -> None:
-    """Validate family coordinates: t in (0, eps], X_offset in [0, eps)."""
-    if not (0.0 < t <= eps):
-        raise DomainViolation(f"t must lie in (0, {eps}], got {t}")
-    if not (0.0 <= X_offset < eps):
-        raise DomainViolation(f"X_offset must lie in [0, {eps}), got {X_offset}")
+def check_family_coords(t: float, X_offset: float) -> None:
+    """Validate family coordinates: t in (0, FAMILY_EPS], X_offset in
+    [0, FAMILY_EPS)."""
+    if not (0.0 < t <= FAMILY_EPS):
+        raise DomainViolation(f"t must lie in (0, {FAMILY_EPS}], got {t}")
+    if not (0.0 <= X_offset < FAMILY_EPS):
+        raise DomainViolation(f"X_offset must lie in [0, {FAMILY_EPS}), "
+                              f"got {X_offset}")
 
 
 def solve_periods(t: float, X_offset: float,
                   seed_box=DEFAULT_SEED_BOX,
                   tol: float = 1e-10,
                   spec: QuadratureSpec = DEFAULT_SPEC,
-                  seed: tuple[float, float] | None = None,
-                  max_iter: int = 80,
-                  eps: float = FAMILY_EPS) -> FamilySolution:
+                  seed: tuple[float, float] | None = None) -> FamilySolution:
     """Damped Newton on (pi1, pi2)(a, b) with a finite-difference Jacobian.
 
     Starts from the seed-box centre (or the supplied warm start); if Newton
     stalls, falls back to a coarse scan of the seed box for a fresh start.
     """
-    check_family_coords(t, X_offset, eps)
+    check_family_coords(t, X_offset)
     a_lo, a_hi, b_lo, b_hi = seed_box
     starts = []
     if seed is not None:
@@ -237,7 +242,7 @@ def solve_periods(t: float, X_offset: float,
     best_v, best_pv = None, None
     for start in starts:
         try:
-            v, pv, (p, rep) = _newton2(t, X_offset, start, tol, spec, max_iter)
+            v, pv, (p, rep) = _newton2(t, X_offset, start, tol, spec)
         except (NoRoot, NoConvergence):
             continue
         if np.max(np.abs(pv)) < tol:
@@ -253,12 +258,12 @@ def solve_periods(t: float, X_offset: float,
         best=tuple(best_v), residual=float(np.max(np.abs(best_pv))))
 
 
-def _newton2(t, X_offset, v0, tol, spec, max_iter):
+def _newton2(t, X_offset, v0, tol, spec):
     """Returns the last iterate, its residuals and its (params, report)."""
     a_min, a_max, b_min, b_max = SEARCH_BOX
     v = np.array(v0, dtype=float)
     pv, at = _pis(t, X_offset, v[0], v[1], spec)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if np.max(np.abs(pv)) < tol:
             return v, pv, at
         h = 1e-7

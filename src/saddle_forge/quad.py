@@ -1,15 +1,14 @@
 """Quadrature engine: double-exponential rules for endpoint-singular and
-semi-infinite integrals, plus a spectral contour rule for residue oracles.
+semi-infinite integrals, and Gauss-Legendre rules.
 
-Integrand callbacks may optionally accept the signed distances to the
-endpoints, ``f(x, d_lo, d_hi)`` with ``d_lo = x - lo`` and ``d_hi = hi - x``
-computed without cancellation.  Integrands with inverse-square-root endpoint
-behaviour should use these to form radicands accurately; plain ``f(x)``
-callbacks are also accepted.
+Integrands are called as ``f(x, d_lo, d_hi)`` with the distances to the
+endpoints, ``d_lo = x - lo`` and ``d_hi = hi - x`` (inf on a semi-infinite
+range), computed without cancellation.  Integrands with
+inverse-square-root endpoint behaviour use these to form radicands
+accurately.
 """
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,20 +36,6 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
-
-
-def _wants_deltas(f) -> bool:
-    try:
-        sig = inspect.signature(f)
-    except (TypeError, ValueError):
-        return False
-    n = 0
-    for p in sig.parameters.values():
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD):
-            n += 1
-        elif p.kind == p.VAR_POSITIONAL:
-            return True
-    return n >= 3
 
 
 def _refine(term, spec, first_range, reach):
@@ -83,7 +68,6 @@ def integrate_singular(f, lo: float, hi: float,
     spec.validate()
     mid = 0.5*(lo + hi)
     half = 0.5*(hi - lo)
-    deltas = _wants_deltas(f)
 
     def term(h, ks):
         t = ks*h
@@ -97,8 +81,7 @@ def integrate_singular(f, lo: float, hi: float,
         # onto lo or hi even for extreme nodes
         xs = np.where(xk < 0, lo + dlo, hi - dhi)
         ok = (dlo > 0) & (dhi > 0) & np.isfinite(wk)
-        args = (xs[ok], dlo[ok], dhi[ok]) if deltas else (xs[ok],)
-        return half*np.sum(np.asarray(f(*args))*wk[ok])
+        return half*np.sum(np.asarray(f(xs[ok], dlo[ok], dhi[ok]))*wk[ok])
 
     return _refine(term, spec, first_range=4, reach=4.5)
 
@@ -114,7 +97,6 @@ def integrate_to_infinity(f, lo: float,
     casing.
     """
     spec.validate()
-    deltas = _wants_deltas(f)
 
     def term(h, ks):
         t = ks*h
@@ -124,22 +106,10 @@ def integrate_to_infinity(f, lo: float,
         xk = lo + d
         wk = 0.5*np.pi*np.cosh(t)*d
         ok = (d > 0) & np.isfinite(wk) & np.isfinite(xk)
-        if deltas:
-            args = (xk[ok], d[ok], np.full(int(ok.sum()), np.inf))
-        else:
-            args = (xk[ok],)
-        return np.sum(np.asarray(f(*args))*wk[ok])
+        dhi = np.full(int(ok.sum()), np.inf)
+        return np.sum(np.asarray(f(xk[ok], d[ok], dhi))*wk[ok])
 
     return _refine(term, spec, first_range=5, reach=5.0)
-
-
-def contour_integral(f, center: complex, radius: float, n_nodes: int = 256) -> complex:
-    """Trapezoid rule on a circle: spectrally accurate for f holomorphic in
-    an annulus around the circle.  Returns the full contour integral of f."""
-    k = np.arange(n_nodes)
-    e = np.exp(2j*np.pi*k/n_nodes)
-    z = center + radius*e
-    return (2j*np.pi*radius/n_nodes)*np.sum(np.asarray(f(z))*e)
 
 
 def gauss_legendre_01(n: int):

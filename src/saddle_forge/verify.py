@@ -1,8 +1,9 @@
 """Numerical verification of the geometric claims about the surface family.
 
 Checks fall into three groups:
-  * curve-level: boundary symmetry table of (g, dh), winding-number degree
-    count of the Gauss map, interior vertical-normal configuration;
+  * curve-level: boundary symmetry table of (g, dh) sampled along each
+    stretch (mesh.stretch_intervals), winding-number degree count of the
+    Gauss map, interior vertical-normal configuration;
   * mesh-level: injectivity sampling, triangle self-intersection scan,
     embeddedness of the tower certified from the reflection chamber,
     shape of the lower-mirror profile curve in the X = a case;
@@ -12,13 +13,13 @@ All stochastic checks take an explicit seed and default to a fixed one.
 
 Embeddedness of the tower follows from the piece by the chamber argument
 for surfaces built by Schwarz reflection (Karcher, Manuscripta Math. 62,
-1988).  The mirrors of the welded stretches bound a convex chamber holding
-the piece, and the reflected and translated copies occupy disjoint
-chambers.  If the piece is embedded, lies strictly inside its chamber away
-from its stretches, and meets each mirror in simple seam polylines, then
-faces of two copies can only meet in the welded seam vertices and edges
-they share.  check_tower_embedded certifies these three conditions at the
-cost of the piece alone and otherwise falls back to
+1988).  The mirrors of the welded stretches (mesh.STRETCHES) bound a convex
+chamber holding the piece, and the reflected and translated copies occupy
+disjoint chambers.  If the piece is embedded, lies strictly inside its
+chamber away from its stretches, and meets each mirror in simple seam
+polylines, then faces of two copies can only meet in the welded seam
+vertices and edges they share.  check_tower_embedded certifies these three
+conditions at the cost of the piece alone and otherwise falls back to
 check_self_intersections on the whole tower, which stays the independent
 oracle.
 """
@@ -29,8 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContourTooClose, GaussMapPole, NotApplicable
-from .mesh import SEAM_MIRRORS, WELD_TOL, AssembledMesh, PieceMesh
+from .errors import (ContourTooClose, GaussMapPole, InvalidResolution,
+                     NotApplicable)
+from .mesh import (WELD_TOL, AssembledMesh, PieceMesh, mirror_planes,
+                   stretch_intervals)
 from .params import SurfaceParams, sym_funcs
 from .weier import CurvePoint, dh_eval, g_eval, vertical_normal_points, w_closed
 
@@ -62,22 +65,16 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _stretch_samples(p: SurfaceParams, far: float, n: int):
-    """Interior sample points of each boundary stretch (endpoints avoided)."""
-    a, b, x, y = p.a, p.b, p.x, p.y
+    """Interior sample points of each boundary stretch (endpoints avoided;
+    on AL log-spaced from 0.05i)."""
     u = (np.arange(n) + 0.5)/n
-
-    def seg(lo, hi):
-        return lo + (hi - lo)*(0.05 + 0.9*u)
-
-    return {
-        "AL": 1j*np.exp(np.log(0.05) + (np.log(far) - np.log(0.05))*u),
-        "LF": seg(0.0, x),
-        "FE": seg(x, a),
-        "ED": seg(a, 1.0),
-        "DC": seg(1.0, y),
-        "CB": seg(y, b),
-        "BA": seg(b, far),
-    }
+    out = {}
+    for tag, (lo, hi) in stretch_intervals(p, far).items():
+        if tag == "AL":
+            out[tag] = 1j*np.exp(np.log(0.05) + (np.log(hi) - np.log(0.05))*u)
+        else:
+            out[tag] = lo + (hi - lo)*(0.05 + 0.9*u)
+    return out
 
 
 # per stretch: (g condition, dh condition) as (kind, sign) with kinds
@@ -112,13 +109,16 @@ def _cond_residual(value: complex, kind: str, sign: int) -> float:
     return res
 
 
+_SYMMETRY_SAMPLES = 48     # per stretch
+
+
 def check_symmetry_table(p: SurfaceParams, tol: float = 1e-9,
-                         n_samples: int = 48, far: float = 20.0) -> VerificationReport:
+                         far: float = 20.0) -> VerificationReport:
     """The boundary stretches must carry the symmetry data of the table:
     real/imaginary/unit-circle constraints on g and dh with fixed signs."""
     p.validate()
     rep = VerificationReport()
-    for tag, zs in _stretch_samples(p, far, n_samples).items():
+    for tag, zs in _stretch_samples(p, far, _SYMMETRY_SAMPLES).items():
         (gk, gs), (dk, ds) = SYMMETRY_TABLE[tag]
         worst_g = worst_dh = 0.0
         for z in zs:
@@ -167,9 +167,14 @@ def _quadrant_contour(p: SurfaceParams, far: float, indent: float, n: int):
     return np.append(zs, zs[0])
 
 
+# points per indentation arc of the contour before refinement, and the least
+# distance of the probe from the boundary values, relative to max(1, |probe|)
+_CONTOUR_POINTS = 400
+_PROBE_CLEARANCE = 1e-4
+
+
 def degree_diagnostic(p: SurfaceParams, probe: complex = 0.37 + 0.52j,
-                      far: float = 30.0, n: int = 400,
-                      min_clearance: float = 1e-4) -> dict:
+                      far: float = 30.0) -> dict:
     """Preimage count of a probe value under the Gauss map of the closed
     surface, assembled from winding numbers on the fundamental quadrant.
 
@@ -181,7 +186,7 @@ def degree_diagnostic(p: SurfaceParams, probe: complex = 0.37 + 0.52j,
     """
     p.validate()
     indent = 0.2*min(p.a - p.x, 1.0 - p.a, p.y - 1.0)
-    zs = _quadrant_contour(p, far, indent, n)
+    zs = _quadrant_contour(p, far, indent, _CONTOUR_POINTS)
 
     def g_of(z):
         z = np.asarray(z, dtype=complex)
@@ -213,9 +218,9 @@ def degree_diagnostic(p: SurfaceParams, probe: complex = 0.37 + 0.52j,
     total = 0
     for name, (gt, orient) in transforms.items():
         d = gt - probe
-        if np.min(np.abs(d)) < min_clearance*max(1.0, abs(probe)):
+        if np.min(np.abs(d)) < _PROBE_CLEARANCE*max(1.0, abs(probe)):
             raise ContourTooClose(
-                f"probe {probe} within {min_clearance} of boundary values of "
+                f"probe {probe} within {_PROBE_CLEARANCE} of boundary values of "
                 f"transform {name}; choose a different probe")
         dang = np.angle(d[1:]/d[:-1])
         if np.max(np.abs(dang)) > 2.8:
@@ -242,14 +247,20 @@ def degree_diagnostic(p: SurfaceParams, probe: complex = 0.37 + 0.52j,
 # mesh-level checks
 # ---------------------------------------------------------------------------
 
+_COLLISION_TOL = 1e-10     # share of the bounding-box diagonal
+
+
 def check_injectivity(vertices: np.ndarray, n_pairs: int = 100_000,
-                      seed: int = DEFAULT_SEED,
-                      tol: float = 1e-10) -> CheckResult:
+                      seed: int = DEFAULT_SEED) -> CheckResult:
     """Distinct sampled mesh points must not coincide in space.
 
-    Collisions are pairs closer than tol times the bounding-box diagonal;
-    an immersed (non-injective) piece shows up as a nonzero count.
+    Collisions are pairs closer than _COLLISION_TOL times the bounding-box
+    diagonal; an immersed (non-injective) piece shows up as a nonzero
+    count.  Sampling no pairs would pass vacuously, so n_pairs < 1 raises
+    InvalidResolution.
     """
+    if n_pairs < 1:
+        raise InvalidResolution(f"n_pairs must be at least 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     n = len(vertices)
     i = rng.integers(0, n, n_pairs)
@@ -258,7 +269,7 @@ def check_injectivity(vertices: np.ndarray, n_pairs: int = 100_000,
     i, j = i[keep], j[keep]
     bbox = np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0))
     d = np.linalg.norm(vertices[i] - vertices[j], axis=1)
-    collisions = int(np.sum(d < tol*bbox))
+    collisions = int(np.sum(d < _COLLISION_TOL*bbox))
     return CheckResult("injectivity", collisions == 0, collisions,
                        f"{len(i)} pairs sampled")
 
@@ -457,23 +468,23 @@ def check_tower_embedded(piece: PieceMesh, tower: AssembledMesh) -> CheckResult:
     """Embeddedness of tower, which must be assemble(piece, ...), certified
     from the reflection chamber (see the module docstring).
 
-    The walls are the mirrors of SEAM_MIRRORS and the chamber is the side
-    of each wall the piece lies on.  The certificate holds when every
-    vertex on no boundary stretch lies strictly inside the chamber, every
-    stretch vertex lies inside it or on its own stretch's wall within the
-    weld tolerance, the seam polylines on each wall are simple in its
-    plane, and the piece alone has no crossing pair.  Otherwise the detail
-    names the failed condition (for the chamber, the wall and its worst
-    vertex) and the verdict is check_self_intersections on the tower."""
+    The walls are the mirror planes of the welded stretches (mesh.STRETCHES)
+    and the chamber is the side of each wall the piece lies on.  The
+    certificate holds when every vertex on no boundary stretch lies strictly
+    inside the chamber, every stretch vertex lies inside it or on its own
+    stretch's wall within the weld tolerance, the seam polylines on each
+    wall are simple in its plane, and the piece alone has no crossing pair.
+    Otherwise the detail names the failed condition (for the chamber, the
+    wall and its worst vertex) and the verdict is check_self_intersections
+    on the tower."""
     v = piece.vertices
     tol = WELD_TOL*np.linalg.norm(v.max(axis=0) - v.min(axis=0))
     on_stretch = np.zeros(len(v), bool)
     for nodes in piece.boundary.values():
         on_stretch[nodes] = True
     walls = {}
-    for tag, axis, half in SEAM_MIRRORS:
-        level = piece.levels["ED"] if half else 0.0
-        walls.setdefault((axis, level), []).append(tag)
+    for tag, wall in mirror_planes(piece).items():
+        walls.setdefault(wall, []).append(tag)
 
     outside, crossings, margins = [], [], []
     for (axis, level), tags in walls.items():

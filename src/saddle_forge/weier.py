@@ -82,16 +82,17 @@ def w_closed_delta(p: SurfaceParams, v: float, delta):
     return np.exp(h)
 
 
-def branch_points(p: SurfaceParams) -> np.ndarray:
-    return np.array([p.x, -p.x, p.y, -p.y, p.b, -p.b])
+# a continuation path keeps this share of the least gap between branch
+# points away from each of them
+_PATH_CLEARANCE = 1e-6
+# pole and degeneracy thresholds: |u - 1| relative to max(1, |u|) at a pole
+# of g, the distance of z from an end puncture, and of g from +-i
+_G_POLE_TOL = 1e-13
+_END_TOL = 1e-12
+_G_I_TOL = 1e-12
 
 
-def default_clearance(p: SurfaceParams) -> float:
-    bp = np.sort(branch_points(p))
-    return 1e-6*np.min(np.diff(bp))
-
-
-def w_eval(p: SurfaceParams, z: complex, path=None, clearance: float | None = None) -> complex:
+def w_eval(p: SurfaceParams, z: complex, path=None) -> complex:
     """Branch of w at z by explicit continuation along a polyline from 0.
 
     Independent of w_closed (square roots of the curve equation with sign
@@ -100,9 +101,8 @@ def w_eval(p: SurfaceParams, z: complex, path=None, clearance: float | None = No
     """
     if path is None:
         path = [0.0, z]
-    if clearance is None:
-        clearance = default_clearance(p)
-    bp = branch_points(p)
+    bp = np.array([p.x, -p.x, p.y, -p.y, p.b, -p.b])     # branch points
+    clearance = _PATH_CLEARANCE*np.min(np.diff(np.sort(bp)))
     w = 1.0 + 0.0j  # anchor w(0) = +1
     zc = 0.0 + 0.0j
     if path[0] != 0:
@@ -151,14 +151,14 @@ def vertical_normal_points(s: SymFuncs):
     return np.array(roots), bool(disc < 0)
 
 
-def g_eval(p: SurfaceParams, cp: CurvePoint, tol: float = 1e-13) -> complex:
+def g_eval(p: SurfaceParams, cp: CurvePoint) -> complex:
     """Gauss map from the divisor relation w (g+i)/(g-i) = (X+z)/(X-z).
 
     With u = (X+z)/(w (X-z)) this gives g = i (1+u)/(u-1); never computed
     by square roots, so there is no extra branch ambiguity.
     """
     u = (p.X + cp.z)/(cp.w*(p.X - cp.z))
-    if abs(u - 1.0) <= tol*max(1.0, abs(u)):
+    if abs(u - 1.0) <= _G_POLE_TOL*max(1.0, abs(u)):
         raise GaussMapPole(f"g has a pole at z = {cp.z} (vertical normal)")
     return 1j*(1 + u)/(u - 1)
 
@@ -170,11 +170,11 @@ def _EB(p: SurfaceParams, z, w):
     return E, B
 
 
-def dh_eval(p: SurfaceParams, cp: CurvePoint, tol: float = 1e-12) -> complex:
+def dh_eval(p: SurfaceParams, cp: CurvePoint) -> complex:
     """Density of the height differential dh against dz."""
     z = cp.z
     for pole in (1.0, -1.0, p.a, -p.a):
-        if abs(z - pole) < tol:
+        if abs(z - pole) < _END_TOL:
             raise PoleAtEnd(f"dh has a pole at z = {pole} (Scherk end)")
     E, B = _EB(p, z, cp.w)
     return complex(E - B)
@@ -199,7 +199,7 @@ def phi_eval(p: SurfaceParams, cp: CurvePoint) -> WeierstrassValue:
                             phi2=complex(phi2), phi3=complex(phi3))
 
 
-def rotated_data(p: SurfaceParams, cp: CurvePoint, tol: float = 1e-12):
+def rotated_data(p: SurfaceParams, cp: CurvePoint):
     """Rotated Weierstrass pair (G, dH) with the closed-form cross-check.
 
     G = -i (g+i)/(g-i); dH is computed both from the data, (i/2)(1/g + g) dh,
@@ -209,7 +209,7 @@ def rotated_data(p: SurfaceParams, cp: CurvePoint, tol: float = 1e-12):
     here is fixed by the identity dH = phi2.)
     """
     g = g_eval(p, cp)
-    if min(abs(g - 1j), abs(g + 1j)) < tol:
+    if min(abs(g - 1j), abs(g + 1j)) < _G_I_TOL:
         raise DegeneratePoint(f"g = +-i at z = {cp.z}")
     G = -1j*(g + 1j)/(g - 1j)
     dh = dh_eval(p, cp)

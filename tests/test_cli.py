@@ -197,15 +197,69 @@ def test_config_rejects_invalid_value(line, capsys, tmp_path):
 
 
 def test_config_reads_boolean_values(capsys, tmp_path):
-    from saddle_forge.cli import _merge_config, build_parser
-    parser = build_parser()
+    from saddle_forge.cli import parse_args
     for text, expected in (("Yes", True), ("1", True), ("false", False),
                            ("NO", False)):
         cfg = tmp_path/"b.cfg"
         cfg.write_text(f"piece-only = {text}\n")
-        argv = ["mesh", "--config", str(cfg)]
-        args = _merge_config(parser.parse_args(argv), parser, argv)
+        args = parse_args(["mesh", "--config", str(cfg)])
         assert args.piece_only is expected
+
+
+@pytest.mark.parametrize("flag", ["-o", "--output", "--output="])
+def test_mesh_output_flag_wins_over_config(flag, capsys, tmp_path):
+    # a flag given on the command line wins over the file in any spelling
+    cfg = tmp_path/"run.cfg"
+    cfg.write_text(f"output = {tmp_path/'from_cfg.obj'}\n"
+                   "resolution = 16\nlc_tol = 1e-6\npiece_only = yes\n")
+    path = str(tmp_path/"from_flag.obj")
+    argv = [flag + path] if flag.endswith("=") else [flag, path]
+    code, out, err = run_cli(capsys, "mesh", "--config", str(cfg),
+                             "--tol", "1e-9", *argv)
+    assert code == 0, err
+    assert parse_kv(out)["output"] == path
+    assert os.path.exists(path)
+    assert not (tmp_path/"from_cfg.obj").exists()
+
+
+def test_sweep_output_flag_wins_over_config(capsys, tmp_path):
+    cfg = tmp_path/"run.cfg"
+    cfg.write_text(f"output = {tmp_path/'from_cfg.csv'}\n"
+                   "t_min = 0.02\nt_max = 0.02\nn_t = 1\n")
+    path = str(tmp_path/"from_flag.csv")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                             "--tol", "1e-9", "-o", path)
+    assert code == 0, err
+    assert parse_kv(out)["output"] == path
+    assert os.path.exists(path)
+    assert not (tmp_path/"from_cfg.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n-t", "0"],
+    ["sweep", "--n-t", "-2"],
+    ["sweep", "--n-X", "0"],
+    ["sweep", "--fig6", "--n-a", "0"],
+    ["sweep", "--fig6", "--n-b", "-1"],
+])
+def test_sweep_rejects_empty_grid(argv, capsys, tmp_path):
+    # a grid of no points is invalid input, not a header-only CSV
+    out_path = tmp_path/"sweep.csv"
+    code, _, err = run_cli(capsys, *argv, "-o", str(out_path))
+    assert code == 3
+    assert "InvalidResolution" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("n_pairs", ["0", "-1"])
+def test_verify_rejects_no_injectivity_pairs(n_pairs, capsys):
+    # sampling no pairs must not pass the injectivity check vacuously
+    code, out, err = run_cli(capsys, "verify", "--t", "0.02", "--tol", "1e-9",
+                             "--resolution", "16", "--lc-tol", "1e-6",
+                             "--n-pairs", n_pairs)
+    assert code == 3
+    assert "InvalidResolution" in err
+    assert "verified" not in out
 
 
 # Run in a fresh interpreter: records OPENBLAS_NUM_THREADS at the moment numpy

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from saddle_forge.errors import InvalidResolution, WeldMismatch
-from saddle_forge.mesh import (BOUNDARY_TAGS, AssembledMesh, assemble,
+from saddle_forge.mesh import (STRETCHES, AssembledMesh, assemble,
                                build_grid, curvature_stats, edge_increments,
                                export_obj, integrate_piece,
                                mean_curvature_norm, _seam_deviation)
@@ -32,8 +32,8 @@ def test_grid_rejects_bad_resolution(solved_params):
 
 def test_grid_tags_cover_boundary(solved_params):
     g = build_grid(solved_params, 32)
-    assert set(g.tags) == set(BOUNDARY_TAGS)
-    for tag in BOUNDARY_TAGS:
+    assert set(g.tags) == set(STRETCHES)
+    for tag in STRETCHES:
         assert len(g.tags[tag]) >= 2
     # neighbouring bottom stretches share their endpoint node, except at the
     # punctures a and 1 where the window removes the corner node
