@@ -21,15 +21,15 @@ def _apply_thread_env():
 
 _apply_thread_env()
 
-from .errors import (BranchInconsistency, ContourTooClose, DegeneratePoint,
-                     DegenerateRoot, DomainViolation, GaussMapPole,
-                     InvalidQuadrature, InvalidResolution, NoConvergence,
-                     NoRoot, NotApplicable, PathThroughBranchPoint, PoleAtEnd,
-                     SaddleForgeError, SeedBoxExhausted, WeldMismatch)
+from .errors import (BranchInconsistency, ContourTooClose, DegenerateRoot,
+                     DomainViolation, InvalidQuadrature, InvalidResolution,
+                     NoConvergence, NoRoot, NotApplicable,
+                     PathThroughBranchPoint, SaddleForgeError,
+                     SeedBoxExhausted, WeldMismatch)
 from .params import SurfaceParams, SymFuncs, from_family, sym_funcs
 from .quad import QuadratureSpec, integrate_singular, integrate_to_infinity
-from .weier import CurvePoint, WeierstrassValue, curve_rhs, dh_eval, g_eval, \
-    phi_eval, phi_vec, rotated_data, vertical_normal_points, w_closed, w_eval
+from .weier import (curve_rhs, g_eval, phi_vec, rotated_data,
+                    vertical_normal_points, w_closed, w_eval)
 from .periods import (FamilySolution, PeriodReport, F_eval, I_integral,
                       J_integral, K_integral, period_report_for, residue_R,
                       residue_r, solve_periods, solve_y, sweep_family,

@@ -53,32 +53,40 @@ def _read_config(path):
 def parse_args(argv):
     """The options of argv.  The values of a --config file become the
     subcommand's defaults for a second parse of argv, so every flag given
-    on the command line wins over the file, however it is spelled."""
+    on the command line wins over the file, however it is spelled, and a
+    file value satisfies a required option."""
     parser = build_parser()
+    required = [a for sp in parser.subcommands.values() for a in sp._actions
+                if a.required]
+    for action in required:
+        action.required = False
     args = parser.parse_args(argv)
+    sp = parser.subcommands[args.command]
+    options = {a.dest: a for a in sp._actions if hasattr(args, a.dest)}
+    defaults = {}
     if args.config:
-        defaults = {}
         for k, v in _read_config(args.config).items():
-            if not hasattr(args, k):
+            if k not in options:
                 print(f"error: unknown config key {k!r}", file=sys.stderr)
                 sys.exit(EXIT_INVALID_INPUT)
-            defaults[k] = _config_value(k, v, getattr(args, k))
-        parser.subcommands[args.command].set_defaults(**defaults)
-        args = parser.parse_args(argv)
-    return args
+            defaults[k] = _config_value(k, v, options[k])
+        sp.set_defaults(**defaults)
+    for action in required:
+        action.required = action.dest not in defaults
+    return parser.parse_args(argv)
 
 
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 
 
-def _config_value(key, text, default):
-    """`text` cast to the type of the option's default; exit 3 if it does
-    not parse."""
+def _config_value(key, text, action):
+    """`text` cast to the option's declared type (a boolean for a flag);
+    exit 3 if it does not parse."""
     try:
-        if isinstance(default, bool):
+        if isinstance(action.default, bool):
             return _BOOLS[text.lower()]
-        return type(default)(text) if default is not None else text
+        return action.type(text) if action.type else text
     except (KeyError, TypeError, ValueError):
         print(f"error: config key {key!r}: invalid value {text!r}",
               file=sys.stderr)

@@ -17,6 +17,7 @@ class DomainViolation(SaddleForgeError):
 
 
 class InvalidResolution(SaddleForgeError):
+    """A resolution, count, radius or tolerance out of range."""
     exit_code = EXIT_INVALID_INPUT
 
 
@@ -28,18 +29,6 @@ class InvalidQuadrature(SaddleForgeError):
 class PathThroughBranchPoint(SaddleForgeError):
     """A continuation path passed within the configured clearance of a
     branch point of the curve."""
-
-
-class GaussMapPole(SaddleForgeError):
-    """The Gauss map is at the point at infinity (vertical normal)."""
-
-
-class PoleAtEnd(SaddleForgeError):
-    """The height differential has a pole here (an end puncture)."""
-
-
-class DegeneratePoint(SaddleForgeError):
-    """Rotated data undefined: the Gauss map equals +-i at this point."""
 
 
 class NoConvergence(SaddleForgeError):

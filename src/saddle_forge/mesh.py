@@ -140,8 +140,9 @@ def build_grid(p: SurfaceParams, resolution: int,
     p.validate()
     if not isinstance(resolution, (int, np.integer)) or resolution < 8:
         raise InvalidResolution(f"resolution must be an integer >= 8, got {resolution!r}")
-    if far_radius <= p.b + 1.0:
-        raise InvalidResolution(f"far_radius must exceed b + 1 = {p.b + 1.0}")
+    if not p.b + 1.0 < far_radius < np.inf:
+        raise InvalidResolution(f"far_radius must be finite and exceed "
+                                f"b + 1 = {p.b + 1.0}, got {far_radius}")
     a, x, y = p.a, p.x, p.y
     cut_a = _CUT_FRACTION*min(a - x, 1.0 - a)
     cut_1 = _CUT_FRACTION*min(1.0 - a, y - 1.0)
@@ -305,8 +306,11 @@ def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8) -> PieceMesh:
 
     Every grid quad provides a loop-closure residual; each must stay below
     lc_tol times the cell scale (largest edge increment of the quad), with
-    an absolute floor at the rounding level of the coordinates.
+    an absolute floor at the rounding level of the coordinates.  lc_tol
+    must be a finite number > 0.
     """
+    if not 0.0 < lc_tol < np.inf:
+        raise InvalidResolution(f"lc_tol must be a finite number > 0, got {lc_tol}")
     p = grid.p
     E0, E1 = grid.edges[:, 0], grid.edges[:, 1]
     inc = edge_increments(p, grid.z[E0], grid.z[E1])

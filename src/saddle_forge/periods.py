@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateRoot, DomainViolation, NoConvergence, NoRoot,
-                     SeedBoxExhausted)
+from .errors import (DegenerateRoot, DomainViolation, InvalidResolution,
+                     NoConvergence, NoRoot, SeedBoxExhausted)
 from .params import SurfaceParams, SymFuncs, from_family, sym_funcs
 from .quad import DEFAULT_SPEC, QuadratureSpec, integrate_singular, integrate_to_infinity
 
@@ -228,8 +228,11 @@ def solve_periods(t: float, X_offset: float,
 
     Starts from the seed-box centre (or the supplied warm start); if Newton
     stalls, falls back to a coarse scan of the seed box for a fresh start.
+    tol must be a finite number > 0.
     """
     check_family_coords(t, X_offset)
+    if not 0.0 < tol < np.inf:
+        raise InvalidResolution(f"tol must be a finite number > 0, got {tol}")
     a_lo, a_hi, b_lo, b_hi = seed_box
     starts = []
     if seed is not None:
@@ -253,9 +256,11 @@ def solve_periods(t: float, X_offset: float,
     if best_v is None:
         raise SeedBoxExhausted(f"no seed in {seed_box} produced a solve for "
                                f"(t, X_offset)=({t}, {X_offset})")
+    best = tuple(map(float, best_v))
     raise NoConvergence(
-        f"period solve stalled at (a,b)={tuple(best_v)} with residuals {tuple(best_pv)}",
-        best=tuple(best_v), residual=float(np.max(np.abs(best_pv))))
+        f"period solve stalled at (a,b)={best} with residuals "
+        f"{tuple(map(float, best_pv))}",
+        best=best, residual=float(np.max(np.abs(best_pv))))
 
 
 def _newton2(t, X_offset, v0, tol, spec):

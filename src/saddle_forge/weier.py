@@ -1,4 +1,4 @@
-"""Weierstrass data on the genus-two curve.
+"""Weierstrass data on the genus-two curve, evaluated as arrays.
 
 The curve is w^2 = ((b+z)/(b-z)) * ((x-z)/(x+z)) * ((y+z)/(y-z)), a double
 cover of the sphere branched over the six real points +-x, +-y, +-b.  All
@@ -12,6 +12,13 @@ axis and puts the pole of g (vertical normal) at z = 0; the boundary
 behaviour of (g, dh) on the seven boundary stretches of the first quadrant
 then reproduces the expected symmetry table (see verify.check_symmetry_table).
 
+This module is the one place the data is written out, each formula once:
+the branch w in w_closed_delta, the Gauss map g in g_eval and the form
+triple (phi1, phi2, phi3) = 1/2 (1/g - g, i/g + i g, 2) dh in
+phi_vec_delta.  Each takes z as v + delta with the offset from a real
+anchor v supplied exactly; w_closed and phi_vec are the case v = 0, and
+dh is phi3.  w_eval is an independent continuation oracle for w.
+
 Boundary stretch names used throughout (z real unless noted):
     AL: z = it, t in (0, inf)      LF: (0, x)      FE: (x, a)
     ED: (a, 1)                     DC: (1, y)      CB: (y, b)
@@ -20,27 +27,10 @@ The points a and 1 are punctures (Scherk ends); x, y, b are branch points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (DegeneratePoint, GaussMapPole, PathThroughBranchPoint,
-                     PoleAtEnd)
+from .errors import PathThroughBranchPoint
 from .params import SurfaceParams, SymFuncs
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    z: complex
-    w: complex
-
-
-@dataclass(frozen=True)
-class WeierstrassValue:
-    g: complex
-    phi1: complex
-    phi2: complex
-    phi3: complex
 
 
 def curve_rhs(p: SurfaceParams, z):
@@ -49,26 +39,17 @@ def curve_rhs(p: SurfaceParams, z):
     return ((p.b + z)/(p.b - z))*((p.x - z)/(p.x + z))*((p.y + z)/(p.y - z))
 
 
-def w_closed(p: SurfaceParams, z):
-    """The anchored branch of w, continuous on the closed upper half-plane.
+def w_closed_delta(p: SurfaceParams, v: float, delta):
+    """The anchored branch of w at z = v + delta, continuous on the closed
+    upper half-plane, with the difference from the real anchor v supplied
+    exactly.
 
+    The exact difference serves quadrature paths that approach a branch
+    point or puncture v far below the floating-point scale of v itself.
     Each factor (c - z) is written as (z - c)*e^{-i pi} so that points on
     the real axis (which numpy gives imaginary part +0.0) take the branch
     that is the limit from the upper half-plane; the loose e^{-i pi} factors
     combine into the single +i pi/2 term below.
-    """
-    z = np.asarray(z, dtype=complex)
-    b, x, y = p.b, p.x, p.y
-    h = 0.5*(np.log(z + b) - np.log(z - b) + np.log(z - x) - np.log(z + x)
-             + np.log(z + y) - np.log(z - y) + 1j*np.pi)
-    return np.exp(h)
-
-
-def w_closed_delta(p: SurfaceParams, v: float, delta):
-    """w at z = v + delta with the difference supplied exactly.
-
-    Needed by quadrature paths that approach a real anchor v (branch point
-    or puncture) far below the floating-point scale of v itself.
     """
     delta = np.asarray(delta, dtype=complex)
     b, x, y = p.b, p.x, p.y
@@ -82,14 +63,14 @@ def w_closed_delta(p: SurfaceParams, v: float, delta):
     return np.exp(h)
 
 
+def w_closed(p: SurfaceParams, z):
+    """The anchored branch of w at z (w_closed_delta with v = 0)."""
+    return w_closed_delta(p, 0.0, z)
+
+
 # a continuation path keeps this share of the least gap between branch
 # points away from each of them
 _PATH_CLEARANCE = 1e-6
-# pole and degeneracy thresholds: |u - 1| relative to max(1, |u|) at a pole
-# of g, the distance of z from an end puncture, and of g from +-i
-_G_POLE_TOL = 1e-13
-_END_TOL = 1e-12
-_G_I_TOL = 1e-12
 
 
 def w_eval(p: SurfaceParams, z: complex, path=None) -> complex:
@@ -151,85 +132,28 @@ def vertical_normal_points(s: SymFuncs):
     return np.array(roots), bool(disc < 0)
 
 
-def g_eval(p: SurfaceParams, cp: CurvePoint) -> complex:
-    """Gauss map from the divisor relation w (g+i)/(g-i) = (X+z)/(X-z).
+def g_eval(p: SurfaceParams, z, w):
+    """Gauss map at the curve points (z, w), infinite at its poles.
 
-    With u = (X+z)/(w (X-z)) this gives g = i (1+u)/(u-1); never computed
-    by square roots, so there is no extra branch ambiguity.
+    From the divisor relation w (g+i)/(g-i) = (X+z)/(X-z): with
+    u = (X+z)/(w (X-z)) this gives g = i (1+u)/(u-1); never computed by
+    square roots, so there is no extra branch ambiguity.
     """
-    u = (p.X + cp.z)/(cp.w*(p.X - cp.z))
-    if abs(u - 1.0) <= _G_POLE_TOL*max(1.0, abs(u)):
-        raise GaussMapPole(f"g has a pole at z = {cp.z} (vertical normal)")
-    return 1j*(1 + u)/(u - 1)
-
-
-def _EB(p: SurfaceParams, z, w):
-    P = (z*z - 1.0)*(z*z - p.a*p.a)
-    E = -w*(p.X - z)**2/(2.0*P)
-    B = -(p.X + z)**2/(2.0*w*P)
-    return E, B
-
-
-def dh_eval(p: SurfaceParams, cp: CurvePoint) -> complex:
-    """Density of the height differential dh against dz."""
-    z = cp.z
-    for pole in (1.0, -1.0, p.a, -p.a):
-        if abs(z - pole) < _END_TOL:
-            raise PoleAtEnd(f"dh has a pole at z = {pole} (Scherk end)")
-    E, B = _EB(p, z, cp.w)
-    return complex(E - B)
-
-
-def phi_eval(p: SurfaceParams, cp: CurvePoint) -> WeierstrassValue:
-    """All Weierstrass data at a curve point.
-
-    (phi1, phi2, phi3) = 1/2 (1/g - g, i/g + i g, 2) dh, evaluated through
-    closed forms in (z, w) so that zeros and poles of g cancel explicitly.
-    """
-    z = cp.z
-    E, B = _EB(p, z, cp.w)
-    phi1 = 1j*(E + B)
-    phi2 = -(p.X*p.X - z*z)/((z*z - 1.0)*(z*z - p.a*p.a))
-    phi3 = E - B
-    try:
-        g = g_eval(p, cp)
-    except GaussMapPole:
-        g = complex(np.inf)
-    return WeierstrassValue(g=complex(g), phi1=complex(phi1),
-                            phi2=complex(phi2), phi3=complex(phi3))
-
-
-def rotated_data(p: SurfaceParams, cp: CurvePoint):
-    """Rotated Weierstrass pair (G, dH) with the closed-form cross-check.
-
-    G = -i (g+i)/(g-i); dH is computed both from the data, (i/2)(1/g + g) dh,
-    and from the closed form (X^2-z^2)/((z^2-1)(a^2-z^2)).  Their agreement
-    is a correctness test of g and dh jointly.  (Relative to the form usually
-    quoted, the closed form carries an overall minus sign; the convention
-    here is fixed by the identity dH = phi2.)
-    """
-    g = g_eval(p, cp)
-    if min(abs(g - 1j), abs(g + 1j)) < _G_I_TOL:
-        raise DegeneratePoint(f"g = +-i at z = {cp.z}")
-    G = -1j*(g + 1j)/(g - 1j)
-    dh = dh_eval(p, cp)
-    dH_data = 0.5j*(1.0/g + g)*dh
-    z = cp.z
-    dH_closed = (p.X*p.X - z*z)/((z*z - 1.0)*(p.a*p.a - z*z))
-    return complex(G), complex(dH_data), complex(dH_closed)
-
-
-def phi_vec(p: SurfaceParams, z):
-    """Vectorized (phi1, phi2, phi3) densities, last axis of length 3."""
     z = np.asarray(z, dtype=complex)
-    w = w_closed(p, z)
-    E, B = _EB(p, z, w)
-    phi2 = -(p.X*p.X - z*z)/((z*z - 1.0)*(z*z - p.a*p.a))
-    return np.stack([1j*(E + B), phi2, E - B], axis=-1)
+    u = (p.X + z)/(w*(p.X - z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 1j*(1 + u)/(u - 1)
+    return np.where(u == 1.0, complex(np.inf), g)
 
 
 def phi_vec_delta(p: SurfaceParams, v: float, delta):
-    """phi_vec at z = v + delta with the difference supplied exactly."""
+    """Densities (phi1, phi2, phi3) against dz at z = v + delta, the
+    difference from the real anchor v supplied exactly; last axis of
+    length 3.
+
+    Closed forms in (z, w), so that zeros and poles of g cancel explicitly;
+    phi3 is the height differential dh.
+    """
     delta = np.asarray(delta, dtype=complex)
     z = v + delta
     w = w_closed_delta(p, v, delta)
@@ -242,3 +166,24 @@ def phi_vec_delta(p: SurfaceParams, v: float, delta):
     B = -(p.X + z)**2/(2.0*w*P)
     phi2 = -(p.X*p.X - z*z)/P
     return np.stack([1j*(E + B), phi2, E - B], axis=-1)
+
+
+def phi_vec(p: SurfaceParams, z):
+    """(phi1, phi2, phi3) at z (phi_vec_delta with v = 0)."""
+    return phi_vec_delta(p, 0.0, z)
+
+
+def rotated_data(p: SurfaceParams, z):
+    """Rotated Weierstrass pair (G, dH) with the closed-form cross-check.
+
+    G = -i (g+i)/(g-i); dH is computed both from the data, (i/2)(1/g + g) dh,
+    and from the closed form -(X^2-z^2)/((z^2-1)(z^2-a^2)), which is phi2.
+    Their agreement is a correctness test of g and dh jointly.  G is 0
+    where g = -i and not finite where g = i or g has a pole.
+    """
+    phi = phi_vec(p, z)
+    g = g_eval(p, z, w_closed(p, z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = -1j*(g + 1j)/(g - 1j)
+        dH_data = 0.5j*(1.0/g + g)*phi[..., 2]
+    return G, dH_data, phi[..., 1]

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad as scipy_quad
 
 from saddle_forge.params import SurfaceParams, sym_funcs
-from saddle_forge.weier import CurvePoint, dh_eval, w_eval
+from saddle_forge.weier import w_eval
 
 
 def agm(a0: float, b0: float) -> float:
@@ -34,7 +34,8 @@ def residue_contour_oracle(p: SurfaceParams, center: float,
 
     The circle radius is chosen inside (x, y) so no branch point is crossed;
     the start value of w comes from polyline continuation from z = 0 routed
-    over the branch points on the real axis.
+    over the branch points on the real axis.  The density of dh in (z, w) is
+    written out here, not taken from the module under test.
     """
     radius = 0.4*min(center - p.x, p.y - center, abs(center - p.a) or np.inf,
                      abs(center - 1.0) or np.inf)
@@ -48,7 +49,8 @@ def residue_contour_oracle(p: SurfaceParams, center: float,
         rhs = ((p.b + z)/(p.b - z))*((p.x - z)/(p.x + z))*((p.y + z)/(p.y - z))
         root = np.sqrt(rhs)
         w = root if abs(root - w) <= abs(-root - w) else -root
-        vals[k] = dh_eval(p, CurvePoint(z=z, w=w))
+        P = (z*z - 1.0)*(z*z - p.a*p.a)
+        vals[k] = ((p.X + z)**2/w - w*(p.X - z)**2)/(2.0*P)
     # trapezoid on the circle (first/last node coincide)
     e = np.exp(1j*theta[:-1])
     return (2j*np.pi*radius/n)*np.sum(vals[:-1]*e)

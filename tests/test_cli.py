@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import saddle_forge
+import saddle_forge.periods as periods
 from saddle_forge.cli import main
 
 
@@ -43,6 +44,32 @@ def test_solve_rejects_negative_t(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_solve_rejects_bad_tolerance(tol, capsys, monkeypatch):
+    # a tolerance no residual can meet is invalid input, found before any
+    # Newton step
+    def no_solve(*args):
+        raise AssertionError("the period solve ran")
+    monkeypatch.setattr(periods, "_newton2", no_solve)
+    code, out, err = run_cli(capsys, "solve", "--tol", tol)
+    assert code == 3
+    assert "InvalidResolution" in err
+    assert out == ""
+
+
+def test_no_convergence_reports_plain_floats(capsys, monkeypatch):
+    # one Newton step per start cannot reach 1e-300; the best iterate is
+    # printed as plain numbers, not as numpy scalar reprs
+    monkeypatch.setattr(periods, "_MAX_ITER", 1)
+    code, _, err = run_cli(capsys, "solve", "--tol", "1e-300")
+    assert code == 2
+    assert "NoConvergence" in err
+    assert "np." not in err
+    stalled = err.split("(a,b)=(", 1)[1].split(")", 1)[0]
+    a, b = (float(v) for v in stalled.split(", "))
+    assert 0.7 < a < 1.0 < b
+
+
 def test_solve_rejects_bad_quadrature_tolerance(capsys):
     code, _, err = run_cli(capsys, "solve", "--quad-rel-tol", "0")
     assert code == 3
@@ -62,6 +89,21 @@ def test_periods_at_explicit_moduli(capsys):
     vals = parse_kv(out)
     assert 1.0 < float(vals["y"]) < 1.26
     assert float(vals["F_residual"]) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_periods_takes_moduli_from_config(capsys, tmp_path):
+    # --a and --b are required, and a config file can supply them
+    _, expected, _ = run_cli(capsys, "periods", "--a", "0.9", "--b", "1.26")
+    cfg = tmp_path/"ab.cfg"
+    cfg.write_text("a = 0.9\nb = 1.26\n")
+    code, out, err = run_cli(capsys, "periods", "--config", str(cfg))
+    assert code == 0, err
+    assert out == expected
+    cfg.write_text("t = 0.02\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "periods", "--config", str(cfg))
+    assert exc.value.code == 2
+    assert "required: --a, --b" in capsys.readouterr().err
 
 
 def test_mesh_writes_obj(capsys, tmp_path):
@@ -90,6 +132,16 @@ def test_mesh_rejects_bad_resolution(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_mesh_rejects_nonfinite_far_radius(radius, capsys, tmp_path):
+    code, _, err = run_cli(capsys, "mesh", "--t", "0.02", "--tol", "1e-9",
+                           "--resolution", "16", "--far-radius", radius,
+                           "-o", str(tmp_path/"t.obj"))
+    assert code == 3
+    assert "InvalidResolution" in err
+    assert not (tmp_path/"t.obj").exists()
+
+
 def test_mesh_rejects_empty_tower(capsys, tmp_path):
     code, _, err = run_cli(capsys, "mesh", "--t", "0.02", "--tol", "1e-9",
                            "--resolution", "32", "--n-periods", "0",
@@ -109,6 +161,17 @@ def test_verify_takes_the_mesh_options(capsys):
     assert vals["verified"] == "1"
     assert vals["check[self_intersection]"] == "pass"
     assert "self_intersection: certified by chamber" in err
+
+
+def test_verify_rejects_nan_lc_tol(capsys):
+    # NaN would switch the loop-closure check off: the res-16 piece closes
+    # its worst cell to 1.8e-7 only
+    code, out, err = run_cli(capsys, "verify", "--t", "0.02", "--tol", "1e-9",
+                             "--resolution", "16", "--lc-tol", "nan",
+                             "--skip-intersections")
+    assert code == 3
+    assert "InvalidResolution" in err
+    assert "verified" not in out
 
 
 def test_sweep_writes_csv(capsys, tmp_path):

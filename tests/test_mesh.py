@@ -30,6 +30,14 @@ def test_grid_rejects_bad_resolution(solved_params):
         build_grid(solved_params, 64, far_radius=solved_params.b)
 
 
+@pytest.mark.parametrize("lc_tol", [np.nan, np.inf, 0.0, -1.0])
+def test_integrate_piece_rejects_bad_lc_tol(solved_params, lc_tol):
+    # NaN or inf would pass every cell; 0 or less would leave only the
+    # rounding floor
+    with pytest.raises(InvalidResolution):
+        integrate_piece(build_grid(solved_params, 16), lc_tol=lc_tol)
+
+
 def test_grid_tags_cover_boundary(solved_params):
     g = build_grid(solved_params, 32)
     assert set(g.tags) == set(STRETCHES)

@@ -28,6 +28,31 @@ def test_symmetry_table_holds_at_solution(solved_params):
     assert rep.passed
 
 
+def _scalar_residual(value, kind, sign):
+    # the per-sample loop the symmetry check ran before it took arrays
+    m = max(abs(value), 1e-300)
+    if kind == "mod1":
+        return abs(abs(value) - 1.0)
+    along, across = (value.real, value.imag) if kind == "re" \
+        else (value.imag, value.real)
+    res = abs(across)/m
+    return max(res, 1.0) if sign*along < 0 else res
+
+
+def test_cond_residual_matches_per_sample_loop():
+    rng = np.random.default_rng(17)
+    vals = rng.normal(size=48) + 1j*rng.normal(size=48)
+    vals[:8] = vals[:8].real        # exactly real, both signs
+    vals[8:16] = 1j*vals[8:16].imag   # exactly imaginary, both signs
+    vals[16:24] /= np.abs(vals[16:24])  # unit circle
+    for kind, sign in (("re", 1), ("re", -1), ("im", 1), ("im", -1),
+                       ("mod1", 0)):
+        expected = max(_scalar_residual(complex(v), kind, sign) for v in vals)
+        # numpy's and Python's complex abs may differ in the last bit
+        assert verify._cond_residual(vals, kind, sign) == pytest.approx(
+            expected, rel=4*np.finfo(float).eps)
+
+
 def test_symmetry_table_negative_control(monkeypatch):
     # flipping one constraint in the table must make the check fail
     broken = dict(SYMMETRY_TABLE)

@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_params
-from saddle_forge.errors import (DegeneratePoint, GaussMapPole,
-                                 PathThroughBranchPoint, PoleAtEnd)
+from saddle_forge.errors import PathThroughBranchPoint
 from saddle_forge.params import SurfaceParams, sym_funcs
-from saddle_forge.weier import (CurvePoint, curve_rhs, dh_eval, g_eval,
-                                phi_eval, phi_vec, phi_vec_delta, rotated_data,
-                                vertical_normal_points, w_closed,
+from saddle_forge.weier import (curve_rhs, g_eval, phi_vec, phi_vec_delta,
+                                rotated_data, vertical_normal_points, w_closed,
                                 w_closed_delta, w_eval)
 
 P0 = SurfaceParams(a=0.5, b=2.0, x=0.3, X=0.5, y=1.5)
@@ -65,11 +63,9 @@ def test_w_eval_rejects_path_through_branch_point():
 
 def test_gauss_map_boundary_values():
     # vertical normal at the origin; g = 1 at the top of the AL axis
-    w0 = complex(w_closed(P0, 1e-9j))
-    g0 = g_eval(P0, CurvePoint(z=1e-9j, w=w0))
+    g0 = complex(g_eval(P0, 1e-9j, w_closed(P0, 1e-9j)))
     assert abs(g0) > 1e6  # pole of g at the base point
-    wi = complex(w_closed(P0, 1e7j))
-    gi = g_eval(P0, CurvePoint(z=1e7j, w=wi))
+    gi = complex(g_eval(P0, 1e7j, w_closed(P0, 1e7j)))
     assert abs(gi - 1.0) < 1e-6
 
 
@@ -77,7 +73,7 @@ def test_gauss_map_real_positive_on_axis():
     ts = np.exp(np.linspace(np.log(0.01), np.log(100.0), 50))
     for t in ts:
         z = 1j*t
-        g = g_eval(P0, CurvePoint(z=z, w=complex(w_closed(P0, z))))
+        g = complex(g_eval(P0, z, w_closed(P0, z)))
         assert abs(g.imag) < 1e-11*abs(g)
         assert g.real > 0
 
@@ -90,33 +86,26 @@ def test_g_squared_satisfies_divisor_relation():
         p = draw_params(rng)
         z = complex(rand_z(rng)[0])
         w = complex(w_closed(p, z))
-        g = g_eval(p, CurvePoint(z=z, w=w))
+        g = complex(g_eval(p, z, w))
         lhs = w*(g + 1j)/(g - 1j)
         rhs = (p.X + z)/(p.X - z)
         assert abs(lhs - rhs) < 1e-10*max(1.0, abs(rhs))
 
 
-def test_dh_pole_detection():
-    with pytest.raises(PoleAtEnd):
-        dh_eval(P0, CurvePoint(z=1.0 + 1e-14j, w=1.0))
-
-
 def test_phi_null_and_dh_consistency():
-    # conformality: phi1^2 + phi2^2 + phi3^2 = 0 and phi3 = dh
+    # conformality: phi1^2 + phi2^2 + phi3^2 = 0, and phi1, phi2 follow
+    # from g and dh = phi3
     rng = np.random.default_rng(5)
     for _ in range(100):
         z = complex(rand_z(rng)[0])
-        w = complex(w_closed(P0, z))
-        cp = CurvePoint(z=z, w=w)
-        v = phi_eval(P0, cp)
-        null = v.phi1**2 + v.phi2**2 + v.phi3**2
-        scale = abs(v.phi1)**2 + abs(v.phi2)**2 + abs(v.phi3)**2
+        phi1, phi2, dh = phi_vec(P0, z)
+        null = phi1**2 + phi2**2 + dh**2
+        scale = abs(phi1)**2 + abs(phi2)**2 + abs(dh)**2
         assert abs(null) < 1e-10*scale
-        dh = dh_eval(P0, cp)
-        assert v.phi3 == dh
-        if np.isfinite(v.g):
-            assert abs(v.phi1 - 0.5*(1.0/v.g - v.g)*dh) < 1e-10*scale**0.5
-            assert abs(v.phi2 - 0.5j*(1.0/v.g + v.g)*dh) < 1e-10*scale**0.5
+        g = complex(g_eval(P0, z, w_closed(P0, z)))
+        if np.isfinite(g):
+            assert abs(phi1 - 0.5*(1.0/g - g)*dh) < 1e-10*scale**0.5
+            assert abs(phi2 - 0.5j*(1.0/g + g)*dh) < 1e-10*scale**0.5
 
 
 def test_vertical_normal_roots_satisfy_quartic():
@@ -141,12 +130,8 @@ def test_gauss_map_at_vertical_normal_roots():
     s = sym_funcs(P0)
     roots, _ = vertical_normal_points(s)
     alpha = [r for r in roots if r.real > 0 and r.imag > 0][0]
-    w = complex(w_closed(P0, alpha))
-    try:
-        g = g_eval(P0, CurvePoint(z=alpha, w=w))
-        assert abs(g) < 1e-6 or abs(g) > 1e6
-    except GaussMapPole:
-        pass
+    g = complex(g_eval(P0, alpha, w_closed(P0, alpha)))
+    assert not np.isfinite(g) or abs(g) < 1e-6 or abs(g) > 1e6
 
 
 def test_rotated_data_identities():
@@ -154,14 +139,11 @@ def test_rotated_data_identities():
     for _ in range(100):
         p = draw_params(rng)
         z = complex(rand_z(rng)[0])
-        w = complex(w_closed(p, z))
-        cp = CurvePoint(z=z, w=w)
-        g = g_eval(p, cp)
-        dh = dh_eval(p, cp)
-        try:
-            G, dH_data, dH_closed = rotated_data(p, cp)
-        except DegeneratePoint:
-            continue
+        g = complex(g_eval(p, z, w_closed(p, z)))
+        dh = phi_vec(p, z)[2]
+        G, dH_data, dH_closed = rotated_data(p, z)
+        if G == 0 or not np.isfinite(G):
+            continue        # g = +-i: the rotated data is degenerate
         assert abs(dH_data - dH_closed) < 1e-10*max(1.0, abs(dH_closed))
         lhs1 = (1.0/G - G)*dH_data
         rhs1 = (1.0/g - g)*dh
@@ -176,19 +158,8 @@ def test_rotated_closed_form_vanishes_at_X():
     # the closed-form numerator X^2 - z^2 vanishes when z = X exactly
     val = (p.X*p.X - p.X*p.X)
     assert val == 0.0
-    w = complex(w_closed(p, z))
-    _, dH_data, dH_closed = rotated_data(p, CurvePoint(z=z, w=w))
+    _, dH_data, dH_closed = rotated_data(p, z)
     assert abs(dH_data - dH_closed) < 1e-10*max(1.0, abs(dH_closed))
-
-
-def test_phi_vec_matches_pointwise():
-    rng = np.random.default_rng(13)
-    zs = rand_z(rng, 20)
-    vec = phi_vec(P0, zs)
-    for k, z in enumerate(zs):
-        w = complex(w_closed(P0, complex(z)))
-        v = phi_eval(P0, CurvePoint(z=complex(z), w=w))
-        assert np.allclose(vec[k], [v.phi1, v.phi2, v.phi3], rtol=1e-12)
 
 
 def test_delta_forms_match_plain_forms():
