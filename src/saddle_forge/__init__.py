@@ -22,12 +22,11 @@ def _apply_thread_env():
 _apply_thread_env()
 
 from .errors import (BranchInconsistency, ContourTooClose, DegenerateRoot,
-                     DomainViolation, InvalidQuadrature, InvalidResolution,
-                     NoConvergence, NoRoot, NotApplicable,
-                     PathThroughBranchPoint, SaddleForgeError,
-                     SeedBoxExhausted, WeldMismatch)
+                     DomainViolation, InvalidResolution, NoConvergence,
+                     NoRoot, NotApplicable, PathThroughBranchPoint,
+                     SaddleForgeError, SeedBoxExhausted, WeldMismatch)
 from .params import SurfaceParams, SymFuncs, from_family, sym_funcs
-from .quad import QuadratureSpec, integrate_singular, integrate_to_infinity
+from .quad import integrate_singular, integrate_to_infinity
 from .weier import (curve_rhs, g_eval, phi_vec, rotated_data,
                     vertical_normal_points, w_closed, w_eval)
 from .periods import (FamilySolution, PeriodReport, F_eval, I_integral,

@@ -26,7 +26,6 @@ from . import mesh, periods, verify
 from .errors import (EXIT_INVALID_INPUT, EXIT_IO, EXIT_OK, InvalidResolution,
                      NotApplicable, SaddleForgeError)
 from .params import SurfaceParams
-from .quad import DEFAULT_SPEC, QuadratureSpec
 
 
 def _read_config(path):
@@ -93,11 +92,6 @@ def _config_value(key, text, action):
         sys.exit(EXIT_INVALID_INPUT)
 
 
-def _quad_spec(args) -> QuadratureSpec:
-    return QuadratureSpec(rel_tol=args.quad_rel_tol, abs_tol=args.quad_abs_tol,
-                          max_refinement_levels=args.quad_levels).validate()
-
-
 def _emit(pairs):
     for k, v in pairs:
         if isinstance(v, float):
@@ -106,16 +100,15 @@ def _emit(pairs):
             print(f"{k} = {v}")
 
 
-def _solved_params(args, spec):
-    sol = periods.solve_periods(args.t, args.X_offset, tol=args.tol, spec=spec)
+def _solved_params(args):
+    sol = periods.solve_periods(args.t, args.X_offset, tol=args.tol)
     p = SurfaceParams(a=sol.a, b=sol.b, x=sol.a - args.t,
                       X=sol.a + args.X_offset, y=sol.y)
     return sol, p
 
 
 def cmd_solve(args):
-    spec = _quad_spec(args)
-    sol, _ = _solved_params(args, spec)
+    sol, _ = _solved_params(args)
     rep = sol.report
     _emit([("t", sol.t), ("X_offset", sol.X_offset), ("a", sol.a),
            ("b", sol.b), ("y", sol.y), ("r", rep.r), ("R", rep.R),
@@ -125,9 +118,8 @@ def cmd_solve(args):
 
 
 def cmd_periods(args):
-    spec = _quad_spec(args)
     p = periods.resolve_params(args.t, args.X_offset, args.a, args.b)
-    rep = periods.period_report_for(p, spec)
+    rep = periods.period_report_for(p)
     _emit([("a", p.a), ("b", p.b), ("y", p.y), ("r", rep.r), ("R", rep.R),
            ("I", rep.I), ("J", rep.J), ("K", rep.K),
            ("pi1", rep.pi1), ("pi2", rep.pi2),
@@ -136,10 +128,9 @@ def cmd_periods(args):
 
 
 def cmd_mesh(args):
-    spec = _quad_spec(args)
-    sol, p = _solved_params(args, spec)
-    grid = mesh.build_grid(p, args.resolution, far_radius=args.far_radius)
-    piece = mesh.integrate_piece(grid, lc_tol=args.lc_tol)
+    sol, p = _solved_params(args)
+    piece = mesh.integrate_piece(mesh.build_grid(p, args.resolution),
+                                 lc_tol=args.lc_tol)
     rep = sol.report
     if args.piece_only:
         out_mesh = piece
@@ -159,23 +150,20 @@ def cmd_mesh(args):
 
 
 def cmd_verify(args):
-    spec = _quad_spec(args)
-    sol, p = _solved_params(args, spec)
-    results = []
-
-    rep = verify.check_symmetry_table(p, tol=args.symmetry_tol)
-    results.extend(rep.results)
+    if args.seed < 0:
+        raise InvalidResolution(f"--seed must be at least 0, got {args.seed}")
+    _, p = _solved_params(args)
+    # the piece is built first, so a bad --resolution or --lc-tol is
+    # rejected before the curve-level checks run
+    piece = mesh.integrate_piece(mesh.build_grid(p, args.resolution),
+                                 lc_tol=args.lc_tol)
+    results = verify.check_symmetry_table(p).results
 
     dd = verify.degree_diagnostic(p)
     results.append(verify.CheckResult("gauss_degree", dd["degree"] == 5,
                                       dd["degree"], str(dd["windings"])))
 
-    piece = mesh.integrate_piece(mesh.build_grid(p, args.resolution,
-                                                 far_radius=args.far_radius),
-                                 lc_tol=args.lc_tol)
-    results.append(verify.check_injectivity(piece.vertices,
-                                            n_pairs=args.n_pairs,
-                                            seed=args.seed))
+    results.append(verify.check_injectivity(piece.vertices, seed=args.seed))
     try:
         results.append(verify.check_profile_bell(piece))
     except NotApplicable as e:
@@ -209,13 +197,12 @@ def _grid(lo, hi, n, flag):
 
 
 def cmd_sweep(args):
-    spec = _quad_spec(args)
     if args.fig6:
-        return _sweep_fig6(args, spec)
+        return _sweep_fig6(args)
     t_grid = _grid(args.t_min, args.t_max, args.n_t, "--n-t")
     X_grid = [args.X_offset] if args.n_X == 1 \
         else _grid(args.X_min, args.X_max, args.n_X, "--n-X")
-    rows = periods.sweep_family(t_grid, X_grid, spec=spec, tol=args.tol)
+    rows = periods.sweep_family(t_grid, X_grid, tol=args.tol)
     try:
         periods.write_sweep_csv(rows, args.output)
     except OSError as e:
@@ -227,7 +214,7 @@ def cmd_sweep(args):
     return EXIT_OK if n_ok == len(rows) else 2
 
 
-def _sweep_fig6(args, spec):
+def _sweep_fig6(args):
     """Raw period-residual landscape: pi1 and pi2 over an (a, b) grid at
     fixed family coordinates, for contour plotting of the two zero sets."""
     # a point error below is recorded as a row; a bad (t, X_offset) would
@@ -245,7 +232,7 @@ def _sweep_fig6(args, spec):
                 for b in b_grid:
                     try:
                         p = periods.resolve_params(args.t, args.X_offset, a, b)
-                        rep = periods.period_report_for(p, spec)
+                        rep = periods.period_report_for(p)
                         wr.writerow([f"{v:.17g}" for v in
                                      (a, b, p.y, rep.pi1, rep.pi2)] + ["1"])
                         n_ok += 1
@@ -268,15 +255,10 @@ def _add_common(sp):
                     help="family parameter X - a")
     sp.add_argument("--tol", type=float, default=1e-10,
                     help="period-solver residual tolerance")
-    sp.add_argument("--quad-rel-tol", type=float, default=DEFAULT_SPEC.rel_tol)
-    sp.add_argument("--quad-abs-tol", type=float, default=DEFAULT_SPEC.abs_tol)
-    sp.add_argument("--quad-levels", type=int,
-                    default=DEFAULT_SPEC.max_refinement_levels)
 
 
 def _add_mesh_options(sp):
     sp.add_argument("--resolution", type=int, default=64)
-    sp.add_argument("--far-radius", type=float, default=20.0)
     sp.add_argument("--lc-tol", type=float, default=1e-8,
                     help="loop-closure tolerance relative to cell size")
 
@@ -311,9 +293,8 @@ def build_parser():
     sp = sub.add_parser("verify", help="run the verification checks")
     _add_common(sp)
     _add_mesh_options(sp)
-    sp.add_argument("--symmetry-tol", type=float, default=1e-9)
-    sp.add_argument("--n-pairs", type=int, default=100_000)
-    sp.add_argument("--seed", type=int, default=20260823)
+    sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED,
+                    help="seed of the injectivity sampling")
     sp.add_argument("--skip-intersections", action="store_true")
     sp.set_defaults(fn=cmd_verify)
 

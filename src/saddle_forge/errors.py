@@ -17,12 +17,7 @@ class DomainViolation(SaddleForgeError):
 
 
 class InvalidResolution(SaddleForgeError):
-    """A resolution, count, radius or tolerance out of range."""
-    exit_code = EXIT_INVALID_INPUT
-
-
-class InvalidQuadrature(SaddleForgeError):
-    """Quadrature tolerances or refinement levels out of range."""
+    """A resolution, count, radius, tolerance or seed out of range."""
     exit_code = EXIT_INVALID_INPUT
 
 

@@ -42,6 +42,7 @@ _GAMMA = 1.0          # softening strength of column clustering with height
 _SUB_FACTOR = 10.0    # switch to substituted paths within 10 edge lengths
 _ETA_ROWS_PER_64 = 3.3
 _CUT_FRACTION = 0.3   # puncture window, share of the gap to the next point
+FAR_RADIUS = 20.0     # the grid covers the quadrant out to this |Re z|, Im z
 
 # The boundary stretches in boundary order, each with the mirror it lies
 # in: the axis the mirror fixes and its plane, ORIGIN (through 0) or
@@ -92,7 +93,6 @@ _COLUMNS = {"LF": (_u_right, 20), "FE": (_u_sym, 20), "ED": (_u_sym, 70),
 class DomainGrid:
     p: SurfaceParams
     resolution: int
-    far_radius: float
     cut_a: float
     cut_1: float
     eta: np.ndarray          # row heights, eta[0] = 0
@@ -130,9 +130,9 @@ class AssembledMesh:
     n_periods: int
 
 
-def build_grid(p: SurfaceParams, resolution: int,
-               far_radius: float = 20.0) -> DomainGrid:
-    """Grid over the first quadrant with puncture windows removed.
+def build_grid(p: SurfaceParams, resolution: int) -> DomainGrid:
+    """Grid over the first quadrant out to FAR_RADIUS with puncture windows
+    removed.
 
     resolution is a linear density knob; node counts scale linearly with it
     and the reference layout is tuned at resolution 64.
@@ -140,24 +140,25 @@ def build_grid(p: SurfaceParams, resolution: int,
     p.validate()
     if not isinstance(resolution, (int, np.integer)) or resolution < 8:
         raise InvalidResolution(f"resolution must be an integer >= 8, got {resolution!r}")
-    if not p.b + 1.0 < far_radius < np.inf:
-        raise InvalidResolution(f"far_radius must be finite and exceed "
-                                f"b + 1 = {p.b + 1.0}, got {far_radius}")
+    if p.b + 1.0 >= FAR_RADIUS:
+        raise InvalidResolution(f"the grid radius {FAR_RADIUS} must exceed "
+                                f"b + 1 = {p.b + 1.0}")
     a, x, y = p.a, p.x, p.y
     cut_a = _CUT_FRACTION*min(a - x, 1.0 - a)
     cut_1 = _CUT_FRACTION*min(1.0 - a, y - 1.0)
 
-    # rows: exponential grading from eta ~ far*(res/2)^-4 (clamped well below
-    # the z = 1 window so first-row vertical edges never straddle the pole)
-    etaf = min(far_radius*(0.5*resolution)**(-4.0), 0.25*cut_1)
-    lam = np.log(far_radius/etaf)
+    # rows: exponential grading from eta ~ FAR_RADIUS*(res/2)^-4 (clamped
+    # well below the z = 1 window so first-row vertical edges never straddle
+    # the pole)
+    etaf = min(FAR_RADIUS*(0.5*resolution)**(-4.0), 0.25*cut_1)
+    lam = np.log(FAR_RADIUS/etaf)
     n_eta = int(np.ceil(_ETA_ROWS_PER_64*lam*resolution/_REF_RES))
     s = np.arange(0, n_eta + 1)/n_eta
-    eta = far_radius*np.expm1(lam*s)/np.expm1(lam)
+    eta = FAR_RADIUS*np.expm1(lam*s)/np.expm1(lam)
 
     # columns: graded segments, softened toward uniform where the local row
     # spacing exceeds what the clustering could match
-    intervals = stretch_intervals(p, far_radius)
+    intervals = stretch_intervals(p, FAR_RADIUS)
     deta = lam*np.maximum(eta, eta[1])/n_eta
     rows = []
     for i in range(len(eta)):
@@ -228,12 +229,11 @@ def build_grid(p: SurfaceParams, resolution: int,
         lo, hi = intervals[tag]
         m = alive0 & (xi0 >= lo - tol) & (xi0 <= hi + tol)
         tags[tag] = idx[0][m]
-    return DomainGrid(p=p, resolution=int(resolution), far_radius=far_radius,
-                      cut_a=cut_a, cut_1=cut_1, eta=eta, xs2d=xs2d,
-                      alive=alive, idx=idx, z=z, edges=edges, quads=quads,
-                      quad_edges=quad_edges, quad_signs=quad_signs,
-                      tree_parent=tree_parent, tree_edge=tree_edge,
-                      tree_sign=tree_sign, tags=tags)
+    return DomainGrid(p=p, resolution=int(resolution), cut_a=cut_a,
+                      cut_1=cut_1, eta=eta, xs2d=xs2d, alive=alive, idx=idx,
+                      z=z, edges=edges, quads=quads, quad_edges=quad_edges,
+                      quad_signs=quad_signs, tree_parent=tree_parent,
+                      tree_edge=tree_edge, tree_sign=tree_sign, tags=tags)
 
 
 def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (DegenerateRoot, DomainViolation, InvalidResolution,
                      NoConvergence, NoRoot, SeedBoxExhausted)
 from .params import SurfaceParams, SymFuncs, from_family, sym_funcs
-from .quad import DEFAULT_SPEC, QuadratureSpec, integrate_singular, integrate_to_infinity
+from .quad import integrate_singular, integrate_to_infinity
 
 
 def _finite_tail(vals):
@@ -62,8 +62,7 @@ def residue_R(p: SurfaceParams, s: SymFuncs) -> float:
     return float(np.pi*(a**4 + s.S2*a*a + s.S4)/((1 - a*a)*np.sqrt(rad)))
 
 
-def I_integral(p: SurfaceParams, s: SymFuncs,
-               spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def I_integral(p: SurfaceParams, s: SymFuncs) -> float:
     """Horizontal period integral along the real axis beyond the last branch
     point: integrand has an inverse-square-root endpoint at t=b and decays
     like S1/t^3."""
@@ -77,11 +76,10 @@ def I_integral(p: SurfaceParams, s: SymFuncs,
                    / ((t*t - 1.0)*(t*t - a*a)*np.sqrt(rad)))
         return _finite_tail(out)
 
-    return float(integrate_to_infinity(f, b, spec, scale=b)[0])
+    return float(integrate_to_infinity(f, b, scale=b)[0])
 
 
-def J_integral(p: SurfaceParams, s: SymFuncs,
-               spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def J_integral(p: SurfaceParams, s: SymFuncs) -> float:
     """Horizontal period integral along the imaginary axis z = it.
 
     There the Gauss map is the positive real number g = tan(psi/2) with
@@ -100,11 +98,10 @@ def J_integral(p: SurfaceParams, s: SymFuncs,
                    / ((t*t + 1.0)*(t*t + a*a)*np.sqrt(rad)))
         return _finite_tail(out)
 
-    return float(integrate_to_infinity(f, 0.0, spec, scale=1.0)[0])
+    return float(integrate_to_infinity(f, 0.0)[0])
 
 
-def K_integral(p: SurfaceParams, s: SymFuncs,
-               spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def K_integral(p: SurfaceParams, s: SymFuncs) -> float:
     """Vertical flux integral over the branch cut (y, b): inverse-square-root
     singularities at both endpoints, no interior singularity."""
     a, b, x, y = p.a, p.b, p.x, p.y
@@ -114,7 +111,7 @@ def K_integral(p: SurfaceParams, s: SymFuncs,
         return ((t**4 + s.S2*t*t + s.S4)/((1.0 - t*t)*(a*a - t*t))
                 * t/np.sqrt(rad))
 
-    return float(integrate_singular(f, y, b, spec)[0])
+    return float(integrate_singular(f, y, b)[0])
 
 
 def F_eval(a: float, b: float, x: float, X: float, y: float) -> float:
@@ -179,13 +176,13 @@ def resolve_params(t: float, X_offset: float, a: float, b: float) -> SurfacePara
     return from_family(t, X_offset, a, b, y)
 
 
-def period_report_for(p: SurfaceParams, spec: QuadratureSpec = DEFAULT_SPEC) -> PeriodReport:
+def period_report_for(p: SurfaceParams) -> PeriodReport:
     s = sym_funcs(p)
     r = residue_r(p, s)
     R = residue_R(p, s)
-    I = I_integral(p, s, spec)
-    J = J_integral(p, s, spec)
-    K = K_integral(p, s, spec)
+    I = I_integral(p, s)
+    J = J_integral(p, s)
+    K = K_integral(p, s)
     return PeriodReport(r=r, R=R, I=I, J=J, K=K, pi1=I - J, pi2=K - 0.5*R,
                         F_residual=F_eval(p.a, p.b, p.x, p.X, p.y))
 
@@ -196,9 +193,9 @@ SEARCH_BOX = (0.7, 0.9995, 1.0005, 2.5)
 DEFAULT_SEED_BOX = (0.82, 0.98, 1.01, 1.51)
 
 
-def _pis(t, X_offset, a, b, spec):
+def _pis(t, X_offset, a, b):
     p = resolve_params(t, X_offset, a, b)
-    rep = period_report_for(p, spec)
+    rep = period_report_for(p)
     return np.array([rep.pi1, rep.pi2]), (p, rep)
 
 
@@ -219,21 +216,19 @@ def check_family_coords(t: float, X_offset: float) -> None:
                               f"got {X_offset}")
 
 
-def solve_periods(t: float, X_offset: float,
-                  seed_box=DEFAULT_SEED_BOX,
-                  tol: float = 1e-10,
-                  spec: QuadratureSpec = DEFAULT_SPEC,
+def solve_periods(t: float, X_offset: float, tol: float = 1e-10,
                   seed: tuple[float, float] | None = None) -> FamilySolution:
     """Damped Newton on (pi1, pi2)(a, b) with a finite-difference Jacobian.
 
-    Starts from the seed-box centre (or the supplied warm start); if Newton
-    stalls, falls back to a coarse scan of the seed box for a fresh start.
+    Starts from the centre of DEFAULT_SEED_BOX (or the supplied warm start);
+    if Newton stalls, falls back to a coarse scan of that box for a fresh
+    start.
     tol must be a finite number > 0.
     """
     check_family_coords(t, X_offset)
     if not 0.0 < tol < np.inf:
         raise InvalidResolution(f"tol must be a finite number > 0, got {tol}")
-    a_lo, a_hi, b_lo, b_hi = seed_box
+    a_lo, a_hi, b_lo, b_hi = DEFAULT_SEED_BOX
     starts = []
     if seed is not None:
         starts.append(np.array(seed, dtype=float))
@@ -245,7 +240,7 @@ def solve_periods(t: float, X_offset: float,
     best_v, best_pv = None, None
     for start in starts:
         try:
-            v, pv, (p, rep) = _newton2(t, X_offset, start, tol, spec)
+            v, pv, (p, rep) = _newton2(t, X_offset, start, tol)
         except (NoRoot, NoConvergence):
             continue
         if np.max(np.abs(pv)) < tol:
@@ -254,8 +249,8 @@ def solve_periods(t: float, X_offset: float,
         if best_pv is None or np.max(np.abs(pv)) < np.max(np.abs(best_pv)):
             best_v, best_pv = v, pv
     if best_v is None:
-        raise SeedBoxExhausted(f"no seed in {seed_box} produced a solve for "
-                               f"(t, X_offset)=({t}, {X_offset})")
+        raise SeedBoxExhausted(f"no seed in {DEFAULT_SEED_BOX} produced a "
+                               f"solve for (t, X_offset)=({t}, {X_offset})")
     best = tuple(map(float, best_v))
     raise NoConvergence(
         f"period solve stalled at (a,b)={best} with residuals "
@@ -263,11 +258,11 @@ def solve_periods(t: float, X_offset: float,
         best=best, residual=float(np.max(np.abs(best_pv))))
 
 
-def _newton2(t, X_offset, v0, tol, spec):
+def _newton2(t, X_offset, v0, tol):
     """Returns the last iterate, its residuals and its (params, report)."""
     a_min, a_max, b_min, b_max = SEARCH_BOX
     v = np.array(v0, dtype=float)
-    pv, at = _pis(t, X_offset, v[0], v[1], spec)
+    pv, at = _pis(t, X_offset, v[0], v[1])
     for _ in range(_MAX_ITER):
         if np.max(np.abs(pv)) < tol:
             return v, pv, at
@@ -276,14 +271,14 @@ def _newton2(t, X_offset, v0, tol, spec):
         for j in range(2):
             vp = v.copy()
             vp[j] += h
-            Jm[:, j] = (_pis(t, X_offset, vp[0], vp[1], spec)[0] - pv)/h
+            Jm[:, j] = (_pis(t, X_offset, vp[0], vp[1])[0] - pv)/h
         dv = np.linalg.solve(Jm, -pv)
         lam = 1.0
         while True:
             vn = v + lam*dv
             if a_min < vn[0] < a_max and b_min < vn[1] < b_max:
                 try:
-                    pn, an = _pis(t, X_offset, vn[0], vn[1], spec)
+                    pn, an = _pis(t, X_offset, vn[0], vn[1])
                     if np.linalg.norm(pn) < np.linalg.norm(pv) or lam <= 0.25:
                         v, pv, at = vn, pn, an
                         break
@@ -295,8 +290,7 @@ def _newton2(t, X_offset, v0, tol, spec):
     return v, pv, at
 
 
-def sweep_family(t_grid, X_grid, spec: QuadratureSpec = DEFAULT_SPEC,
-                 tol: float = 1e-10):
+def sweep_family(t_grid, X_grid, tol: float = 1e-10):
     """Solve the family over a (t, X_offset) grid with warm starts.
 
     Returns a list of (t, X_offset, solution_or_None) rows in grid order;
@@ -311,7 +305,7 @@ def sweep_family(t_grid, X_grid, spec: QuadratureSpec = DEFAULT_SPEC,
     for t in t_grid:
         for X_offset in X_grid:
             try:
-                sol = solve_periods(t, X_offset, tol=tol, spec=spec, seed=seed)
+                sol = solve_periods(t, X_offset, tol=tol, seed=seed)
                 seed = (sol.a, sol.b)
                 rows.append((t, X_offset, sol))
             except (NoRoot, NoConvergence, SeedBoxExhausted):

@@ -9,41 +9,26 @@ accurately.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidQuadrature, NoConvergence
+from .errors import NoConvergence
 
 
-# convergence is first tested at this refinement level
+# a refinement level is converged once it changes the value by at most
+# max(_ABS_TOL, _REL_TOL*|value|); convergence is first tested at level
+# _MIN_LEVELS, and NoConvergence is raised after level _MAX_LEVELS
+_REL_TOL = 1e-11
+_ABS_TOL = 1e-13
 _MIN_LEVELS = 5
+_MAX_LEVELS = 12
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-13
-    max_refinement_levels: int = 12
-
-    def validate(self) -> "QuadratureSpec":
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise InvalidQuadrature(f"need positive tolerances, got {self}")
-        if self.max_refinement_levels < _MIN_LEVELS:
-            raise InvalidQuadrature(f"need at least {_MIN_LEVELS} refinement "
-                                    f"levels, got {self}")
-        return self
-
-
-DEFAULT_SPEC = QuadratureSpec()
-
-
-def _refine(term, spec, first_range, reach):
+def _refine(term, first_range, reach):
     """Shared trapezoid-in-level refinement loop of the two DE rules."""
     h = 1.0
     val = h*term(h, np.arange(-first_range, first_range + 1))
     prev = np.inf
-    for level in range(1, spec.max_refinement_levels + 1):
+    for level in range(1, _MAX_LEVELS + 1):
         h *= 0.5
         kmax = int(np.ceil(reach/h))
         ks = np.arange(-kmax, kmax + 1)
@@ -51,22 +36,19 @@ def _refine(term, spec, first_range, reach):
         delta = abs(new - val)
         val = new
         if (level >= _MIN_LEVELS
-                and delta <= max(spec.abs_tol, spec.rel_tol*abs(val))):
+                and delta <= max(_ABS_TOL, _REL_TOL*abs(val))):
             return val, delta
         prev = delta
     raise NoConvergence("double-exponential refinement did not converge",
                         best=val, residual=prev)
 
 
-def integrate_singular(f, lo: float, hi: float,
-                       spec: QuadratureSpec = DEFAULT_SPEC):
+def integrate_singular(f, lo: float, hi: float):
     """Integrate f on (lo, hi) allowing integrable endpoint singularities.
 
     Uses the tanh-sinh double-exponential substitution; returns
     (value, err_estimate).
     """
-    spec.validate()
-    mid = 0.5*(lo + hi)
     half = 0.5*(hi - lo)
 
     def term(h, ks):
@@ -83,12 +65,10 @@ def integrate_singular(f, lo: float, hi: float,
         ok = (dlo > 0) & (dhi > 0) & np.isfinite(wk)
         return half*np.sum(np.asarray(f(xs[ok], dlo[ok], dhi[ok]))*wk[ok])
 
-    return _refine(term, spec, first_range=4, reach=4.5)
+    return _refine(term, first_range=4, reach=4.5)
 
 
-def integrate_to_infinity(f, lo: float,
-                          spec: QuadratureSpec = DEFAULT_SPEC,
-                          scale: float = 1.0):
+def integrate_to_infinity(f, lo: float, scale: float = 1.0):
     """Integrate f on (lo, inf); f must decay at least like t^-2.
 
     Uses the exp-sinh double-exponential substitution x = lo + scale*e^s.
@@ -96,7 +76,6 @@ def integrate_to_infinity(f, lo: float,
     inverse-square-root singularity at lo is handled without special
     casing.
     """
-    spec.validate()
 
     def term(h, ks):
         t = ks*h
@@ -109,7 +88,7 @@ def integrate_to_infinity(f, lo: float,
         dhi = np.full(int(ok.sum()), np.inf)
         return np.sum(np.asarray(f(xk[ok], d[ok], dhi))*wk[ok])
 
-    return _refine(term, spec, first_range=5, reach=5.0)
+    return _refine(term, first_range=5, reach=5.0)
 
 
 def gauss_legendre_01(n: int):

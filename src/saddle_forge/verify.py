@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContourTooClose, InvalidResolution, NotApplicable
+from .errors import ContourTooClose, NotApplicable
 from .mesh import (WELD_TOL, AssembledMesh, PieceMesh, mirror_planes,
                    stretch_intervals)
 from .params import SurfaceParams, sym_funcs
@@ -63,12 +63,19 @@ class VerificationReport:
 # symmetry table
 # ---------------------------------------------------------------------------
 
-def _stretch_samples(p: SurfaceParams, far: float, n: int):
-    """Interior sample points of each boundary stretch (endpoints avoided;
-    on AL log-spaced from 0.05i)."""
+# the curve-level checks sample the boundary stretches out to this radius
+# and close their degree contour at _CONTOUR_RADIUS, independently of the
+# radius the mesh stops at
+_SAMPLE_RADIUS = 20.0
+_CONTOUR_RADIUS = 30.0
+
+
+def _stretch_samples(p: SurfaceParams, n: int):
+    """Interior sample points of each boundary stretch out to
+    _SAMPLE_RADIUS (endpoints avoided; on AL log-spaced from 0.05i)."""
     u = (np.arange(n) + 0.5)/n
     out = {}
-    for tag, (lo, hi) in stretch_intervals(p, far).items():
+    for tag, (lo, hi) in stretch_intervals(p, _SAMPLE_RADIUS).items():
         if tag == "AL":
             out[tag] = 1j*np.exp(np.log(0.05) + (np.log(hi) - np.log(0.05))*u)
         else:
@@ -105,22 +112,23 @@ def _cond_residual(values, kind: str, sign: int) -> float:
 
 
 _SYMMETRY_SAMPLES = 48     # per stretch
+_SYMMETRY_TOL = 1e-9
 
 
-def check_symmetry_table(p: SurfaceParams, tol: float = 1e-9,
-                         far: float = 20.0) -> VerificationReport:
+def check_symmetry_table(p: SurfaceParams) -> VerificationReport:
     """The boundary stretches must carry the symmetry data of the table:
-    real/imaginary/unit-circle constraints on g and dh with fixed signs.
-    A sample at a pole of g constrains dh only."""
+    real/imaginary/unit-circle constraints on g and dh with fixed signs,
+    each met to _SYMMETRY_TOL.  A sample at a pole of g constrains dh
+    only."""
     p.validate()
     rep = VerificationReport()
-    for tag, zs in _stretch_samples(p, far, _SYMMETRY_SAMPLES).items():
+    for tag, zs in _stretch_samples(p, _SYMMETRY_SAMPLES).items():
         (gk, gs), (dk, ds) = SYMMETRY_TABLE[tag]
         g = g_eval(p, zs, w_closed(p, zs))
         worst_g = _cond_residual(g[np.isfinite(g)], gk, gs)
         worst_dh = _cond_residual(phi_vec(p, zs)[:, 2], dk, ds)
-        rep.add(f"symmetry[{tag}].g", worst_g <= tol, worst_g)
-        rep.add(f"symmetry[{tag}].dh", worst_dh <= tol, worst_dh)
+        rep.add(f"symmetry[{tag}].g", worst_g <= _SYMMETRY_TOL, worst_g)
+        rep.add(f"symmetry[{tag}].dh", worst_dh <= _SYMMETRY_TOL, worst_dh)
     return rep
 
 
@@ -161,8 +169,7 @@ _CONTOUR_POINTS = 400
 _PROBE_CLEARANCE = 1e-4
 
 
-def degree_diagnostic(p: SurfaceParams, probe: complex = 0.37 + 0.52j,
-                      far: float = 30.0) -> dict:
+def degree_diagnostic(p: SurfaceParams, probe: complex = 0.37 + 0.52j) -> dict:
     """Preimage count of a probe value under the Gauss map of the closed
     surface, assembled from winding numbers on the fundamental quadrant.
 
@@ -174,7 +181,7 @@ def degree_diagnostic(p: SurfaceParams, probe: complex = 0.37 + 0.52j,
     """
     p.validate()
     indent = 0.2*min(p.a - p.x, 1.0 - p.a, p.y - 1.0)
-    zs = _quadrant_contour(p, far, indent, _CONTOUR_POINTS)
+    zs = _quadrant_contour(p, _CONTOUR_RADIUS, indent, _CONTOUR_POINTS)
 
     # refine the contour wherever g moves too fast for safe phase tracking
     g = g_eval(p, zs, w_closed(p, zs))
@@ -230,23 +237,20 @@ def degree_diagnostic(p: SurfaceParams, probe: complex = 0.37 + 0.52j,
 # ---------------------------------------------------------------------------
 
 _COLLISION_TOL = 1e-10     # share of the bounding-box diagonal
+_INJECTIVITY_PAIRS = 100_000
 
 
-def check_injectivity(vertices: np.ndarray, n_pairs: int = 100_000,
-                      seed: int = DEFAULT_SEED) -> CheckResult:
+def check_injectivity(vertices: np.ndarray, seed: int = DEFAULT_SEED) -> CheckResult:
     """Distinct sampled mesh points must not coincide in space.
 
-    Collisions are pairs closer than _COLLISION_TOL times the bounding-box
-    diagonal; an immersed (non-injective) piece shows up as a nonzero
-    count.  Sampling no pairs would pass vacuously, so n_pairs < 1 raises
-    InvalidResolution.
+    _INJECTIVITY_PAIRS random vertex pairs are drawn; collisions are pairs
+    closer than _COLLISION_TOL times the bounding-box diagonal, so an
+    immersed (non-injective) piece shows up as a nonzero count.
     """
-    if n_pairs < 1:
-        raise InvalidResolution(f"n_pairs must be at least 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     n = len(vertices)
-    i = rng.integers(0, n, n_pairs)
-    j = rng.integers(0, n, n_pairs)
+    i = rng.integers(0, n, _INJECTIVITY_PAIRS)
+    j = rng.integers(0, n, _INJECTIVITY_PAIRS)
     keep = i != j
     i, j = i[keep], j[keep]
     bbox = np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0))
@@ -398,8 +402,14 @@ def _candidate_pairs(lo, hi, eps_abs):
             yield np.minimum(ii, jj), np.maximum(ii, jj)
 
 
-def check_self_intersections(vertices: np.ndarray, faces: np.ndarray,
-                             eps: float = 1e-9) -> CheckResult:
+# pairs within this share of the bounding-box diagonal of each other are
+# broad-phase candidates; touching within it along the crossing line is not
+# a crossing
+_CROSSING_EPS = 1e-9
+
+
+def check_self_intersections(vertices: np.ndarray,
+                             faces: np.ndarray) -> CheckResult:
     """Count transversally crossing triangle pairs.
 
     Broad phase: size-binned spatial hashing, streamed in bounded chunks so
@@ -411,7 +421,7 @@ def check_self_intersections(vertices: np.ndarray, faces: np.ndarray,
     lo = tri.min(axis=1)
     hi = tri.max(axis=1)
     bbox = np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0))
-    eps_abs = eps*bbox
+    eps_abs = _CROSSING_EPS*bbox
     normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
 
     n_cand = count = 0
@@ -499,9 +509,13 @@ def check_tower_embedded(piece: PieceMesh, tower: AssembledMesh) -> CheckResult:
                        f"{len(tower.faces)} faces, {res.detail}")
 
 
-def check_profile_bell(piece: PieceMesh, tol: float = 1e-6) -> CheckResult:
+_BELL_PLANAR_TOL = 1e-6   # share of the bounding-box diagonal
+
+
+def check_profile_bell(piece: PieceMesh) -> CheckResult:
     """For X = a the lower-mirror profile through the branch point at x must
-    be a bell: planar, monotone flank, with a single inflection.
+    be a bell: planar to _BELL_PLANAR_TOL, monotone flank, with a single
+    inflection.
 
     The stretch starts on the plane of even symmetry (x1 = 0), so the
     monotone decreasing half extends to a symmetric bell.  Raises
@@ -521,7 +535,7 @@ def check_profile_bell(piece: PieceMesh, tol: float = 1e-6) -> CheckResult:
     slope = dx2/dx1
     dslope = np.diff(slope)
     sign_changes = int(np.sum(np.diff(np.sign(dslope)) != 0))
-    ok = planar <= tol*bbox and monotone and sign_changes <= 1
+    ok = planar <= _BELL_PLANAR_TOL*bbox and monotone and sign_changes <= 1
     return CheckResult("profile_bell", ok, sign_changes,
                        f"planar={planar:.2e}, monotone={monotone}")
 
@@ -530,12 +544,12 @@ def check_profile_bell(piece: PieceMesh, tol: float = 1e-6) -> CheckResult:
 # informational diagnostics
 # ---------------------------------------------------------------------------
 
-def case_diagnostics(p: SurfaceParams, far: float = 20.0) -> dict:
+def case_diagnostics(p: SurfaceParams) -> dict:
     """Informational: interior vertical-normal configuration and the range
     of the Gauss-map argument along the outer stretch."""
     s = sym_funcs(p)
     roots, conj_quadruple = vertical_normal_points(s)
-    zs = _stretch_samples(p, far, 64)["BA"]
+    zs = _stretch_samples(p, 64)["BA"]
     theta = np.angle(g_eval(p, zs, w_closed(p, zs)))
     return {
         "vertical_normal_roots": roots,

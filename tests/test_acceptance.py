@@ -19,9 +19,8 @@ from saddle_forge.mesh import (assemble, build_grid, integrate_piece,
                                mean_curvature_norm, _seam_deviation)
 from saddle_forge.params import (SurfaceParams, quartic_identity_residual,
                                  sym_funcs)
-from saddle_forge.periods import (DEFAULT_SEED_BOX, F_eval, residue_R,
-                                  residue_r, solve_periods, solve_y,
-                                  sweep_family)
+from saddle_forge.periods import (F_eval, residue_R, residue_r,
+                                  solve_periods, solve_y, sweep_family)
 from saddle_forge.verify import (check_injectivity, check_profile_bell,
                                  check_self_intersections,
                                  check_symmetry_table, check_tower_embedded)
@@ -115,7 +114,7 @@ def test_criterion_4_period_solve():
     a fresh solve from the default seed box drives both period residuals
     below 1e-8, lands inside (0.7, 1) x (1, 2), under 5 min."""
     t0 = time.monotonic()
-    sol = solve_periods(0.02, 0.0, seed_box=DEFAULT_SEED_BOX, tol=1e-8)
+    sol = solve_periods(0.02, 0.0, tol=1e-8)
     assert abs(sol.report.pi1) < 1e-8
     assert abs(sol.report.pi2) < 1e-8
     assert 0.7 < sol.a < 1.0
@@ -170,17 +169,17 @@ def test_criterion_6_mesh_convergence(piece64, piece128, piece256):
 
 def test_criterion_7_symmetry(solved_params):
     """Boundary symmetry table holds to 1e-9 on the solved member."""
-    rep = check_symmetry_table(solved_params, tol=1e-9)
+    rep = check_symmetry_table(solved_params)
     assert rep.passed, [r for r in rep.results if not r.passed]
 
 
 def test_criterion_7_injectivity(piece128):
     """100000 sampled vertex pairs of the fundamental piece: no collisions;
     the duplicated-vertex negative control must fail."""
-    res = check_injectivity(piece128.vertices, n_pairs=100_000)
+    res = check_injectivity(piece128.vertices)
     assert res.passed and res.value == 0
     dup = np.tile(piece128.vertices[:50], (2, 1))
-    assert not check_injectivity(dup, n_pairs=100_000).passed
+    assert not check_injectivity(dup).passed
 
 
 @pytest.mark.slow
@@ -210,7 +209,7 @@ def test_criterion_8_bell_profile(piece128):
     """X = a: the lower-mirror profile through the finite branch point is a
     planar bell -- even about the vertical mirror to weld tolerance, with a
     monotone decreasing flank and a decreasing tail."""
-    res = check_profile_bell(piece128, tol=1e-6)
+    res = check_profile_bell(piece128)
     assert res.passed, res.detail
     pts = piece128.vertices[piece128.boundary["FE"]]
     pts = pts[np.argsort(pts[:, 0])]

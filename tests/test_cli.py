@@ -8,6 +8,7 @@ import pytest
 
 import saddle_forge
 import saddle_forge.periods as periods
+import saddle_forge.verify as verify
 from saddle_forge.cli import main
 
 
@@ -70,18 +71,6 @@ def test_no_convergence_reports_plain_floats(capsys, monkeypatch):
     assert 0.7 < a < 1.0 < b
 
 
-def test_solve_rejects_bad_quadrature_tolerance(capsys):
-    code, _, err = run_cli(capsys, "solve", "--quad-rel-tol", "0")
-    assert code == 3
-    assert "InvalidQuadrature" in err
-
-
-def test_solve_rejects_too_few_quadrature_levels(capsys):
-    code, _, err = run_cli(capsys, "solve", "--quad-levels", "4")
-    assert code == 3
-    assert "InvalidQuadrature" in err
-
-
 def test_periods_at_explicit_moduli(capsys):
     code, out, _ = run_cli(capsys, "periods", "--t", "0.02",
                            "--a", "0.9", "--b", "1.26")
@@ -132,16 +121,6 @@ def test_mesh_rejects_bad_resolution(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("radius", ["nan", "inf"])
-def test_mesh_rejects_nonfinite_far_radius(radius, capsys, tmp_path):
-    code, _, err = run_cli(capsys, "mesh", "--t", "0.02", "--tol", "1e-9",
-                           "--resolution", "16", "--far-radius", radius,
-                           "-o", str(tmp_path/"t.obj"))
-    assert code == 3
-    assert "InvalidResolution" in err
-    assert not (tmp_path/"t.obj").exists()
-
-
 def test_mesh_rejects_empty_tower(capsys, tmp_path):
     code, _, err = run_cli(capsys, "mesh", "--t", "0.02", "--tol", "1e-9",
                            "--resolution", "32", "--n-periods", "0",
@@ -163,15 +142,32 @@ def test_verify_takes_the_mesh_options(capsys):
     assert "self_intersection: certified by chamber" in err
 
 
-def test_verify_rejects_nan_lc_tol(capsys):
+def test_verify_rejects_nan_lc_tol(capsys, monkeypatch):
     # NaN would switch the loop-closure check off: the res-16 piece closes
-    # its worst cell to 1.8e-7 only
+    # its worst cell to 1.8e-7 only.  It is rejected before the curve-level
+    # checks run.
+    def no_check(*args, **kwargs):
+        raise AssertionError("a curve-level check ran")
+    monkeypatch.setattr(verify, "check_symmetry_table", no_check)
+    monkeypatch.setattr(verify, "degree_diagnostic", no_check)
     code, out, err = run_cli(capsys, "verify", "--t", "0.02", "--tol", "1e-9",
                              "--resolution", "16", "--lc-tol", "nan",
                              "--skip-intersections")
     assert code == 3
     assert "InvalidResolution" in err
     assert "verified" not in out
+
+
+def test_verify_rejects_negative_seed(capsys, monkeypatch):
+    # the injectivity sampling takes a non-negative seed; a negative one is
+    # invalid input, found before the period solve
+    def no_solve(*args):
+        raise AssertionError("the period solve ran")
+    monkeypatch.setattr(periods, "_newton2", no_solve)
+    code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+    assert code == 3
+    assert "InvalidResolution" in err
+    assert out == ""
 
 
 def test_sweep_writes_csv(capsys, tmp_path):
@@ -243,6 +239,23 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("command, line", [
+    ("solve", "quad_rel_tol = 1e-11"), ("mesh", "far_radius = 20"),
+    ("verify", "symmetry_tol = 1e-9"), ("verify", "n_pairs = 100000")])
+def test_config_rejects_removed_key(command, line, capsys, tmp_path,
+                                    monkeypatch):
+    # these settings are constants now; a config file that still sets one,
+    # even to its old default, fails loudly instead of running
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path/"old.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, command, "--config", str(cfg))
+    assert exc.value.code == 3
+    key = line.split(" = ")[0]
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["resolution = abc", "piece_only = maybe",
                                   "fn = solve"])
 def test_config_rejects_invalid_value(line, capsys, tmp_path):
@@ -312,17 +325,6 @@ def test_sweep_rejects_empty_grid(argv, capsys, tmp_path):
     assert code == 3
     assert "InvalidResolution" in err
     assert not out_path.exists()
-
-
-@pytest.mark.parametrize("n_pairs", ["0", "-1"])
-def test_verify_rejects_no_injectivity_pairs(n_pairs, capsys):
-    # sampling no pairs must not pass the injectivity check vacuously
-    code, out, err = run_cli(capsys, "verify", "--t", "0.02", "--tol", "1e-9",
-                             "--resolution", "16", "--lc-tol", "1e-6",
-                             "--n-pairs", n_pairs)
-    assert code == 3
-    assert "InvalidResolution" in err
-    assert "verified" not in out
 
 
 # Run in a fresh interpreter: records OPENBLAS_NUM_THREADS at the moment numpy

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from saddle_forge.errors import InvalidResolution, WeldMismatch
-from saddle_forge.mesh import (STRETCHES, AssembledMesh, assemble,
+from saddle_forge.mesh import (FAR_RADIUS, STRETCHES, AssembledMesh, assemble,
                                build_grid, curvature_stats, edge_increments,
                                export_obj, integrate_piece,
                                mean_curvature_norm, _seam_deviation)
@@ -26,8 +26,11 @@ def test_grid_rejects_bad_resolution(solved_params):
         build_grid(solved_params, 4)
     with pytest.raises(InvalidResolution):
         build_grid(solved_params, 64.5)
+    # the grid radius must clear b + 1, and b comes from outside the program
+    p = solved_params
+    far_b = SurfaceParams(a=p.a, b=FAR_RADIUS - 0.5, x=p.x, X=p.X, y=p.y)
     with pytest.raises(InvalidResolution):
-        build_grid(solved_params, 64, far_radius=solved_params.b)
+        build_grid(far_b, 64)
 
 
 @pytest.mark.parametrize("lc_tol", [np.nan, np.inf, 0.0, -1.0])
@@ -92,8 +95,8 @@ def test_grid_is_nested_in_quadrant(solved_params):
     g = build_grid(solved_params, 32)
     assert np.all(g.z.real >= 0.0)
     assert np.all(g.z.imag >= 0.0)
-    assert np.max(g.z.real) == pytest.approx(g.far_radius)
-    assert np.max(g.z.imag) == pytest.approx(g.far_radius)
+    assert np.max(g.z.real) == pytest.approx(FAR_RADIUS)
+    assert np.max(g.z.imag) == pytest.approx(FAR_RADIUS)
 
 
 # ------------------------------------------------------------- increments

@@ -19,12 +19,12 @@ P0 = SurfaceParams(a=0.5, b=2.0, x=0.3, X=0.5, y=1.5)
 # --------------------------------------------------------- symmetry table
 
 def test_symmetry_table_holds_generic():
-    rep = check_symmetry_table(P0, tol=1e-9)
+    rep = check_symmetry_table(P0)
     assert rep.passed, [r for r in rep.results if not r.passed]
 
 
 def test_symmetry_table_holds_at_solution(solved_params):
-    rep = check_symmetry_table(solved_params, tol=1e-9)
+    rep = check_symmetry_table(solved_params)
     assert rep.passed
 
 
@@ -59,7 +59,7 @@ def test_symmetry_table_negative_control(monkeypatch):
     (gk, gs), dh_spec = broken["AL"]
     broken["AL"] = (("im", gs), dh_spec)  # AL carries real g, claim imaginary
     monkeypatch.setattr(verify, "SYMMETRY_TABLE", broken)
-    rep = check_symmetry_table(P0, tol=1e-9)
+    rep = check_symmetry_table(P0)
     assert not rep.passed
 
 
@@ -85,7 +85,7 @@ def test_degree_rejects_probe_on_boundary_values():
 # ------------------------------------------------------------ injectivity
 
 def test_injectivity_passes_on_piece(piece64):
-    res = check_injectivity(piece64.vertices, n_pairs=100_000)
+    res = check_injectivity(piece64.vertices)
     assert res.passed
     assert res.value == 0
 
@@ -93,7 +93,7 @@ def test_injectivity_passes_on_piece(piece64):
 def test_injectivity_negative_control(piece64):
     # duplicating a small vertex set guarantees sampled collisions
     v = np.tile(piece64.vertices[:50], (2, 1))
-    res = check_injectivity(v, n_pairs=100_000)
+    res = check_injectivity(v)
     assert not res.passed
     assert res.value > 0
 
