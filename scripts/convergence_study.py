@@ -12,7 +12,6 @@ import numpy as np
 
 from saddle_forge.mesh import (build_grid, integrate_piece,
                                mean_curvature_norm, _seam_deviation)
-from saddle_forge.params import SurfaceParams
 from saddle_forge.periods import solve_periods
 
 
@@ -25,8 +24,7 @@ def main():
     args = ap.parse_args()
 
     sol = solve_periods(args.t, args.X_offset, tol=1e-11)
-    p = SurfaceParams(a=sol.a, b=sol.b, x=sol.a - sol.t,
-                      X=sol.a + sol.X_offset, y=sol.y)
+    p = sol.params
     print(f"member t={sol.t} X_offset={sol.X_offset}: a={sol.a:.12g} "
           f"b={sol.b:.12g} y={sol.y:.12g}")
     print(f"{'res':>5} {'nodes':>8} {'lc_max':>10} {'|H|_mean':>10} "

@@ -24,7 +24,7 @@ _apply_thread_env()
 from .errors import (BranchInconsistency, ContourTooClose, DegenerateRoot,
                      DomainViolation, InvalidResolution, NoConvergence,
                      NoRoot, NotApplicable, PathThroughBranchPoint,
-                     SaddleForgeError, SeedBoxExhausted, WeldMismatch)
+                     SaddleForgeError, WeldMismatch)
 from .params import SurfaceParams, SymFuncs, from_family, sym_funcs
 from .quad import integrate_singular, integrate_to_infinity
 from .weier import (curve_rhs, g_eval, phi_vec, rotated_data,

@@ -25,7 +25,6 @@ import numpy as np
 from . import mesh, periods, verify
 from .errors import (EXIT_INVALID_INPUT, EXIT_IO, EXIT_OK, InvalidResolution,
                      NotApplicable, SaddleForgeError)
-from .params import SurfaceParams
 
 
 def _read_config(path):
@@ -100,15 +99,8 @@ def _emit(pairs):
             print(f"{k} = {v}")
 
 
-def _solved_params(args):
-    sol = periods.solve_periods(args.t, args.X_offset, tol=args.tol)
-    p = SurfaceParams(a=sol.a, b=sol.b, x=sol.a - args.t,
-                      X=sol.a + args.X_offset, y=sol.y)
-    return sol, p
-
-
 def cmd_solve(args):
-    sol, _ = _solved_params(args)
+    sol = periods.solve_periods(args.t, args.X_offset, tol=args.tol)
     rep = sol.report
     _emit([("t", sol.t), ("X_offset", sol.X_offset), ("a", sol.a),
            ("b", sol.b), ("y", sol.y), ("r", rep.r), ("R", rep.R),
@@ -128,8 +120,8 @@ def cmd_periods(args):
 
 
 def cmd_mesh(args):
-    sol, p = _solved_params(args)
-    piece = mesh.integrate_piece(mesh.build_grid(p, args.resolution),
+    sol = periods.solve_periods(args.t, args.X_offset, tol=args.tol)
+    piece = mesh.integrate_piece(mesh.build_grid(sol.params, args.resolution),
                                  lc_tol=args.lc_tol)
     rep = sol.report
     if args.piece_only:
@@ -152,7 +144,7 @@ def cmd_mesh(args):
 def cmd_verify(args):
     if args.seed < 0:
         raise InvalidResolution(f"--seed must be at least 0, got {args.seed}")
-    _, p = _solved_params(args)
+    p = periods.solve_periods(args.t, args.X_offset, tol=args.tol).params
     # the piece is built first, so a bad --resolution or --lc-tol is
     # rejected before the curve-level checks run
     piece = mesh.integrate_piece(mesh.build_grid(p, args.resolution),

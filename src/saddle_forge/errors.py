@@ -43,10 +43,6 @@ class DegenerateRoot(NoRoot):
     """A root too close to a puncture to resolve in double precision."""
 
 
-class SeedBoxExhausted(SaddleForgeError):
-    """No starting point inside the seed box led to a converged solve."""
-
-
 class BranchInconsistency(SaddleForgeError):
     """Branch continuation of w disagrees between two paths to the same
     point (loop-closure violation beyond tolerance)."""

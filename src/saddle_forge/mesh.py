@@ -47,9 +47,7 @@ FAR_RADIUS = 20.0     # the grid covers the quadrant out to this |Re z|, Im z
 # The boundary stretches in boundary order, each with the mirror it lies
 # in: the axis the mirror fixes and its plane, ORIGIN (through 0) or
 # HALF_PERIOD (x3 = levels["ED"], joining adjacent periods).  Welding, the
-# level check and the chamber walls all read this table.  CB is planar at
-# x1 = I + J but welded to nothing; it joins LF's mirror only once the
-# period solve closes that horizontal period (ROADMAP).
+# level check and the chamber walls all read this table.
 ORIGIN, HALF_PERIOD = "origin", "half-period"
 STRETCHES = {
     "AL": (1, ORIGIN),
@@ -57,7 +55,7 @@ STRETCHES = {
     "FE": (2, ORIGIN),
     "ED": (2, HALF_PERIOD),
     "DC": (2, ORIGIN),
-    "CB": (0, None),
+    "CB": (0, ORIGIN),
     "BA": (2, HALF_PERIOD),
 }
 WELD_TOL = 1e-9      # welded vertices agree to this fraction of the bbox
@@ -368,7 +366,7 @@ def mirror_planes(piece: PieceMesh) -> dict:
     """tag -> (axis, level), the mirror x[axis] = level of a welded stretch."""
     half = piece.levels["ED"]
     return {tag: (axis, half if plane == HALF_PERIOD else 0.0)
-            for tag, (axis, plane) in STRETCHES.items() if plane}
+            for tag, (axis, plane) in STRETCHES.items()}
 
 
 def _level_gaps(piece: PieceMesh) -> dict:
@@ -431,7 +429,7 @@ def assemble(piece: PieceMesh, n_periods: int = 1,
     lo = copies[(copies % 2 == 0) & (0 <= k_up) & (k_up < n_periods)]
     seams = [(tag, lo, lo + 8*up + 1) if plane == HALF_PERIOD
              else (tag, copies, copies ^ (4 >> axis))
-             for tag, (axis, plane) in STRETCHES.items() if plane]
+             for tag, (axis, plane) in STRETCHES.items()]
     ia = np.concatenate([(c0*n)[:, None] + piece.boundary[tag]
                          for tag, c0, _ in seams], axis=None)
     ib = np.concatenate([(c1*n)[:, None] + piece.boundary[tag]

@@ -12,6 +12,16 @@ from dataclasses import dataclass
 from .errors import DomainViolation
 
 
+def check_moduli(a: float, b: float, x: float, X: float,
+                 y: float | None = None) -> None:
+    """Raise DomainViolation unless 0 < x < a < 1 < y < b and a <= X < 1;
+    before y is known, 1 < b stands in for 1 < y < b."""
+    upper = 1.0 < b if y is None else 1.0 < y < b
+    if not (0.0 < x < a < 1.0 and upper and a <= X < 1.0):
+        raise DomainViolation(f"need 0 < x < a < 1 < y < b and a <= X < 1, "
+                              f"got x={x}, a={a}, X={X}, y={y}, b={b}")
+
+
 @dataclass(frozen=True)
 class SurfaceParams:
     a: float
@@ -21,12 +31,7 @@ class SurfaceParams:
     y: float
 
     def validate(self) -> "SurfaceParams":
-        if not (0.0 < self.x < self.a < 1.0 < self.y < self.b):
-            raise DomainViolation(
-                f"need 0 < x < a < 1 < y < b, got x={self.x}, a={self.a}, "
-                f"y={self.y}, b={self.b}")
-        if not (self.a <= self.X < 1.0):
-            raise DomainViolation(f"need a <= X < 1, got X={self.X}, a={self.a}")
+        check_moduli(self.a, self.b, self.x, self.X, self.y)
         return self
 
     @property

@@ -4,7 +4,7 @@ residue-matching function F(y), and the two-dimensional period solve.
 The three conditions that make the immersion single-valued are
     r = R            (matched residues at the two end punctures; solved
                       implicitly for y via the polynomial F below),
-    pi1 = I - J = 0  and  pi2 = K - R/2 = 0   (solved for (a, b)).
+    pi1 = I + J = 0  and  pi2 = K - R/2 = 0   (solved for (a, b)).
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateRoot, DomainViolation, InvalidResolution,
-                     NoConvergence, NoRoot, SeedBoxExhausted)
-from .params import SurfaceParams, SymFuncs, from_family, sym_funcs
+                     NoConvergence, NoRoot)
+from .params import SurfaceParams, SymFuncs, check_moduli, from_family, sym_funcs
 from .quad import integrate_singular, integrate_to_infinity
 
 
@@ -46,6 +46,10 @@ class FamilySolution:
     b: float
     y: float
     report: PeriodReport
+
+    @property
+    def params(self) -> SurfaceParams:
+        return from_family(self.t, self.X_offset, self.a, self.b, self.y)
 
 
 def residue_r(p: SurfaceParams, s: SymFuncs) -> float:
@@ -171,7 +175,9 @@ def solve_y(a: float, b: float, x: float, X: float) -> float:
 
 
 def resolve_params(t: float, X_offset: float, a: float, b: float) -> SurfaceParams:
-    """Full moduli from family coordinates: y from the residue match."""
+    """Full moduli from family coordinates: y from the residue match.
+    Moduli out of order raise DomainViolation before F is evaluated."""
+    check_moduli(a, b, a - t, a + X_offset)
     y = solve_y(a, b, a - t, a + X_offset)
     return from_family(t, X_offset, a, b, y)
 
@@ -183,14 +189,12 @@ def period_report_for(p: SurfaceParams) -> PeriodReport:
     I = I_integral(p, s)
     J = J_integral(p, s)
     K = K_integral(p, s)
-    return PeriodReport(r=r, R=R, I=I, J=J, K=K, pi1=I - J, pi2=K - 0.5*R,
+    return PeriodReport(r=r, R=R, I=I, J=J, K=K, pi1=I + J, pi2=K - 0.5*R,
                         F_residual=F_eval(p.a, p.b, p.x, p.X, p.y))
 
 
-# enlarged box the damped Newton iterates may roam in (the documented seed
-# window is well inside it)
-SEARCH_BOX = (0.7, 0.9995, 1.0005, 2.5)
-DEFAULT_SEED_BOX = (0.82, 0.98, 1.01, 1.51)
+# the sweep --fig6 window; its centre is the cold start of the period solve
+DEFAULT_SEED_BOX = (0.64, 0.76, 1.15, 1.35)
 
 
 def _pis(t, X_offset, a, b):
@@ -202,7 +206,7 @@ def _pis(t, X_offset, a, b):
 # largest perturbation of the family coordinates for which the warm-started
 # Newton continuation is supported
 FAMILY_EPS = 0.05
-# Newton iterations per start of the period solve
+# Newton iterations of the period solve
 _MAX_ITER = 80
 
 
@@ -218,49 +222,30 @@ def check_family_coords(t: float, X_offset: float) -> None:
 
 def solve_periods(t: float, X_offset: float, tol: float = 1e-10,
                   seed: tuple[float, float] | None = None) -> FamilySolution:
-    """Damped Newton on (pi1, pi2)(a, b) with a finite-difference Jacobian.
-
-    Starts from the centre of DEFAULT_SEED_BOX (or the supplied warm start);
-    if Newton stalls, falls back to a coarse scan of that box for a fresh
-    start.
+    """Damped Newton on (pi1, pi2)(a, b) with a finite-difference Jacobian,
+    from the warm start seed or else the centre of DEFAULT_SEED_BOX.  A stall
+    raises NoConvergence carrying the last iterate.
     tol must be a finite number > 0.
     """
     check_family_coords(t, X_offset)
     if not 0.0 < tol < np.inf:
         raise InvalidResolution(f"tol must be a finite number > 0, got {tol}")
-    a_lo, a_hi, b_lo, b_hi = DEFAULT_SEED_BOX
-    starts = []
-    if seed is not None:
-        starts.append(np.array(seed, dtype=float))
-    starts.append(np.array([0.5*(a_lo + a_hi), 0.5*(b_lo + b_hi)]))
-    for fa in (0.25, 0.75):
-        for fb in (0.25, 0.75):
-            starts.append(np.array([a_lo + fa*(a_hi - a_lo),
-                                    b_lo + fb*(b_hi - b_lo)]))
-    best_v, best_pv = None, None
-    for start in starts:
-        try:
-            v, pv, (p, rep) = _newton2(t, X_offset, start, tol)
-        except (NoRoot, NoConvergence):
-            continue
-        if np.max(np.abs(pv)) < tol:
-            return FamilySolution(t=t, X_offset=X_offset, a=float(v[0]),
-                                  b=float(v[1]), y=p.y, report=rep)
-        if best_pv is None or np.max(np.abs(pv)) < np.max(np.abs(best_pv)):
-            best_v, best_pv = v, pv
-    if best_v is None:
-        raise SeedBoxExhausted(f"no seed in {DEFAULT_SEED_BOX} produced a "
-                               f"solve for (t, X_offset)=({t}, {X_offset})")
-    best = tuple(map(float, best_v))
+    if seed is None:
+        a_lo, a_hi, b_lo, b_hi = DEFAULT_SEED_BOX
+        seed = (0.5*(a_lo + a_hi), 0.5*(b_lo + b_hi))
+    v, pv, (p, rep) = _newton2(t, X_offset, seed, tol)
+    if np.max(np.abs(pv)) < tol:
+        return FamilySolution(t=t, X_offset=X_offset, a=float(v[0]),
+                              b=float(v[1]), y=p.y, report=rep)
+    best = tuple(map(float, v))
     raise NoConvergence(
         f"period solve stalled at (a,b)={best} with residuals "
-        f"{tuple(map(float, best_pv))}",
-        best=best, residual=float(np.max(np.abs(best_pv))))
+        f"{tuple(map(float, pv))}",
+        best=best, residual=float(np.max(np.abs(pv))))
 
 
 def _newton2(t, X_offset, v0, tol):
     """Returns the last iterate, its residuals and its (params, report)."""
-    a_min, a_max, b_min, b_max = SEARCH_BOX
     v = np.array(v0, dtype=float)
     pv, at = _pis(t, X_offset, v[0], v[1])
     for _ in range(_MAX_ITER):
@@ -273,17 +258,17 @@ def _newton2(t, X_offset, v0, tol):
             vp[j] += h
             Jm[:, j] = (_pis(t, X_offset, vp[0], vp[1])[0] - pv)/h
         dv = np.linalg.solve(Jm, -pv)
+        # a trial step whose moduli resolve_params rejects is halved
         lam = 1.0
         while True:
             vn = v + lam*dv
-            if a_min < vn[0] < a_max and b_min < vn[1] < b_max:
-                try:
-                    pn, an = _pis(t, X_offset, vn[0], vn[1])
-                    if np.linalg.norm(pn) < np.linalg.norm(pv) or lam <= 0.25:
-                        v, pv, at = vn, pn, an
-                        break
-                except (NoRoot, FloatingPointError):
-                    pass
+            try:
+                pn, an = _pis(t, X_offset, vn[0], vn[1])
+                if np.linalg.norm(pn) < np.linalg.norm(pv) or lam <= 0.25:
+                    v, pv, at = vn, pn, an
+                    break
+            except (DomainViolation, NoRoot):
+                pass
             lam *= 0.5
             if lam < 1e-8:
                 return v, pv, at
@@ -308,7 +293,7 @@ def sweep_family(t_grid, X_grid, tol: float = 1e-10):
                 sol = solve_periods(t, X_offset, tol=tol, seed=seed)
                 seed = (sol.a, sol.b)
                 rows.append((t, X_offset, sol))
-            except (NoRoot, NoConvergence, SeedBoxExhausted):
+            except (NoRoot, NoConvergence):
                 rows.append((t, X_offset, None))
     return rows
 

@@ -30,8 +30,7 @@ def solved():
 
 @pytest.fixture(scope="session")
 def solved_params(solved) -> SurfaceParams:
-    return SurfaceParams(a=solved.a, b=solved.b, x=solved.a - solved.t,
-                         X=solved.a + solved.X_offset, y=solved.y).validate()
+    return solved.params
 
 
 @pytest.fixture(scope="session")

@@ -130,11 +130,25 @@ def test_mesh_rejects_empty_tower(capsys, tmp_path):
     assert not (tmp_path/"t.obj").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("--X-offset", "0.04", "--a", "1.5", "--b", "2"),
+    ("--a", "0.9", "--b", "0.95"),
+    ("--X-offset", "0.04", "--a", "0.97", "--b", "1.3"),   # X = 1.01
+], ids=["a>1", "b<1", "X>1"])
+def test_periods_rejects_moduli_out_of_order(capsys, argv):
+    # checked before F is evaluated: no numpy warning, no root search
+    code, out, err = run_cli(capsys, "periods", "--t", "0.02", *argv)
+    assert code == 3
+    assert "DomainViolation" in err
+    assert out == ""
+
+
 def test_verify_takes_the_mesh_options(capsys):
-    # res 16 closes its worst cell to 1.8e-7 of the cell size, so it needs
+    # res 20 closes its worst cell to 3.5e-7 of the cell size, so it needs
     # the same --lc-tol as `mesh`; the embeddedness path is named on stderr
     code, out, err = run_cli(capsys, "verify", "--t", "0.02", "--tol", "1e-9",
-                             "--resolution", "16", "--lc-tol", "1e-6")
+                             "--resolution", "20", "--lc-tol", "1e-6")
     assert code == 0, err
     vals = parse_kv(out)
     assert vals["verified"] == "1"
@@ -144,7 +158,7 @@ def test_verify_takes_the_mesh_options(capsys):
 
 def test_verify_rejects_nan_lc_tol(capsys, monkeypatch):
     # NaN would switch the loop-closure check off: the res-16 piece closes
-    # its worst cell to 1.8e-7 only.  It is rejected before the curve-level
+    # its worst cell to 1.3e-6 only.  It is rejected before the curve-level
     # checks run.
     def no_check(*args, **kwargs):
         raise AssertionError("a curve-level check ran")
@@ -287,7 +301,7 @@ def test_mesh_output_flag_wins_over_config(flag, capsys, tmp_path):
     # a flag given on the command line wins over the file in any spelling
     cfg = tmp_path/"run.cfg"
     cfg.write_text(f"output = {tmp_path/'from_cfg.obj'}\n"
-                   "resolution = 16\nlc_tol = 1e-6\npiece_only = yes\n")
+                   "resolution = 20\nlc_tol = 1e-6\npiece_only = yes\n")
     path = str(tmp_path/"from_flag.obj")
     argv = [flag + path] if flag.endswith("=") else [flag, path]
     code, out, err = run_cli(capsys, "mesh", "--config", str(cfg),
@@ -373,7 +387,7 @@ _MESH_PROBE = """
 import sys
 from saddle_forge import cli
 
-code = cli.main(["mesh", "--resolution", "16", "--lc-tol", "1e-6",
+code = cli.main(["mesh", "--resolution", "20", "--lc-tol", "1e-6",
                  "--tol", "1e-9", "-o", sys.argv[1]])
 print(f"exit = {code}")
 print(f"scipy_loaded = {'scipy' in sys.modules}")

@@ -5,7 +5,8 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from saddle_forge.errors import InvalidResolution, WeldMismatch
+from saddle_forge.errors import (BranchInconsistency, InvalidResolution,
+                                 WeldMismatch)
 from saddle_forge.mesh import (FAR_RADIUS, STRETCHES, AssembledMesh, assemble,
                                build_grid, curvature_stats, edge_increments,
                                export_obj, integrate_piece,
@@ -265,7 +266,7 @@ def test_tower_is_welded_along_every_seam(piece_name, n_periods, request):
 
     g = piece.grid
     seam_edges = {tag: g.edges[np.isin(g.edges, piece.boundary[tag]).all(axis=1)]
-                  for tag in ("AL", "LF", "FE", "ED", "DC", "BA")}
+                  for tag in STRETCHES}
     # the half-period mirror of copy (k, s3) sits at height k*T + s3*ED level;
     # the copy of opposite s3 at the same height is in period k + s3*up
     up = 1 if piece.levels["ED"] > 0 else -1
@@ -294,6 +295,24 @@ def test_assemble_rejects_unsolved_parameters(solved):
     piece_bad = integrate_piece(build_grid(p_bad, 32))
     with pytest.raises(WeldMismatch):
         assemble(piece_bad)
+
+
+def test_assemble_rejects_an_open_horizontal_period():
+    # the member that solving I - J = 0 gives at t = 0.02: its CB stretch
+    # lies at x1 = I + J = 1.92, off LF's mirror x1 = 0, and the tower it
+    # would build is doubly periodic
+    p = resolve_params(0.02, 0.0, 0.969932910381573, 1.0019612297067058)
+    piece = integrate_piece(build_grid(p, 32))
+    with pytest.raises(WeldMismatch, match="stretch CB lies"):
+        assemble(piece)
+
+
+@pytest.mark.xfail(raises=BranchInconsistency, strict=True,
+                   reason="a needle cell on CB closes to 1.3e-6 of its size "
+                          "at res 16; the conformal regrade of ROADMAP "
+                          "direction 2 removes it")
+def test_reference_member_closes_at_res_16_under_lc_tol_1e_6(solved_params):
+    integrate_piece(build_grid(solved_params, 16), lc_tol=1e-6)
 
 
 # ----------------------------------------------------------------- export

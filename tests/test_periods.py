@@ -144,15 +144,13 @@ def test_period_report_consistency(solved):
     rep = solved.report
     assert abs(rep.r - rep.R) < 1e-9*abs(rep.r)
     assert abs(rep.pi1) < 1e-10 and abs(rep.pi2) < 1e-10
-    assert abs(rep.pi1 - (rep.I - rep.J)) < 1e-14*max(1.0, abs(rep.I))
+    assert abs(rep.pi1 - (rep.I + rep.J)) < 1e-14*max(1.0, abs(rep.I))
     assert abs(rep.pi2 - (rep.K - 0.5*rep.R)) < 1e-14*max(1.0, abs(rep.K))
     assert rep.F_residual < 1e-10
 
 
 def test_period_report_for_params_matches_family_route(solved):
-    p = SurfaceParams(a=solved.a, b=solved.b, x=solved.a - solved.t,
-                      X=solved.a, y=solved.y)
-    rep = period_report_for(p)
+    rep = period_report_for(solved.params)
     assert rep.pi1 == pytest.approx(solved.report.pi1, abs=1e-12)
     assert rep.pi2 == pytest.approx(solved.report.pi2, abs=1e-12)
 
@@ -188,6 +186,17 @@ def test_solve_periods_continuity(solved):
     near = solve_periods(0.021, 0.0, tol=1e-10)
     assert abs(near.a - solved.a) < 0.05
     assert abs(near.b - solved.b) < 0.05
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_start_covers_the_family_domain():
+    # cold solves at the corners of the family domain, and warm starts from
+    # the opposite corner's solution, reach the same (a, b)
+    corners = [(t, X_offset) for t in (0.001, 0.05) for X_offset in (0.0, 0.049)]
+    cold = [solve_periods(t, X_offset) for t, X_offset in corners]
+    for (t, X_offset), sol, far in zip(corners, cold, cold[::-1]):
+        warm = solve_periods(t, X_offset, seed=(far.a, far.b))
+        assert abs(warm.a - sol.a) < 1e-8 and abs(warm.b - sol.b) < 1e-8
 
 
 def test_solve_periods_rejects_bad_family_coordinates():

@@ -135,9 +135,9 @@ def test_self_intersection_excludes_shared_vertex_neighbours(piece64):
 
 
 @pytest.fixture(scope="module")
-def piece16_and_copy(solved_params):
-    # res 16 closes its worst cell to 1.8e-7 of the cell size
-    piece = integrate_piece(build_grid(solved_params, 16), lc_tol=1e-6)
+def piece20_and_copy(solved_params):
+    # res 20 closes its worst cell to 3.5e-7 of the cell size
+    piece = integrate_piece(build_grid(solved_params, 20), lc_tol=1e-6)
     v = np.vstack([piece.vertices, piece.vertices + 1e-3])
     f = np.vstack([piece.faces, piece.faces + len(piece.vertices)])
     return v, f
@@ -145,11 +145,11 @@ def piece16_and_copy(solved_params):
 
 @pytest.mark.parametrize("hash_mult", [None, (1, 1, 1)])
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
-def test_candidate_pairs_match_all_pairs_box_test(piece16_and_copy, monkeypatch,
+def test_candidate_pairs_match_all_pairs_box_test(piece20_and_copy, monkeypatch,
                                                   eps, hash_mult):
     # the broad phase yields every near pair of boxes exactly once, also when
     # a degenerate hash makes most cells collide
-    v, f = piece16_and_copy
+    v, f = piece20_and_copy
     if hash_mult is not None:
         monkeypatch.setattr(verify, "_HASH", tuple(map(np.int64, hash_mult)))
     tri = v[f]
