@@ -23,12 +23,11 @@ _apply_thread_env()
 
 from .errors import (BranchInconsistency, ContourTooClose, DegenerateRoot,
                      DomainViolation, InvalidResolution, NoConvergence,
-                     NoRoot, NotApplicable, PathThroughBranchPoint,
-                     SaddleForgeError, WeldMismatch)
+                     NoRoot, NotApplicable, SaddleForgeError,
+                     WeldMismatch)
 from .params import SurfaceParams, SymFuncs, from_family, sym_funcs
 from .quad import integrate_singular, integrate_to_infinity
-from .weier import (curve_rhs, g_eval, phi_vec, rotated_data,
-                    vertical_normal_points, w_closed, w_eval)
+from .weier import g_eval, phi_vec, vertical_normal_points, w_closed
 from .periods import (FamilySolution, PeriodReport, F_eval, I_integral,
                       J_integral, K_integral, period_report_for, residue_R,
                       residue_r, solve_periods, solve_y, sweep_family,

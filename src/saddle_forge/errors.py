@@ -21,11 +21,6 @@ class InvalidResolution(SaddleForgeError):
     exit_code = EXIT_INVALID_INPUT
 
 
-class PathThroughBranchPoint(SaddleForgeError):
-    """A continuation path passed within the configured clearance of a
-    branch point of the curve."""
-
-
 class NoConvergence(SaddleForgeError):
     """Iteration budget exhausted; carries the best value found."""
 

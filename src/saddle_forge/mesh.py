@@ -9,13 +9,14 @@ cells never become slivers; the grid therefore has pure tensor topology (no
 hanging nodes).
 
 Positions come from integrating the Weierstrass forms edge by edge with
-Gauss quadrature; edges near a branch point or puncture are integrated along
-an analytically substituted path (square-root map at branch points, log map
-at the simple poles), which is legitimate because the forms are holomorphic
-between the singularities.  The increments are summed along a spanning tree
-of the grid; per-cell loop-closure residuals (the signed sum of each quad's
-four edge increments) certify the integration; they sit at the rounding
-floor for a correct branch of w.
+Gauss quadrature, every edge along one path family z = v + delta(s) with s
+linear: delta = s from v = 0 for a straight edge, delta = s^2 from a nearby
+branch point v, delta = e^s from a nearby puncture v.  Deforming the path
+is legitimate because the forms are holomorphic between the singularities.
+The increments are summed along a spanning tree of the grid; per-cell
+loop-closure residuals (the signed sum of each quad's four edge increments)
+certify the integration; they sit at the rounding floor for a correct
+branch of w.
 
 The assembled tower is the orbit of the piece under the three coordinate
 reflections and vertical translations by the period T.  One table,
@@ -35,6 +36,7 @@ import numpy as np
 from .errors import BranchInconsistency, InvalidResolution, WeldMismatch
 from .params import SurfaceParams
 from .quad import gauss_legendre_01
+# phi_vec is not called here; bench/tracing.py wraps mesh.phi_vec by name
 from .weier import phi_vec, phi_vec_delta
 
 _REF_RES = 64
@@ -236,66 +238,40 @@ def build_grid(p: SurfaceParams, resolution: int) -> DomainGrid:
 
 def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
                     n_gauss: int = 8) -> np.ndarray:
-    """Integral of (phi1, phi2, phi3) along each straight edge z0 -> z1.
+    """Integral of (phi1, phi2, phi3) from z0 to z1 for each edge.
 
-    Edges whose nearest singularity lies within _SUB_FACTOR edge lengths are
-    rerouted: z = v + s^2 with s linear at a branch point v (makes the
-    integrand analytic in s), z = p + e^u with u linear at a puncture p
-    (exact for the simple-pole part).  Path deformation is allowed because
-    the forms are holomorphic between singularities, so the loop-closure
-    telescoping of shared edges is preserved exactly.
+    Every edge is integrated along a path z = v + delta(s) with s linear
+    between its endpoints' s-values.  A straight edge has v = 0 and
+    delta = s.  An edge whose nearest singularity lies within _SUB_FACTOR
+    edge lengths is anchored there instead: delta = s^2 at a branch point
+    v (the integrand becomes analytic in s) and delta = e^s at a puncture
+    v (exact for the simple-pole part).  Path deformation is allowed
+    because the forms are holomorphic between singularities, so the
+    loop-closure telescoping of shared edges is preserved exactly.
     """
     gl_x, gl_w = gauss_legendre_01(n_gauss)
-    branch_anchors = np.array([p.x, p.y, p.b])
-    pole_anchors = np.array([p.a, 1.0])
+    # branch points first, so that a tie takes the square-root path
+    anchors = np.array([p.x, p.y, p.b, p.a, 1.0])
+    d = np.minimum(np.abs(z0[:, None] - anchors), np.abs(z1[:, None] - anchors))
+    j = np.argmin(d, axis=1)
+    near = d[np.arange(len(z0)), j] < _SUB_FACTOR*np.abs(z1 - z0)
+    at_b, at_p = near & (j < 3), near & (j >= 3)
+    v = np.where(near, anchors[j], 0.0)
 
-    def nearest(anchors):
-        d = np.minimum(np.abs(z0[:, None] - anchors[None, :]),
-                       np.abs(z1[:, None] - anchors[None, :]))
-        j = np.argmin(d, axis=1)
-        return j, d[np.arange(len(z0)), j]
-
-    jb, db = nearest(branch_anchors)
-    jp, dp = nearest(pole_anchors)
-    L = np.abs(z1 - z0)
-    sub_b = (db < _SUB_FACTOR*L) & (db <= dp)
-    sub_p = ~sub_b & (dp < _SUB_FACTOR*L)
-    out = np.zeros((len(z0), 3), complex)
-
-    m = ~(sub_b | sub_p)
-    if m.any():
-        a0, d = z0[m], (z1 - z0)[m]
-        acc = np.zeros((int(m.sum()), 3), complex)
-        for xg, wg in zip(gl_x, gl_w):
-            acc += wg*phi_vec(p, a0 + xg*d)
-        out[m] = acc*d[:, None]
-    if sub_b.any():
-        for k, v in enumerate(branch_anchors):
-            mk = sub_b & (jb == k)
-            if not mk.any():
-                continue
-            s0 = np.sqrt(z0[mk] - v)
-            s1 = np.sqrt(z1[mk] - v)
-            ds = s1 - s0
-            acc = np.zeros((int(mk.sum()), 3), complex)
-            for xg, wg in zip(gl_x, gl_w):
-                ss = s0 + xg*ds
-                acc += wg*phi_vec_delta(p, v, ss*ss)*(2.0*ss)[:, None]
-            out[mk] = acc*ds[:, None]
-    if sub_p.any():
-        for k, pp in enumerate(pole_anchors):
-            mk = sub_p & (jp == k)
-            if not mk.any():
-                continue
-            u0 = np.log(z0[mk] - pp)
-            u1 = np.log(z1[mk] - pp)
-            du = u1 - u0
-            acc = np.zeros((int(mk.sum()), 3), complex)
-            for xg, wg in zip(gl_x, gl_w):
-                e = np.exp(u0 + xg*du)
-                acc += wg*phi_vec_delta(p, pp, e)*e[:, None]
-            out[mk] = acc*du[:, None]
-    return out
+    s0, s1 = np.stack([z0, z1]) - v
+    s0[at_b], s1[at_b] = np.sqrt(s0[at_b]), np.sqrt(s1[at_b])
+    s0[at_p], s1[at_p] = np.log(s0[at_p]), np.log(s1[at_p])
+    ds = s1 - s0
+    acc = np.zeros((len(z0), 3), complex)
+    for xg, wg in zip(gl_x, gl_w):
+        s = s0 + xg*ds
+        e = np.exp(np.where(at_p, s, 0.0))
+        delta = np.where(at_b, s*s, np.where(at_p, e, s))
+        ddelta = np.where(at_b, 2.0*s, np.where(at_p, e, 1.0))
+        f = phi_vec_delta(p, v, delta)
+        f *= wg     # in place: one (n, 3) temporary fewer per node
+        acc += f*ddelta[:, None]
+    return acc*ds[:, None]
 
 
 def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8) -> PieceMesh:

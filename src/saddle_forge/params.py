@@ -72,16 +72,3 @@ def sym_funcs(p: SurfaceParams) -> SymFuncs:
     S4 = 2*b*x*y*X + (b*y - b*x - x*y)*X**2
     S5 = b*x*y*X**2
     return SymFuncs(S1=S1, S2=S2, S3=S3, S4=S4, S5=S5)
-
-
-def quartic_identity_residual(p: SurfaceParams, s: SymFuncs, z: complex) -> float:
-    """Relative residual of the defining polynomial identity
-
-        (z-b)(z+x)(z-y)(z+X)^2 + (z+b)(z-x)(z+y)(z-X)^2 = 2z(z^4 + S2 z^2 + S4).
-    """
-    b, x, X, y = p.b, p.x, p.X, p.y
-    lhs = ((z - b)*(z + x)*(z - y)*(z + X)**2
-           + (z + b)*(z - x)*(z + y)*(z - X)**2)
-    rhs = 2*z*(z**4 + s.S2*z**2 + s.S4)
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs)/scale

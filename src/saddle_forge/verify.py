@@ -212,9 +212,11 @@ def degree_diagnostic(p: SurfaceParams, probe: complex = 0.37 + 0.52j) -> dict:
                 f"probe {probe} within {_PROBE_CLEARANCE} of boundary values of "
                 f"transform {name}; choose a different probe")
         dang = np.angle(d[1:]/d[:-1])
-        if np.max(np.abs(dang)) > 2.8:
+        jump = np.max(np.abs(dang))
+        if jump > 2.8:
             raise ContourTooClose(
-                f"contour sampling too coarse for transform {name}; raise n")
+                f"transform {name} turns by {jump:.3f} rad between adjacent "
+                f"contour points (limit 2.8); its winding is ambiguous")
         wind = int(round(np.sum(dang)/(2*np.pi)))
         windings[name] = orient*wind
         total += orient*wind

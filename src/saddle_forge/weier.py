@@ -17,7 +17,7 @@ the branch w in w_closed_delta, the Gauss map g in g_eval and the form
 triple (phi1, phi2, phi3) = 1/2 (1/g - g, i/g + i g, 2) dh in
 phi_vec_delta.  Each takes z as v + delta with the offset from a real
 anchor v supplied exactly; w_closed and phi_vec are the case v = 0, and
-dh is phi3.  w_eval is an independent continuation oracle for w.
+dh is phi3.
 
 Boundary stretch names used throughout (z real unless noted):
     AL: z = it, t in (0, inf)      LF: (0, x)      FE: (x, a)
@@ -29,14 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PathThroughBranchPoint
 from .params import SurfaceParams, SymFuncs
-
-
-def curve_rhs(p: SurfaceParams, z):
-    """Right-hand side of the curve equation (the value of w^2)."""
-    z = np.asarray(z, dtype=complex)
-    return ((p.b + z)/(p.b - z))*((p.x - z)/(p.x + z))*((p.y + z)/(p.y - z))
 
 
 def w_closed_delta(p: SurfaceParams, v: float, delta):
@@ -66,55 +59,6 @@ def w_closed_delta(p: SurfaceParams, v: float, delta):
 def w_closed(p: SurfaceParams, z):
     """The anchored branch of w at z (w_closed_delta with v = 0)."""
     return w_closed_delta(p, 0.0, z)
-
-
-# a continuation path keeps this share of the least gap between branch
-# points away from each of them
-_PATH_CLEARANCE = 1e-6
-
-
-def w_eval(p: SurfaceParams, z: complex, path=None) -> complex:
-    """Branch of w at z by explicit continuation along a polyline from 0.
-
-    Independent of w_closed (square roots of the curve equation with sign
-    tracked step by step); the two must agree wherever the polyline stays in
-    the closed upper half-plane.  Default path: straight segment 0 -> z.
-    """
-    if path is None:
-        path = [0.0, z]
-    bp = np.array([p.x, -p.x, p.y, -p.y, p.b, -p.b])     # branch points
-    clearance = _PATH_CLEARANCE*np.min(np.diff(np.sort(bp)))
-    w = 1.0 + 0.0j  # anchor w(0) = +1
-    zc = 0.0 + 0.0j
-    if path[0] != 0:
-        raise PathThroughBranchPoint("path must start at z = 0")
-    for target in path[1:]:
-        seg = complex(target) - zc
-        n = 1
-        done = False
-        while not done:
-            ok = True
-            wt, zt = w, zc
-            for k in range(1, n + 1):
-                znew = zc + seg*(k/n)
-                if np.min(np.abs(znew - bp)) < clearance:
-                    raise PathThroughBranchPoint(
-                        f"path point {znew} within clearance {clearance} of a branch point")
-                root = np.sqrt(curve_rhs(p, znew))
-                cand = root if abs(root - wt) <= abs(-root - wt) else -root
-                if abs(cand - wt) > 0.1*max(abs(wt), 1e-300):
-                    ok = False
-                    break
-                wt, zt = cand, znew
-            if ok:
-                w, zc = wt, zt
-                done = True
-            else:
-                n *= 2
-                if n > 1 << 22:
-                    raise PathThroughBranchPoint(
-                        "continuation step size underflow (path too close to a branch point)")
-    return complex(w)
 
 
 def vertical_normal_points(s: SymFuncs):
@@ -171,19 +115,3 @@ def phi_vec_delta(p: SurfaceParams, v: float, delta):
 def phi_vec(p: SurfaceParams, z):
     """(phi1, phi2, phi3) at z (phi_vec_delta with v = 0)."""
     return phi_vec_delta(p, 0.0, z)
-
-
-def rotated_data(p: SurfaceParams, z):
-    """Rotated Weierstrass pair (G, dH) with the closed-form cross-check.
-
-    G = -i (g+i)/(g-i); dH is computed both from the data, (i/2)(1/g + g) dh,
-    and from the closed form -(X^2-z^2)/((z^2-1)(z^2-a^2)), which is phi2.
-    Their agreement is a correctness test of g and dh jointly.  G is 0
-    where g = -i and not finite where g = i or g has a pole.
-    """
-    phi = phi_vec(p, z)
-    g = g_eval(p, z, w_closed(p, z))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        G = -1j*(g + 1j)/(g - 1j)
-        dH_data = 0.5j*(1.0/g + g)*phi[..., 2]
-    return G, dH_data, phi[..., 1]

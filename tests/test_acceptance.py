@@ -13,18 +13,18 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import residue_contour_oracle
+from _oracles import (curve_rhs, quartic_identity_residual,
+                      residue_contour_oracle, rotated_data)
 from conftest import draw_params
 from saddle_forge.mesh import (assemble, build_grid, integrate_piece,
                                mean_curvature_norm, _seam_deviation)
-from saddle_forge.params import (SurfaceParams, quartic_identity_residual,
-                                 sym_funcs)
+from saddle_forge.params import SurfaceParams, sym_funcs
 from saddle_forge.periods import (F_eval, residue_R, residue_r,
                                   solve_periods, solve_y, sweep_family)
 from saddle_forge.verify import (check_injectivity, check_profile_bell,
                                  check_self_intersections,
                                  check_symmetry_table, check_tower_embedded)
-from saddle_forge.weier import curve_rhs, phi_vec, rotated_data, w_closed
+from saddle_forge.weier import phi_vec, w_closed
 
 
 @pytest.fixture(scope="module")

@@ -103,10 +103,20 @@ def test_grid_is_nested_in_quadrant(solved_params):
 # ------------------------------------------------------------- increments
 
 def test_edge_increment_matches_subdivided_path(solved_params):
-    # integrating an edge in one piece must agree with summing four subedges
+    # integrating an edge in one piece must agree with summing four subedges.
+    # Besides a straight edge, one edge runs out from each singular point,
+    # from 3 to 4 of its lengths away: the whole edge takes the point's
+    # square-root (x, y, b) or log (a, 1) path and its quarters are straight
     p = solved_params
-    z0 = np.array([0.05 + 0.3j, p.b + 0.4 + 0.02j, 0.3 + 0.01j])
-    z1 = np.array([0.05 + 0.5j, p.b + 0.6 + 0.02j, 0.34 + 0.01j])
+    z0 = [0.05 + 0.3j, p.b + 0.4 + 0.02j, 0.3 + 0.01j]
+    z1 = [0.05 + 0.5j, p.b + 0.6 + 0.02j, 0.34 + 0.01j]
+    points = np.array([p.x, p.y, p.b, p.a, 1.0])
+    ray = np.exp(1j*np.pi/3)
+    for v in points:
+        L = 0.01*np.min(np.abs(points[points != v] - v))
+        z0.append(v + 3*L*ray)
+        z1.append(v + 4*L*ray)
+    z0, z1 = np.array(z0), np.array(z1)
     whole = edge_increments(p, z0, z1)
     parts = np.zeros_like(whole)
     for k in range(4):

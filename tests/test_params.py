@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import quartic_identity_residual
 from saddle_forge.errors import DomainViolation
-from saddle_forge.params import (SurfaceParams, from_family,
-                                 quartic_identity_residual, sym_funcs)
+from saddle_forge.params import SurfaceParams, from_family, sym_funcs
 
 
 def test_sym_funcs_hand_evaluated_example():

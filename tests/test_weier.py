@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import PathThroughBranchPoint, curve_rhs, rotated_data, w_eval
 from conftest import draw_params
-from saddle_forge.errors import PathThroughBranchPoint
 from saddle_forge.params import SurfaceParams, sym_funcs
-from saddle_forge.weier import (curve_rhs, g_eval, phi_vec, phi_vec_delta,
-                                rotated_data, vertical_normal_points, w_closed,
-                                w_closed_delta, w_eval)
+from saddle_forge.weier import (g_eval, phi_vec, phi_vec_delta,
+                                vertical_normal_points, w_closed,
+                                w_closed_delta)
 
 P0 = SurfaceParams(a=0.5, b=2.0, x=0.3, X=0.5, y=1.5)
 
