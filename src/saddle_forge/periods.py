@@ -66,6 +66,18 @@ def residue_R(p: SurfaceParams, s: SymFuncs) -> float:
     return float(np.pi*(a**4 + s.S2*a*a + s.S4)/((1 - a*a)*np.sqrt(rad)))
 
 
+def _named(name, interval, p, integrate, *args, **kwargs):
+    """The value of integrate(*args, **kwargs); its NoConvergence is raised
+    again naming the integral, its interval and the moduli, best as a float."""
+    try:
+        return float(integrate(*args, **kwargs)[0])
+    except NoConvergence as exc:
+        raise NoConvergence(
+            f"{name} over {interval} did not converge for (a,b,x,X,y)="
+            f"({p.a}, {p.b}, {p.x}, {p.X}, {p.y}): {exc}",
+            best=float(exc.best), residual=float(exc.residual)) from exc
+
+
 def I_integral(p: SurfaceParams, s: SymFuncs) -> float:
     """Horizontal period integral along the real axis beyond the last branch
     point: integrand has an inverse-square-root endpoint at t=b and decays
@@ -80,7 +92,7 @@ def I_integral(p: SurfaceParams, s: SymFuncs) -> float:
                    / ((t*t - 1.0)*(t*t - a*a)*np.sqrt(rad)))
         return _finite_tail(out)
 
-    return float(integrate_to_infinity(f, b, scale=b)[0])
+    return _named("I", "(b, inf)", p, integrate_to_infinity, f, b, scale=b)
 
 
 def J_integral(p: SurfaceParams, s: SymFuncs) -> float:
@@ -102,7 +114,7 @@ def J_integral(p: SurfaceParams, s: SymFuncs) -> float:
                    / ((t*t + 1.0)*(t*t + a*a)*np.sqrt(rad)))
         return _finite_tail(out)
 
-    return float(integrate_to_infinity(f, 0.0)[0])
+    return _named("J", "(0, inf)", p, integrate_to_infinity, f, 0.0)
 
 
 def K_integral(p: SurfaceParams, s: SymFuncs) -> float:
@@ -115,7 +127,7 @@ def K_integral(p: SurfaceParams, s: SymFuncs) -> float:
         return ((t**4 + s.S2*t*t + s.S4)/((1.0 - t*t)*(a*a - t*t))
                 * t/np.sqrt(rad))
 
-    return float(integrate_singular(f, y, b)[0])
+    return _named("K", "(y, b)", p, integrate_singular, f, y, b)
 
 
 def F_eval(a: float, b: float, x: float, X: float, y: float) -> float:

@@ -6,13 +6,18 @@ continue the curve branch step by step (along a polyline, around an
 explicit circle), and the improper integral oracles use scipy's adaptive
 quadrature with explicit substitutions that remove the endpoint
 singularities.  curve_rhs, rotated_data and quartic_identity_residual write
-out identities the library's data must satisfy.
+out identities the library's data must satisfy.  de_singular_oracle and
+de_to_infinity_oracle are the double-exponential rules refined level by
+level, one integrand call per level with every node table recomputed; the
+library's fused first pass must reproduce them bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad as scipy_quad
 
+from saddle_forge import quad
+from saddle_forge.errors import NoConvergence
 from saddle_forge.params import SurfaceParams, SymFuncs, sym_funcs
 from saddle_forge.weier import g_eval, phi_vec, w_closed
 
@@ -200,3 +205,60 @@ def scipy_K_oracle(p: SurfaceParams) -> float:
         return val*2.0
     v, _ = scipy_quad(f, 0.0, np.pi/2, epsabs=1e-13, epsrel=1e-12, limit=200)
     return v
+
+
+def _de_refine(term, first_range, reach):
+    """Trapezoid-in-level refinement, one term(h, ks) call per level; the
+    tolerances and level bounds are read from quad at call time."""
+    h = 1.0
+    val = h*term(h, np.arange(-first_range, first_range + 1))
+    prev = np.inf
+    for level in range(1, quad._MAX_LEVELS + 1):
+        h *= 0.5
+        kmax = int(np.ceil(reach/h))
+        ks = np.arange(-kmax, kmax + 1)
+        new = 0.5*val + h*term(h, ks[ks % 2 != 0])
+        delta = abs(new - val)
+        val = new
+        if (level >= quad._MIN_LEVELS
+                and delta <= max(quad._ABS_TOL, quad._REL_TOL*abs(val))):
+            return val, delta
+        prev = delta
+    raise NoConvergence("double-exponential refinement did not converge",
+                        best=val, residual=prev)
+
+
+def de_singular_oracle(f, lo: float, hi: float):
+    """tanh-sinh rule on (lo, hi), as quad.integrate_singular."""
+    half = 0.5*(hi - lo)
+
+    def term(h, ks):
+        t = ks*h
+        q = 0.5*np.pi*np.sinh(t)
+        xk = np.tanh(q)
+        wk = 0.5*np.pi*np.cosh(t)/np.cosh(q)**2
+        # 1 +- tanh(q) without cancellation
+        dlo = half*np.exp(q)/np.cosh(q)
+        dhi = half*np.exp(-q)/np.cosh(q)
+        xs = np.where(xk < 0, lo + dlo, hi - dhi)
+        ok = (dlo > 0) & (dhi > 0) & np.isfinite(wk)
+        return half*np.sum(np.asarray(f(xs[ok], dlo[ok], dhi[ok]))*wk[ok])
+
+    return _de_refine(term, first_range=4, reach=4.5)
+
+
+def de_to_infinity_oracle(f, lo: float, scale: float = 1.0):
+    """exp-sinh rule on (lo, inf), as quad.integrate_to_infinity."""
+
+    def term(h, ks):
+        t = ks*h
+        s = 0.5*np.pi*np.sinh(t)
+        with np.errstate(over="ignore"):
+            d = scale*np.exp(s)
+        xk = lo + d
+        wk = 0.5*np.pi*np.cosh(t)*d
+        ok = (d > 0) & np.isfinite(wk) & np.isfinite(xk)
+        dhi = np.full(int(ok.sum()), np.inf)
+        return np.sum(np.asarray(f(xk[ok], d[ok], dhi))*wk[ok])
+
+    return _de_refine(term, first_range=5, reach=5.0)

@@ -71,6 +71,17 @@ def test_no_convergence_reports_plain_floats(capsys, monkeypatch):
     assert 0.7 < a < 1.0 < b
 
 
+def test_quadrature_failure_names_the_integral(capsys):
+    # at t = 1e-6 the flux integral K over (y, b) does not converge in the
+    # first period report; the message says which integral and where
+    code, out, err = run_cli(capsys, "solve", "--t", "1e-6")
+    assert code == 2
+    assert out == ""
+    assert "NoConvergence: K over (y, b) did not converge" in err
+    assert "for (a,b,x,X,y)=(0.7, 1.25, " in err
+    assert "double-exponential refinement did not converge" in err
+
+
 def test_periods_at_explicit_moduli(capsys):
     code, out, _ = run_cli(capsys, "periods", "--t", "0.02",
                            "--a", "0.9", "--b", "1.26")

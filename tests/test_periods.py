@@ -199,6 +199,16 @@ def test_one_start_covers_the_family_domain():
         assert abs(warm.a - sol.a) < 1e-8 and abs(warm.b - sol.b) < 1e-8
 
 
+def test_quadrature_failure_carries_plain_floats():
+    # at t = 1e-6 the flux integral K does not converge at the cold start
+    with pytest.raises(NoConvergence) as exc:
+        solve_periods(1e-6, 0.0)
+    assert str(exc.value).startswith("K over (y, b)")
+    assert type(exc.value.best) is float
+    assert type(exc.value.residual) is float
+    assert isinstance(exc.value.__cause__, NoConvergence)
+
+
 def test_solve_periods_rejects_bad_family_coordinates():
     with pytest.raises(DomainViolation):
         solve_periods(-1.0, 0.0)

@@ -3,11 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import elliptic_oracle
-from saddle_forge import quad
+from _oracles import de_singular_oracle, de_to_infinity_oracle, elliptic_oracle
+from saddle_forge import periods, quad
 from saddle_forge.errors import NoConvergence
 from saddle_forge.quad import (gauss_legendre_01, integrate_singular,
                                integrate_to_infinity)
+
+
+def _bits(result):
+    """(value, err) as bytes, so that equality is bitwise (NaN and -0.0)."""
+    return np.array(result, dtype=float).tobytes()
+
+
+def _counting(f, calls):
+    def counted(t, dlo, dhi):
+        calls.append(len(t))
+        return f(t, dlo, dhi)
+    return counted
 
 
 def test_inverse_sqrt_endpoint():
@@ -55,12 +67,15 @@ def test_semi_infinite_singular_endpoint():
 
 
 def test_no_convergence_reports_best():
-    # a nearly non-integrable interior singularity defeats every level
+    # a nearly non-integrable interior singularity defeats every level; the
+    # best value and residual are the level-by-level oracle's, bit for bit
+    f = lambda t, dlo, dhi: np.abs(t - np.sqrt(2)/2)**-0.999  # noqa: E731
     with pytest.raises(NoConvergence) as exc:
-        integrate_singular(lambda t, dlo, dhi: np.abs(t - np.sqrt(2)/2)**-0.999,
-                           0.0, 1.0)
-    assert exc.value.best is not None
-    assert exc.value.residual is not None
+        integrate_singular(f, 0.0, 1.0)
+    with pytest.raises(NoConvergence) as oracle:
+        de_singular_oracle(f, 0.0, 1.0)
+    assert (_bits((exc.value.best, exc.value.residual))
+            == _bits((oracle.value.best, oracle.value.residual)))
 
 
 def test_gauss_nodes_integrate_polynomials_exactly():
@@ -89,3 +104,87 @@ def test_halving_tolerance_self_consistency(monkeypatch):
     monkeypatch.setattr(quad, "_ABS_TOL", 0.5*quad._ABS_TOL)
     v2, _ = integrate_singular(f, y, b)
     assert abs(v1 - v2) <= max(e1, 1e-12*abs(v1))
+
+
+_Y, _B = 1.5, 2.0
+# every integrand above, plus an oscillatory tail that needs 8 levels and a
+# range so narrow that the extreme nodes are dropped (dhi underflows to 0)
+_ORACLE_CASES = [
+    (integrate_singular, lambda t, dlo, dhi: 1.0/np.sqrt(t), (0.0, 1.0)),
+    (integrate_singular, lambda t, dlo, dhi: 1.0/np.sqrt(dlo), (0.0, 1.0)),
+    (integrate_singular, lambda t, dlo, dhi: np.sin(t), (0.0, np.pi)),
+    (integrate_singular,
+     lambda t, dlo, dhi: 1.0/np.sqrt(dhi*(_B + t)*dlo*(t + _Y)), (_Y, _B)),
+    (integrate_singular,
+     lambda t, dlo, dhi: 1.0/np.sqrt(dhi*(1.002 + t)*dlo*(t + 1.0001)),
+     (1.0001, 1.002)),
+    (integrate_singular, lambda t, dlo, dhi: dlo**-0.3, (0.0, 2.5)),
+    (integrate_singular, lambda t, dlo, dhi: np.ones_like(t), (0.0, 1e-300)),
+    (integrate_to_infinity, lambda t, dlo, dhi: t**-2, (1.0,)),
+    (integrate_to_infinity, lambda t, dlo, dhi: 1.0/(1.0 + t*t), (0.0,)),
+    (integrate_to_infinity,
+     lambda t, dlo, dhi: 1.0/(t*np.sqrt(dlo*(t + 2.0))), (2.0, 2.0)),
+    (integrate_to_infinity,
+     lambda t, dlo, dhi: np.exp(-t)*np.cos(5*t), (0.0,)),
+]
+_ORACLE = {integrate_singular: de_singular_oracle,
+           integrate_to_infinity: de_to_infinity_oracle}
+
+
+@pytest.mark.parametrize("rule, f, args", _ORACLE_CASES)
+def test_fused_rule_matches_level_by_level_oracle(rule, f, args):
+    # the integrand sees the same abscissae, only in fewer calls
+    got_calls, want_calls = [], []
+    got = rule(_counting(f, got_calls), *args)
+    want = _ORACLE[rule](_counting(f, want_calls), *args)
+    assert _bits(got) == _bits(want)
+    assert sum(got_calls) == sum(want_calls)
+
+
+@pytest.mark.parametrize("rule, f, args, calls", [
+    (integrate_singular, lambda t, dlo, dhi: np.sin(t), (0.0, np.pi), [289]),
+    (integrate_to_infinity, lambda t, dlo, dhi: t**-2, (1.0,), [321]),
+    # 8 levels: one call for levels 0-5, then one per level (9 in the oracle)
+    (integrate_to_infinity, lambda t, dlo, dhi: np.exp(-t)*np.cos(5*t), (0.0,),
+     [321, 320, 640, 1280]),
+])
+def test_one_call_up_to_the_minimum_level_then_one_per_level(rule, f, args,
+                                                             calls):
+    seen = []
+    rule(_counting(f, seen), *args)
+    assert seen == calls
+
+
+@pytest.mark.parametrize("nodes", [quad._TANH_SINH, quad._EXP_SINH])
+@pytest.mark.parametrize("level", [None, 6])
+def test_cached_node_tables_refuse_writes(nodes, level):
+    table = nodes(level)
+    assert nodes(level) is table
+    for arr in table[:-1]:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+# the solved member at (t, X_offset) = (1e-5, 0.049), where y - 1 ~ 3e-7
+# makes K's integrand sharply peaked
+_EDGE_MEMBER = (1e-5, 0.049, 0.654726569382211, 1.3349559787754532)
+
+
+def test_period_integrals_match_oracle(monkeypatch, solved_params):
+    matches = []
+
+    def paired(rule):
+        def run(f, *args, **kwargs):
+            got = rule(f, *args, **kwargs)
+            want = _ORACLE[rule](f, *args, **kwargs)
+            matches.append(_bits(got) == _bits(want))
+            return got
+        return run
+
+    monkeypatch.setattr(periods, "integrate_singular",
+                        paired(integrate_singular))
+    monkeypatch.setattr(periods, "integrate_to_infinity",
+                        paired(integrate_to_infinity))
+    for p in (solved_params, periods.resolve_params(*_EDGE_MEMBER)):
+        periods.period_report_for(p)
+    assert matches == [True]*6
