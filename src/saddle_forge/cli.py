@@ -101,21 +101,14 @@ def _emit(pairs):
 
 def cmd_solve(args):
     sol = periods.solve_periods(args.t, args.X_offset, tol=args.tol)
-    rep = sol.report
-    _emit([("t", sol.t), ("X_offset", sol.X_offset), ("a", sol.a),
-           ("b", sol.b), ("y", sol.y), ("r", rep.r), ("R", rep.R),
-           ("I", rep.I), ("J", rep.J), ("K", rep.K),
-           ("pi1", rep.pi1), ("pi2", rep.pi2)])
+    _emit(zip(periods.SWEEP_HEADER, periods.solution_values(sol)))
     return EXIT_OK
 
 
 def cmd_periods(args):
     p = periods.resolve_params(args.t, args.X_offset, args.a, args.b)
     rep = periods.period_report_for(p)
-    _emit([("a", p.a), ("b", p.b), ("y", p.y), ("r", rep.r), ("R", rep.R),
-           ("I", rep.I), ("J", rep.J), ("K", rep.K),
-           ("pi1", rep.pi1), ("pi2", rep.pi2),
-           ("F_residual", rep.F_residual)])
+    _emit([("a", p.a), ("b", p.b), ("y", p.y), *vars(rep).items()])
     return EXIT_OK
 
 
@@ -128,13 +121,9 @@ def cmd_mesh(args):
         out_mesh = piece
     else:
         out_mesh = mesh.assemble(piece, n_periods=args.n_periods)
-    try:
-        mesh.export_obj(out_mesh, args.output, pi1=rep.pi1, pi2=rep.pi2,
-                        comment=f"t={sol.t:.17g} X_offset={sol.X_offset:.17g} "
-                                f"resolution={args.resolution} T={piece.T:.17g}")
-    except OSError as e:
-        print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
-        return EXIT_IO
+    mesh.export_obj(out_mesh, args.output, pi1=rep.pi1, pi2=rep.pi2,
+                    comment=f"t={sol.t:.17g} X_offset={sol.X_offset:.17g} "
+                            f"resolution={args.resolution} T={piece.T:.17g}")
     _emit([("vertices", len(out_mesh.vertices)), ("faces", len(out_mesh.faces)),
            ("T", piece.T), ("lc_max", float(np.max(piece.loop_residuals))),
            ("output", args.output)])
@@ -195,11 +184,7 @@ def cmd_sweep(args):
     X_grid = [args.X_offset] if args.n_X == 1 \
         else _grid(args.X_min, args.X_max, args.n_X, "--n-X")
     rows = periods.sweep_family(t_grid, X_grid, tol=args.tol)
-    try:
-        periods.write_sweep_csv(rows, args.output)
-    except OSError as e:
-        print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
-        return EXIT_IO
+    periods.write_sweep_csv(rows, args.output)
     n_ok = sum(1 for (_, _, s) in rows if s is not None)
     print(f"{n_ok}/{len(rows)} solves converged", file=sys.stderr)
     _emit([("rows", len(rows)), ("converged", n_ok), ("output", args.output)])
@@ -216,23 +201,19 @@ def _sweep_fig6(args):
     a_grid = _grid(a_lo, a_hi, args.n_a, "--n-a")
     b_grid = _grid(b_lo, b_hi, args.n_b, "--n-b")
     n_ok = 0
-    try:
-        with open(args.output, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["a", "b", "y", "pi1", "pi2", "ok"])
-            for a in a_grid:
-                for b in b_grid:
-                    try:
-                        p = periods.resolve_params(args.t, args.X_offset, a, b)
-                        rep = periods.period_report_for(p)
-                        wr.writerow([f"{v:.17g}" for v in
-                                     (a, b, p.y, rep.pi1, rep.pi2)] + ["1"])
-                        n_ok += 1
-                    except SaddleForgeError:
-                        wr.writerow([f"{a:.17g}", f"{b:.17g}", "", "", "", "0"])
-    except OSError as e:
-        print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.output, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["a", "b", "y", "pi1", "pi2", "ok"])
+        for a in a_grid:
+            for b in b_grid:
+                try:
+                    p = periods.resolve_params(args.t, args.X_offset, a, b)
+                    rep = periods.period_report_for(p)
+                    wr.writerow([f"{v:.17g}" for v in
+                                 (a, b, p.y, rep.pi1, rep.pi2)] + ["1"])
+                    n_ok += 1
+                except SaddleForgeError:
+                    wr.writerow([f"{a:.17g}", f"{b:.17g}", "", "", "", "0"])
     total = len(a_grid)*len(b_grid)
     print(f"{n_ok}/{total} grid points evaluated", file=sys.stderr)
     _emit([("rows", total), ("evaluated", n_ok), ("output", args.output)])
@@ -319,7 +300,8 @@ def main(argv=None) -> int:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         code = e.exit_code
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+        # once the options are read, only the mesh and sweep writers open files
+        print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
         code = EXIT_IO
     return code
 

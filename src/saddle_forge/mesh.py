@@ -88,22 +88,22 @@ def _u_left(s):
 _COLUMNS = {"LF": (_u_right, 20), "FE": (_u_sym, 20), "ED": (_u_sym, 70),
             "DC": (_u_sym, 22), "CB": (_u_sym, 15), "BA": (_u_left, 25)}
 
+# the sign that orients each edge of a grid quad along its ccw walk: the
+# bottom and right edges run forward, the top and left ones backward
+QUAD_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
 
 @dataclass
 class DomainGrid:
     p: SurfaceParams
-    resolution: int
     cut_a: float
     cut_1: float
-    eta: np.ndarray          # row heights, eta[0] = 0
-    xs2d: np.ndarray         # per-row column positions, shape (rows, cols)
     alive: np.ndarray        # node mask (windows removed)
     idx: np.ndarray          # node index or -1
     z: np.ndarray            # flat complex node positions
     edges: np.ndarray        # (n_edges, 2) node index pairs
     quads: np.ndarray        # (n_quads, 4) node indices, ccw in the grid
     quad_edges: np.ndarray   # (n_quads, 4) edge indices along the ccw walk
-    quad_signs: np.ndarray   # (n_quads, 4) +1 where the edge runs ccw, else -1
     tree_parent: np.ndarray  # spanning tree: parent node (the root: itself)
     tree_edge: np.ndarray    # edge joining each node to its parent
     tree_sign: np.ndarray    # +1 if that edge runs parent -> node, -1 if not
@@ -172,7 +172,6 @@ def build_grid(p: SurfaceParams, resolution: int) -> DomainGrid:
             xs.extend((A + (B - A)*u).tolist())
         rows.append(xs)
     xs2d = np.array(rows)
-    nr, nc = xs2d.shape
 
     tol = 1e-13
     alive = ~(((np.abs(xs2d - a) < cut_a - tol) & (eta[:, None] < cut_a - tol))
@@ -194,14 +193,13 @@ def build_grid(p: SurfaceParams, resolution: int) -> DomainGrid:
         np.stack([idx[:, :-1][h], idx[:, 1:][h]], axis=1),
         np.stack([idx[:-1, :].T[v.T], idx[1:, :].T[v.T]], axis=1)])
 
-    # quads row-major, ccw; the edges around each one with the sign that
-    # orients them along the ccw walk (bottom, right, top, left)
+    # quads row-major, ccw, with the edges around each one in the order of
+    # the ccw walk (bottom, right, top, left; see QUAD_SIGNS)
     q = h[:-1] & h[1:] & v[:, :-1] & v[:, 1:]
     quads = np.stack([idx[:-1, :-1][q], idx[:-1, 1:][q],
                       idx[1:, 1:][q], idx[1:, :-1][q]], axis=1)
     quad_edges = np.stack([hid[:-1][q], vid[:, 1:][q],
                            hid[1:][q], vid[:, :-1][q]], axis=1)
-    quad_signs = np.tile([1.0, 1.0, -1.0, -1.0], (len(quads), 1))
 
     # spanning tree rooted at the top-left node: the top row is chained left
     # to right and every other node hangs from the node above it (each
@@ -229,11 +227,10 @@ def build_grid(p: SurfaceParams, resolution: int) -> DomainGrid:
         lo, hi = intervals[tag]
         m = alive0 & (xi0 >= lo - tol) & (xi0 <= hi + tol)
         tags[tag] = idx[0][m]
-    return DomainGrid(p=p, resolution=int(resolution), cut_a=cut_a,
-                      cut_1=cut_1, eta=eta, xs2d=xs2d, alive=alive, idx=idx,
+    return DomainGrid(p=p, cut_a=cut_a, cut_1=cut_1, alive=alive, idx=idx,
                       z=z, edges=edges, quads=quads, quad_edges=quad_edges,
-                      quad_signs=quad_signs, tree_parent=tree_parent,
-                      tree_edge=tree_edge, tree_sign=tree_sign, tags=tags)
+                      tree_parent=tree_parent, tree_edge=tree_edge,
+                      tree_sign=tree_sign, tags=tags)
 
 
 def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
@@ -250,10 +247,12 @@ def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
     loop-closure telescoping of shared edges is preserved exactly.
     """
     gl_x, gl_w = gauss_legendre_01(n_gauss)
-    # branch points first, so that a tie takes the square-root path
+    # branch points first, so that a tie takes the square-root path; an
+    # edge centred between two anchors ties with them to within rounding,
+    # and takes the first whatever the last bits of the moduli
     anchors = np.array([p.x, p.y, p.b, p.a, 1.0])
     d = np.minimum(np.abs(z0[:, None] - anchors), np.abs(z1[:, None] - anchors))
-    j = np.argmin(d, axis=1)
+    j = np.argmax(d <= d.min(axis=1, keepdims=True)*(1.0 + 1e-9), axis=1)
     near = d[np.arange(len(z0)), j] < _SUB_FACTOR*np.abs(z1 - z0)
     at_b, at_p = near & (j < 3), near & (j >= 3)
     v = np.where(near, anchors[j], 0.0)
@@ -290,7 +289,7 @@ def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8) -> PieceMesh:
     inc = edge_increments(p, grid.z[E0], grid.z[E1])
     rinc = np.real(inc)
 
-    e = grid.quad_signs[:, :, None]*rinc[grid.quad_edges]
+    e = QUAD_SIGNS[:, None]*rinc[grid.quad_edges]
     lc = np.linalg.norm(e.sum(axis=1), axis=1)
     scale = np.linalg.norm(e, axis=2).max(axis=1)
 

@@ -50,11 +50,12 @@ def from_family(t: float, X_offset: float, a: float, b: float, y: float) -> Surf
 
 @dataclass(frozen=True)
 class SymFuncs:
-    """Coefficients of the signed elementary-symmetric expansion in the moduli.
+    """Coefficients of the product
 
-    S2 and S4 are the coefficients of the real quartic z^4 + S2 z^2 + S4
-    whose roots mark the interior points with vertical normal; S1, S3, S5
-    appear in the odd part of the same product expansion.
+        (z - b)(z + x)(z - y)(z + X)^2 = z^5 + S1 z^4 + S2 z^3 + S3 z^2 + S4 z + S5.
+
+    Its even part in z gives z^4 + S2 z^2 + S4, the real quartic whose roots
+    mark the interior points with vertical normal.
     """
     S1: float
     S2: float
@@ -63,12 +64,14 @@ class SymFuncs:
     S5: float
 
 
+def s_coeffs(b: float, x: float, X: float, y) -> tuple:
+    """(S1, ..., S5).  With (z + X)^2 (z - b)(z + x) = z^4 + q1 z^3 + q2 z^2
+    + q3 z + q4, the factor (z - y) makes S_k = q_k - y q_{k-1} (q0 = 1,
+    q5 = 0), linear in y.  Elementwise, so y may be an array."""
+    q = (1.0, 2*X + x - b, X*X + 2*X*(x - b) - b*x,
+         X*X*(x - b) - 2*b*x*X, -b*x*X*X, 0.0)
+    return tuple(q[k] - y*q[k - 1] for k in range(1, 6))
+
+
 def sym_funcs(p: SurfaceParams) -> SymFuncs:
-    a, b, x, X, y = p.a, p.b, p.x, p.X, p.y
-    del a  # S-coefficients do not involve a
-    S1 = x + 2*X - b - y
-    S2 = b*y - b*x - x*y + 2*(x - b - y)*X + X**2
-    S3 = b*x*y + 2*(b*y - b*x - x*y)*X + (x - b - y)*X**2
-    S4 = 2*b*x*y*X + (b*y - b*x - x*y)*X**2
-    S5 = b*x*y*X**2
-    return SymFuncs(S1=S1, S2=S2, S3=S3, S4=S4, S5=S5)
+    return SymFuncs(*s_coeffs(p.b, p.x, p.X, p.y))

@@ -2,8 +2,9 @@
 residue-matching function F(y), and the two-dimensional period solve.
 
 The three conditions that make the immersion single-valued are
-    r = R            (matched residues at the two end punctures; solved
-                      implicitly for y via the polynomial F below),
+    r = R            (equal horizontal flux at the two Scherk ends; solved
+                      for y as the root of F, which is r = R squared and
+                      cross-multiplied),
     pi1 = I + J = 0  and  pi2 = K - R/2 = 0   (solved for (a, b)).
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import (DegenerateRoot, DomainViolation, InvalidResolution,
                      NoConvergence, NoRoot)
-from .params import SurfaceParams, SymFuncs, check_moduli, from_family, sym_funcs
+from .params import SurfaceParams, SymFuncs, check_moduli, s_coeffs, sym_funcs
 from .quad import integrate_singular, integrate_to_infinity
 
 
@@ -46,24 +47,33 @@ class FamilySolution:
     b: float
     y: float
     report: PeriodReport
+    params: SurfaceParams    # the moduli the report was computed at
 
-    @property
-    def params(self) -> SurfaceParams:
-        return from_family(self.t, self.X_offset, self.a, self.b, self.y)
+
+def _residue_match(a, b, x, y, S2, S4):
+    """The residue match r = R between the two Scherk ends.
+
+    2*pi*i times the residues of dh at the punctures z = 1 and z = a are
+    r = pi A/((1 - a^2) sqrt(rad_r)) and R = pi B/((1 - a^2) sqrt(rad_R)).
+    Returns (A, B, rad_r, rad_R, F) with F = A^2 rad_R - B^2 rad_r, which is
+    r = R squared and cross-multiplied: a quartic in y without square roots.
+    Elementwise, so y may be an array."""
+    A, B = 1 + S2 + S4, a**4 + S2*a*a + S4
+    rad_r = (1 - b*b)*(1 - x*x)*(1 - y*y)
+    rad_R = (a*a - b*b)*(a*a - x*x)*(a*a - y*y)
+    return A, B, rad_r, rad_R, A*A*rad_R - B*B*rad_r
 
 
 def residue_r(p: SurfaceParams, s: SymFuncs) -> float:
     """Closed form for 2*pi*i times the residue of dh at the puncture z=1."""
-    a, b, x, y = p.a, p.b, p.x, p.y
-    rad = (1 - b*b)*(1 - x*x)*(1 - y*y)
-    return float(np.pi*(1 + s.S2 + s.S4)/((1 - a*a)*np.sqrt(rad)))
+    A, _, rad, _, _ = _residue_match(p.a, p.b, p.x, p.y, s.S2, s.S4)
+    return float(np.pi*A/((1 - p.a*p.a)*np.sqrt(rad)))
 
 
 def residue_R(p: SurfaceParams, s: SymFuncs) -> float:
     """Closed form for 2*pi*i times the residue of dh at the puncture z=a."""
-    a, b, x, y = p.a, p.b, p.x, p.y
-    rad = (a*a - b*b)*(a*a - x*x)*(a*a - y*y)
-    return float(np.pi*(a**4 + s.S2*a*a + s.S4)/((1 - a*a)*np.sqrt(rad)))
+    _, B, _, rad, _ = _residue_match(p.a, p.b, p.x, p.y, s.S2, s.S4)
+    return float(np.pi*B/((1 - p.a*p.a)*np.sqrt(rad)))
 
 
 def _named(name, interval, p, integrate, *args, **kwargs):
@@ -131,23 +141,21 @@ def K_integral(p: SurfaceParams, s: SymFuncs) -> float:
 
 
 def F_eval(a: float, b: float, x: float, X: float, y: float) -> float:
-    """Polynomial whose root y in (1, b) matches the two residues (r = R)."""
-    s = sym_funcs(SurfaceParams(a=a, b=b, x=x, X=X, y=y))
-    A = 1 + s.S2 + s.S4
-    B = a**4 + s.S2*a*a + s.S4
-    return (A*A*(a*a - x*x)*(a*a - b*b)*(a*a - y*y)
-            - B*B*(1 - y*y)*(1 - b*b)*(1 - x*x))
+    """Polynomial whose root y in (1, b) matches the two residues (r = R).
+    Elementwise, so y may be an array."""
+    _, S2, _, S4, _ = s_coeffs(b, x, X, y)
+    return _residue_match(a, b, x, y, S2, S4)[-1]
+
+
+# the values of a quartic at the fifth roots of unity are V c, with V their
+# Vandermonde matrix and c its coefficients lowest first; V^-1 = conj(V)/5
+_UNITY5 = np.exp(2j*np.pi*np.arange(5)/5)
+_FROM_UNITY5 = np.conj(np.vander(_UNITY5, increasing=True))/5
 
 
 def _F_coeffs(a: float, b: float, x: float, X: float) -> np.ndarray:
-    """Monomial coefficients of the quartic F in y, highest degree first:
-    S2, S4 and hence A = 1+S2+S4 and B = a^4+S2*a^2+S4 are linear in y."""
-    S2 = np.array([b - x - 2*X, X*X + 2*(x - b)*X - b*x])
-    S4 = np.array([2*b*x*X + (b - x)*X*X, -b*x*X*X])
-    A = S2 + S4 + [0.0, 1.0]
-    B = a*a*S2 + S4 + [0.0, a**4]
-    return ((a*a - x*x)*(a*a - b*b)*np.convolve(np.convolve(A, A), [-1, 0, a*a])
-            - (1 - b*b)*(1 - x*x)*np.convolve(np.convolve(B, B), [-1, 0, 1]))
+    """Monomial coefficients of the quartic F in y, highest degree first."""
+    return (_FROM_UNITY5 @ F_eval(a, b, x, X, _UNITY5)).real[::-1]
 
 
 # Newton on y stops once its step falls below this share of y
@@ -176,9 +184,10 @@ def solve_y(a: float, b: float, x: float, X: float) -> float:
         yy = yn
         if abs(step) < _Y_TOL*yy:
             break
-    p = SurfaceParams(a=a, b=b, x=x, X=X, y=yy)
-    s = sym_funcs(p)
-    r, R = residue_r(p, s), residue_R(p, s)
+    _, S2, _, S4, _ = s_coeffs(b, x, X, yy)
+    A, B, rad_r, rad_R, _ = _residue_match(a, b, x, yy, S2, S4)
+    # r and R without their common factor pi/(1 - a^2)
+    r, R = A/np.sqrt(rad_r), B/np.sqrt(rad_R)
     mismatch = abs(r - R)/max(abs(r), abs(R))
     if mismatch > 1e-8:
         raise DegenerateRoot(f"root y = 1 + {yy - 1:.3g} of F misses r = R by "
@@ -188,10 +197,11 @@ def solve_y(a: float, b: float, x: float, X: float) -> float:
 
 def resolve_params(t: float, X_offset: float, a: float, b: float) -> SurfaceParams:
     """Full moduli from family coordinates: y from the residue match.
-    Moduli out of order raise DomainViolation before F is evaluated."""
+    Moduli out of order raise DomainViolation before F is evaluated; y is
+    solve_y's root in (1, b), so they need no second check."""
     check_moduli(a, b, a - t, a + X_offset)
     y = solve_y(a, b, a - t, a + X_offset)
-    return from_family(t, X_offset, a, b, y)
+    return SurfaceParams(a=a, b=b, x=a - t, X=a + X_offset, y=y)
 
 
 def period_report_for(p: SurfaceParams) -> PeriodReport:
@@ -201,8 +211,9 @@ def period_report_for(p: SurfaceParams) -> PeriodReport:
     I = I_integral(p, s)
     J = J_integral(p, s)
     K = K_integral(p, s)
+    F = _residue_match(p.a, p.b, p.x, p.y, s.S2, s.S4)[-1]
     return PeriodReport(r=r, R=R, I=I, J=J, K=K, pi1=I + J, pi2=K - 0.5*R,
-                        F_residual=F_eval(p.a, p.b, p.x, p.X, p.y))
+                        F_residual=float(F))
 
 
 # the sweep --fig6 window; its centre is the cold start of the period solve
@@ -210,7 +221,7 @@ DEFAULT_SEED_BOX = (0.64, 0.76, 1.15, 1.35)
 
 
 def _pis(t, X_offset, a, b):
-    p = resolve_params(t, X_offset, a, b)
+    p = resolve_params(t, X_offset, float(a), float(b))
     rep = period_report_for(p)
     return np.array([rep.pi1, rep.pi2]), (p, rep)
 
@@ -247,8 +258,8 @@ def solve_periods(t: float, X_offset: float, tol: float = 1e-10,
         seed = (0.5*(a_lo + a_hi), 0.5*(b_lo + b_hi))
     v, pv, (p, rep) = _newton2(t, X_offset, seed, tol)
     if np.max(np.abs(pv)) < tol:
-        return FamilySolution(t=t, X_offset=X_offset, a=float(v[0]),
-                              b=float(v[1]), y=p.y, report=rep)
+        return FamilySolution(t=t, X_offset=X_offset, a=p.a, b=p.b, y=p.y,
+                              report=rep, params=p)
     best = tuple(map(float, v))
     raise NoConvergence(
         f"period solve stalled at (a,b)={best} with residuals "
@@ -294,24 +305,30 @@ def sweep_family(t_grid, X_grid, tol: float = 1e-10):
     solve failures are recorded, not fatal.  Grid points outside the family
     domain raise DomainViolation before any solve.
     """
-    for t in t_grid:
-        for X_offset in X_grid:
-            check_family_coords(t, X_offset)
+    grid = [(t, X_offset) for t in t_grid for X_offset in X_grid]
+    for t, X_offset in grid:
+        check_family_coords(t, X_offset)
     rows = []
     seed = None
-    for t in t_grid:
-        for X_offset in X_grid:
-            try:
-                sol = solve_periods(t, X_offset, tol=tol, seed=seed)
-                seed = (sol.a, sol.b)
-                rows.append((t, X_offset, sol))
-            except (NoRoot, NoConvergence):
-                rows.append((t, X_offset, None))
+    for t, X_offset in grid:
+        try:
+            sol = solve_periods(t, X_offset, tol=tol, seed=seed)
+            seed = (sol.a, sol.b)
+            rows.append((t, X_offset, sol))
+        except (NoRoot, NoConvergence):
+            rows.append((t, X_offset, None))
     return rows
 
 
 SWEEP_HEADER = ["t", "X_offset", "a", "b", "y", "r", "R", "I", "J", "K",
                 "pi1", "pi2", "converged"]
+
+
+def solution_values(sol: FamilySolution) -> tuple:
+    """A solution's values in SWEEP_HEADER order, up to the converged flag."""
+    rep = sol.report
+    return (sol.t, sol.X_offset, sol.a, sol.b, sol.y, rep.r, rep.R, rep.I,
+            rep.J, rep.K, rep.pi1, rep.pi2)
 
 
 def write_sweep_csv(rows, path):
@@ -320,10 +337,7 @@ def write_sweep_csv(rows, path):
         wr.writerow(SWEEP_HEADER)
         for t, X_offset, sol in rows:
             if sol is None:
-                wr.writerow([f"{t:.17g}", f"{X_offset:.17g}"] + [""]*10 + ["0"])
-            else:
-                rep = sol.report
-                vals = [sol.a, sol.b, sol.y, rep.r, rep.R, rep.I, rep.J,
-                        rep.K, rep.pi1, rep.pi2]
                 wr.writerow([f"{t:.17g}", f"{X_offset:.17g}"]
-                            + [f"{v:.17g}" for v in vals] + ["1"])
+                            + [""]*(len(SWEEP_HEADER) - 3) + ["0"])
+            else:
+                wr.writerow([f"{v:.17g}" for v in solution_values(sol)] + ["1"])

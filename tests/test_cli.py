@@ -127,6 +127,18 @@ def test_mesh_io_failure_is_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n-t", "1", "--tol", "1e-9"],
+    ["sweep", "--fig6", "--n-a", "1", "--n-b", "1"],
+])
+def test_sweep_io_failure_is_exit_4(argv, capsys, tmp_path):
+    path = str(tmp_path/"no_dir"/"sweep.csv")
+    code, out, err = run_cli(capsys, *argv, "-o", path)
+    assert code == 4
+    assert f"cannot write {path}" in err
+    assert out == ""
+
+
 def test_mesh_rejects_bad_resolution(capsys):
     code, _, err = run_cli(capsys, "mesh", "--resolution", "2")
     assert code == 3

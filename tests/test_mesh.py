@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 from collections import defaultdict
@@ -7,9 +8,9 @@ import pytest
 
 from saddle_forge.errors import (BranchInconsistency, InvalidResolution,
                                  WeldMismatch)
-from saddle_forge.mesh import (FAR_RADIUS, STRETCHES, AssembledMesh, assemble,
-                               build_grid, curvature_stats, edge_increments,
-                               export_obj, integrate_piece,
+from saddle_forge.mesh import (FAR_RADIUS, QUAD_SIGNS, STRETCHES, AssembledMesh,
+                               assemble, build_grid, curvature_stats,
+                               edge_increments, export_obj, integrate_piece,
                                mean_curvature_norm, _seam_deviation)
 from saddle_forge.params import SurfaceParams
 from saddle_forge.periods import resolve_params
@@ -73,7 +74,7 @@ def test_grid_arrays_match_nested_loops(solved_params):
     assert np.array_equal(g.quads, np.array(quads))
     # each quad's signed edges walk its corners ccw
     walk = g.edges[g.quad_edges]
-    fwd = g.quad_signs > 0
+    fwd = QUAD_SIGNS > 0
     start = np.where(fwd, walk[:, :, 0], walk[:, :, 1])
     end = np.where(fwd, walk[:, :, 1], walk[:, :, 0])
     assert np.array_equal(start, g.quads)
@@ -133,6 +134,19 @@ def test_edge_increment_gauss_order_stability(solved_params):
     v8 = edge_increments(p, z0, z1, n_gauss=8)
     v20 = edge_increments(p, z0, z1, n_gauss=20)
     assert np.allclose(v8, v20, rtol=1e-11, atol=1e-14)
+
+
+def test_edge_between_two_anchors_keeps_its_path(solved_params):
+    # the edge's ends lie as near y as b: the path it takes must not turn on
+    # the last bits of the moduli (the two paths' Gauss rules differ by ~1e-6)
+    vals = []
+    for k in range(40):
+        p = dataclasses.replace(solved_params,
+                                y=solved_params.y + k*np.finfo(float).eps)
+        mid, half = 0.5*(p.y + p.b), 0.3*(p.b - p.y)
+        vals.append(edge_increments(p, np.array([mid - half + 0.005j]),
+                                    np.array([mid + half + 0.005j]))[0])
+    assert np.abs(np.array(vals) - vals[0]).max() < 1e-11
 
 
 # ------------------------------------------------------------------ piece

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import quartic_identity_residual
+from conftest import draw_params
 from saddle_forge.errors import DomainViolation
 from saddle_forge.params import SurfaceParams, from_family, sym_funcs
 
@@ -57,3 +58,17 @@ def test_quartic_identity_property(a, b, xf, Xf, yf, zr, zi):
                       y=1 + yf*(b - 1))
     s = sym_funcs(p)
     assert quartic_identity_residual(p, s, complex(zr, zi)) < 1e-12
+
+
+def test_product_identity_at_random_moduli():
+    # (z - b)(z + x)(z - y)(z + X)^2 = z^5 + S1 z^4 + S2 z^3 + S3 z^2 + S4 z + S5,
+    # to a few roundings of the factored product's size
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        p = draw_params(rng)
+        s = sym_funcs(p)
+        z = complex(*rng.uniform(-3.0, 3.0, 2))
+        lhs = (z - p.b)*(z + p.x)*(z - p.y)*(z + p.X)**2
+        rhs = np.polyval([1.0, s.S1, s.S2, s.S3, s.S4, s.S5], z)
+        r = abs(z)
+        assert abs(lhs - rhs) < 1e-14*(r + p.b)*(r + p.x)*(r + p.y)*(r + p.X)**2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,15 @@ def test_period_report_consistency(solved):
     assert abs(rep.pi1 - (rep.I + rep.J)) < 1e-14*max(1.0, abs(rep.I))
     assert abs(rep.pi2 - (rep.K - 0.5*rep.R)) < 1e-14*max(1.0, abs(rep.K))
     assert rep.F_residual < 1e-10
+
+
+def test_period_reports_hold_plain_floats():
+    # near the t -> 0 end, where y - 1 = 3e-7 and one ulp of y moves pi2 by
+    # ~1e-7, so the solve is asked for what double precision resolves
+    sol = solve_periods(1e-5, 0.049, tol=1e-6)
+    for rep in (sol.report, period_report_for(sol.params)):
+        assert all(type(v) is float for v in dataclasses.astuple(rep))
+        assert "np.float64" not in repr(rep)
 
 
 def test_period_report_for_params_matches_family_route(solved):
