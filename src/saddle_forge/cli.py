@@ -3,7 +3,7 @@
 Subcommands: solve, periods, mesh, verify, sweep.  Machine-readable results
 go to stdout (one `key = value` per line, or CSV for sweep); diagnostics go
 to stderr.  Exit codes: 0 success, 2 a numerical check failed, 3 invalid
-input, 4 I/O error.
+input (a usage error included), 4 I/O error.
 
 Options may also be supplied through a config file of `key = value` lines
 (--config); explicit command-line flags override file values.  The thread
@@ -46,6 +46,14 @@ def _read_config(path):
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         sys.exit(EXIT_INVALID_INPUT)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input, exit 3; subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def parse_args(argv):
@@ -195,8 +203,9 @@ def _sweep_fig6(args):
     """Raw period-residual landscape: pi1 and pi2 over an (a, b) grid at
     fixed family coordinates, for contour plotting of the two zero sets."""
     # a point error below is recorded as a row; a bad (t, X_offset) would
-    # fail every point, so it is rejected before the grid
+    # fail every point, so it is rejected before the grid, as is a bad --tol
     periods.check_family_coords(args.t, args.X_offset)
+    periods.check_tol(args.tol)
     a_lo, a_hi, b_lo, b_hi = periods.DEFAULT_SEED_BOX
     a_grid = _grid(a_lo, a_hi, args.n_a, "--n-a")
     b_grid = _grid(b_lo, b_hi, args.n_b, "--n-b")
@@ -220,14 +229,15 @@ def _sweep_fig6(args):
     return EXIT_OK
 
 
-def _add_common(sp):
+def _add_common(sp, solves=True):
     sp.add_argument("--config", help="key = value option file; flags override")
     sp.add_argument("--t", type=float, default=0.02,
                     help="family parameter t = a - x")
     sp.add_argument("--X-offset", dest="X_offset", type=float, default=0.0,
                     help="family parameter X - a")
-    sp.add_argument("--tol", type=float, default=1e-10,
-                    help="period-solver residual tolerance")
+    if solves:
+        sp.add_argument("--tol", type=float, default=1e-10,
+                        help="period-solver residual tolerance")
 
 
 def _add_mesh_options(sp):
@@ -237,7 +247,7 @@ def _add_mesh_options(sp):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="saddle-forge",
         description="construct and verify singly periodic genus-two "
                     "saddle towers from explicit curve data")
@@ -249,7 +259,7 @@ def build_parser():
 
     sp = sub.add_parser("periods",
                         help="period report at explicit (a, b) without solving")
-    _add_common(sp)
+    _add_common(sp, solves=False)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.set_defaults(fn=cmd_periods)

@@ -360,8 +360,7 @@ def _seam_deviation(piece: PieceMesh):
     return dev, max(_level_gaps(piece).values())
 
 
-def assemble(piece: PieceMesh, n_periods: int = 1,
-             check: bool = True) -> AssembledMesh:
+def assemble(piece: PieceMesh, n_periods: int = 1) -> AssembledMesh:
     """Orbit of the piece under {+-x1} x {+-x2} x {+-x3} and k*T*e3.
 
     Copy c is period c // 8 with signs in itertools.product order, so bits
@@ -379,20 +378,19 @@ def assemble(piece: PieceMesh, n_periods: int = 1,
     n = len(v)
     bbox = np.linalg.norm(v.max(axis=0) - v.min(axis=0))
     tol = WELD_TOL*bbox
-    if check:
-        dev, _ = _seam_deviation(piece)
-        bad = {k: d for k, d in dev.items() if d > tol}
-        if bad:
-            raise WeldMismatch(f"symmetry stretches off their planes beyond "
-                               f"{tol:.3e}: {bad}")
-        gaps = _level_gaps(piece)
-        worst = max(gaps, key=gaps.get)
-        if gaps[worst] > tol:
-            axis, level = mirror_planes(piece)[worst]
-            raise WeldMismatch(
-                f"stretch {worst} lies {gaps[worst]:.3e} off its mirror "
-                f"x{axis + 1} = {level:.6g}, beyond tol {tol:.3e} -- period "
-                f"problem not solved")
+    dev, _ = _seam_deviation(piece)
+    bad = {k: d for k, d in dev.items() if d > tol}
+    if bad:
+        raise WeldMismatch(f"symmetry stretches off their planes beyond "
+                           f"{tol:.3e}: {bad}")
+    gaps = _level_gaps(piece)
+    worst = max(gaps, key=gaps.get)
+    if gaps[worst] > tol:
+        axis, level = mirror_planes(piece)[worst]
+        raise WeldMismatch(
+            f"stretch {worst} lies {gaps[worst]:.3e} off its mirror "
+            f"x{axis + 1} = {level:.6g}, beyond tol {tol:.3e} -- period "
+            f"problem not solved")
 
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
     copies = np.arange(8*n_periods)
@@ -427,13 +425,11 @@ def assemble(piece: PieceMesh, n_periods: int = 1,
         c = ids//n
         return v[ids % n]*signs[c % 8] + np.outer(c//8*piece.T, [0.0, 0.0, 1.0])
 
-    if check:
-        merged = np.flatnonzero(label != np.arange(n_copies*n))
-        gap = np.max(np.linalg.norm(place(merged) - place(label[merged]), axis=1),
-                     initial=0.0)
-        if gap > tol:
-            raise WeldMismatch(f"welded vertices {gap:.3e} apart, beyond "
-                               f"{tol:.3e}")
+    merged = np.flatnonzero(label != np.arange(n_copies*n))
+    gap = np.max(np.linalg.norm(place(merged) - place(label[merged]), axis=1),
+                 initial=0.0)
+    if gap > tol:
+        raise WeldMismatch(f"welded vertices {gap:.3e} apart, beyond {tol:.3e}")
 
     faces = per_copy[:, piece.faces]
     odd = np.prod(signs[copies % 8], axis=1) < 0

@@ -243,6 +243,12 @@ def check_family_coords(t: float, X_offset: float) -> None:
                               f"got {X_offset}")
 
 
+def check_tol(tol: float) -> None:
+    """Validate a period-solve tolerance: a finite number > 0."""
+    if not 0.0 < tol < np.inf:
+        raise InvalidResolution(f"tol must be a finite number > 0, got {tol}")
+
+
 def solve_periods(t: float, X_offset: float, tol: float = 1e-10,
                   seed: tuple[float, float] | None = None) -> FamilySolution:
     """Damped Newton on (pi1, pi2)(a, b) with a finite-difference Jacobian,
@@ -251,8 +257,7 @@ def solve_periods(t: float, X_offset: float, tol: float = 1e-10,
     tol must be a finite number > 0.
     """
     check_family_coords(t, X_offset)
-    if not 0.0 < tol < np.inf:
-        raise InvalidResolution(f"tol must be a finite number > 0, got {tol}")
+    check_tol(tol)
     if seed is None:
         a_lo, a_hi, b_lo, b_hi = DEFAULT_SEED_BOX
         seed = (0.5*(a_lo + a_hi), 0.5*(b_lo + b_hi))

@@ -1,5 +1,5 @@
-"""Quadrature engine: double-exponential rules for endpoint-singular and
-semi-infinite integrals, and Gauss-Legendre rules.
+"""Quadrature engine: the tanh-sinh double-exponential rule for
+endpoint-singular and semi-infinite integrals, and Gauss-Legendre rules.
 
 Integrands are called as ``f(x, d_lo, d_hi)`` with the distances to the
 endpoints, ``d_lo = x - lo`` and ``d_hi = hi - x`` (inf on a semi-infinite
@@ -7,17 +7,25 @@ range), computed without cancellation.  Integrands with
 inverse-square-root endpoint behaviour use these to form radicands
 accurately.
 
-Both DE rules halve the step from h = 1 level by level.  Every node of
-levels 0.._MIN_LEVELS lies on the level-_MIN_LEVELS grid, so the integrand
-is called once on all of them (289 tanh-sinh, 321 exp-sinh nodes) and once
-per level after that.  The node tables (abscissae and weights before the
-interval is applied) do not depend on the integrand: they are built per
-level on first use and kept read-only.  Each level's sum is taken over
-that level's nodes in ascending order, so values, error estimates and the
-abscissae the integrand sees are bit for bit those of one call per level.
+A semi-infinite range (lo, inf) is mapped onto (0, 1) by
+x = lo + scale*u/(1 - u).  Tanh-sinh hands over both distances of u, u and
+1 - u, without cancellation, so x - lo and dx/du = scale/(1 - u)^2, formed
+from them, have none either.  The map sends the node t to
+x - lo = scale*e^(pi sinh t): on (lo, inf) the rule is an exp-sinh ladder
+(Takahasi and Mori 1974; Mori and Sugihara 2001).
+
+The rule halves the step from h = 1 level by level.  Every node of levels
+0.._MIN_LEVELS lies on the level-_MIN_LEVELS grid, so the integrand is
+called once on all 289 of them and once per level after that.  The node
+tables (abscissae and weights before the interval is applied) do not
+depend on the integrand: they are built on first use and kept read-only.
+Each level's sum is taken over that level's nodes in ascending order, so
+values, error estimates and the abscissae the integrand sees are bit for
+bit those of one call per level.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -34,68 +42,64 @@ _MIN_LEVELS = 5
 _MAX_LEVELS = 12
 
 
-class _Nodes:
-    """Node tables of one double-exponential rule, built per level on first
-    use and kept read-only.
-
-    Level 0 has the nodes t = k for |k| <= first_range; level L >= 1 the
-    odd k with |k h| <= reach, h = 2^-L.  Every node of levels
-    0.._MIN_LEVELS lies on the level-_MIN_LEVELS grid, so they share one
-    table (key None), laid out level by level, each level in ascending k.
-    tables(t) maps the t of one level to its tuple of arrays; a table is
-    that tuple followed by the level bounds, a tuple of ints.
-    """
-
-    def __init__(self, first_range, reach, tables):
-        self.first_range = first_range
-        self.reach = reach
-        self.tables = tables
-        self._cache = {}
-
-    def _t(self, level):
-        if level == 0:
-            return np.arange(-self.first_range, self.first_range + 1)*1.0
-        h = 0.5**level
-        kmax = int(np.ceil(self.reach/h))
+@cache
+def _tanh_sinh(level):
+    """The read-only node table of one level, or (key None) of levels
+    0.._MIN_LEVELS, laid out level by level, each level in ascending t:
+    (tanh q < 0, weight, e^q, e^-q, cosh q, weight finite) with
+    q = (pi/2) sinh t, followed by the level bounds, a tuple of ints.
+    Level 0 has the nodes t = k for |k| <= 4; level L >= 1 the odd k with
+    |k h| <= 4.5, h = 2^-L."""
+    parts = []
+    for L in range(_MIN_LEVELS + 1) if level is None else [level]:
+        # each level's table on its own, so it matches a per-level pass
+        h = 0.5**L
+        kmax = int(np.ceil(4.5/h))
         ks = np.arange(-kmax, kmax + 1)
-        return ks[ks % 2 != 0]*h
-
-    def __call__(self, level):
-        tab = self._cache.get(level)
-        if tab is None:
-            levels = range(_MIN_LEVELS + 1) if level is None else [level]
-            # each level's tables on its own, so they match a per-level pass
-            parts = [self.tables(self._t(L)) for L in levels]
-            tab = tuple(map(np.concatenate, zip(*parts)))
-            for arr in tab:
-                arr.flags.writeable = False
-            tab += (tuple(accumulate((len(part[0]) for part in parts),
-                                     initial=0)),)
-            self._cache[level] = tab
-        return tab
+        t = np.arange(-4.0, 5.0) if L == 0 else ks[ks % 2 != 0]*h
+        q = 0.5*np.pi*np.sinh(t)
+        cq = np.cosh(q)
+        wk = 0.5*np.pi*np.cosh(t)/cq**2
+        parts.append((np.tanh(q) < 0, wk, np.exp(q), np.exp(-q), cq,
+                      np.isfinite(wk)))
+    tab = tuple(map(np.concatenate, zip(*parts)))
+    for arr in tab:
+        arr.flags.writeable = False
+    return tab + (tuple(accumulate((len(p[0]) for p in parts), initial=0)),)
 
 
-def _level_sums(fw, ok, bounds):
-    """The sum (np.sum's pairwise add.reduce) of each level's share of fw,
-    the weighted integrand on the ok nodes of a table with these level
-    bounds."""
-    if not ok.all():
-        bounds = np.concatenate(([0], np.cumsum(ok)))[list(bounds)].tolist()
-    return [np.add.reduce(fw[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
+def integrate_singular(f, lo: float, hi: float):
+    """Integrate f on (lo, hi) allowing integrable endpoint singularities.
 
+    Uses the tanh-sinh double-exponential substitution, refined by
+    halving the step; returns (value, err_estimate).
+    """
+    half = 0.5*(hi - lo)
 
-def _refine(term):
-    """Shared trapezoid-in-level refinement loop of the two DE rules.
+    def level_sums(level):
+        neg, wk, eq, emq, cq, finite, bounds = _tanh_sinh(level)
+        # 1 +- tanh(q) without cancellation
+        dlo = half*eq/cq
+        dhi = half*emq/cq
+        # build abscissae from the endpoint distances so that xs never rounds
+        # onto lo or hi even for extreme nodes
+        xs = np.where(neg, lo + dlo, hi - dhi)
+        ok = (dlo > 0) & (dhi > 0) & finite
+        if not ok.all():
+            xs, dlo, dhi, wk = xs[ok], dlo[ok], dhi[ok], wk[ok]
+            bounds = np.concatenate(([0], np.cumsum(ok)))[list(bounds)]
+        fw = np.asarray(f(xs, dlo, dhi))*wk
+        # np.sum's pairwise add.reduce over each level's share of fw
+        return [half*np.add.reduce(fw[i:j])
+                for i, j in zip(bounds[:-1], bounds[1:])]
 
-    term(None) gives the sums of levels 0.._MIN_LEVELS from one integrand
-    call, term(level) the sum of one later level as a one-item list."""
-    sums = term(None)
+    sums = level_sums(None)
     h = 1.0
     val = h*sums[0]
     prev = np.inf
     for level in range(1, _MAX_LEVELS + 1):
         h *= 0.5
-        s = sums[level] if level <= _MIN_LEVELS else term(level)[0]
+        s = sums[level] if level <= _MIN_LEVELS else level_sums(level)[0]
         new = 0.5*val + h*s
         delta = abs(new - val)
         val = new
@@ -107,69 +111,22 @@ def _refine(term):
                         best=val, residual=prev)
 
 
-def _tanh_sinh_tables(t):
-    q = 0.5*np.pi*np.sinh(t)
-    cq = np.cosh(q)
-    wk = 0.5*np.pi*np.cosh(t)/cq**2
-    return np.tanh(q) < 0, wk, np.exp(q), np.exp(-q), cq, np.isfinite(wk)
-
-
-_TANH_SINH = _Nodes(first_range=4, reach=4.5, tables=_tanh_sinh_tables)
-
-
-def integrate_singular(f, lo: float, hi: float):
-    """Integrate f on (lo, hi) allowing integrable endpoint singularities.
-
-    Uses the tanh-sinh double-exponential substitution; returns
-    (value, err_estimate).
-    """
-    half = 0.5*(hi - lo)
-
-    def term(level):
-        neg, wk, eq, emq, cq, finite, bounds = _TANH_SINH(level)
-        # 1 +- tanh(q) without cancellation
-        dlo = half*eq/cq
-        dhi = half*emq/cq
-        # build abscissae from the endpoint distances so that xs never rounds
-        # onto lo or hi even for extreme nodes
-        xs = np.where(neg, lo + dlo, hi - dhi)
-        ok = (dlo > 0) & (dhi > 0) & finite
-        fw = np.asarray(f(xs[ok], dlo[ok], dhi[ok]))*wk[ok]
-        return [half*s for s in _level_sums(fw, ok, bounds)]
-
-    return _refine(term)
-
-
-def _exp_sinh_tables(t):
-    with np.errstate(over="ignore"):
-        es = np.exp(0.5*np.pi*np.sinh(t))
-    return es, 0.5*np.pi*np.cosh(t)
-
-
-_EXP_SINH = _Nodes(first_range=5, reach=5.0, tables=_exp_sinh_tables)
-
-
 def integrate_to_infinity(f, lo: float, scale: float = 1.0):
     """Integrate f on (lo, inf); f must decay at least like t^-2.
 
-    Uses the exp-sinh double-exponential substitution x = lo + scale*e^s.
-    The distance to the finite endpoint is passed exactly, so an
-    inverse-square-root singularity at lo is handled without special
-    casing.
+    The tanh-sinh rule on (0, 1) under x = lo + scale*u/(1 - u).  The
+    distance to the finite endpoint, scale*u/(1 - u), is a ratio of the
+    two exact endpoint distances of u, so it is passed without
+    cancellation and an inverse-square-root singularity at lo is handled
+    without special casing.
     """
 
-    def term(level):
-        es, c, bounds = _EXP_SINH(level)
-        with np.errstate(over="ignore"):
-            d = scale*es
-        xk = lo + d
-        wk = c*d
-        ok = (d > 0) & np.isfinite(wk) & np.isfinite(xk)
-        dhi = np.full(int(ok.sum()), np.inf)
-        fw = np.asarray(f(xk[ok], d[ok], dhi))*wk[ok]
-        return _level_sums(fw, ok, bounds)
+    def mapped(u, du_lo, du_hi):
+        d = scale*du_lo/du_hi
+        dx_du = scale/du_hi**2
+        return np.asarray(f(lo + d, d, np.full_like(d, np.inf)))*dx_du
 
-    return _refine(term)
+    return integrate_singular(mapped, 0.0, 1.0)
 
 
 def gauss_legendre_01(n: int):

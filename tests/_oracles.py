@@ -8,8 +8,10 @@ quadrature with explicit substitutions that remove the endpoint
 singularities.  curve_rhs, rotated_data and quartic_identity_residual write
 out identities the library's data must satisfy.  de_singular_oracle and
 de_to_infinity_oracle are the double-exponential rules refined level by
-level, one integrand call per level with every node table recomputed; the
-library's fused first pass must reproduce them bit for bit.
+level, one integrand call per level with every node table recomputed
+(de_to_infinity_oracle is de_singular_oracle on (0, 1) under the map
+x = lo + scale*u/(1 - u)); the library's fused first pass must reproduce
+them bit for bit.
 """
 from __future__ import annotations
 
@@ -207,15 +209,16 @@ def scipy_K_oracle(p: SurfaceParams) -> float:
     return v
 
 
-def _de_refine(term, first_range, reach):
-    """Trapezoid-in-level refinement, one term(h, ks) call per level; the
-    tolerances and level bounds are read from quad at call time."""
+def _de_refine(term):
+    """Trapezoid-in-level refinement of the tanh-sinh rule, one term(h, ks)
+    call per level; the tolerances and level bounds are read from quad at
+    call time."""
     h = 1.0
-    val = h*term(h, np.arange(-first_range, first_range + 1))
+    val = h*term(h, np.arange(-4, 5))
     prev = np.inf
     for level in range(1, quad._MAX_LEVELS + 1):
         h *= 0.5
-        kmax = int(np.ceil(reach/h))
+        kmax = int(np.ceil(4.5/h))
         ks = np.arange(-kmax, kmax + 1)
         new = 0.5*val + h*term(h, ks[ks % 2 != 0])
         delta = abs(new - val)
@@ -244,21 +247,15 @@ def de_singular_oracle(f, lo: float, hi: float):
         ok = (dlo > 0) & (dhi > 0) & np.isfinite(wk)
         return half*np.sum(np.asarray(f(xs[ok], dlo[ok], dhi[ok]))*wk[ok])
 
-    return _de_refine(term, first_range=4, reach=4.5)
+    return _de_refine(term)
 
 
 def de_to_infinity_oracle(f, lo: float, scale: float = 1.0):
-    """exp-sinh rule on (lo, inf), as quad.integrate_to_infinity."""
+    """tanh-sinh rule on (0, 1) under x = lo + scale*u/(1 - u), as
+    quad.integrate_to_infinity."""
 
-    def term(h, ks):
-        t = ks*h
-        s = 0.5*np.pi*np.sinh(t)
-        with np.errstate(over="ignore"):
-            d = scale*np.exp(s)
-        xk = lo + d
-        wk = 0.5*np.pi*np.cosh(t)*d
-        ok = (d > 0) & np.isfinite(wk) & np.isfinite(xk)
-        dhi = np.full(int(ok.sum()), np.inf)
-        return np.sum(np.asarray(f(xk[ok], d[ok], dhi))*wk[ok])
+    def mapped(u, du_lo, du_hi):
+        d = scale*du_lo/du_hi
+        return np.asarray(f(lo + d, d, np.full_like(d, np.inf)))*(scale/du_hi**2)
 
-    return _de_refine(term, first_range=5, reach=5.0)
+    return de_singular_oracle(mapped, 0.0, 1.0)

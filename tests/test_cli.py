@@ -102,8 +102,30 @@ def test_periods_takes_moduli_from_config(capsys, tmp_path):
     cfg.write_text("t = 0.02\n")
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "periods", "--config", str(cfg))
-    assert exc.value.code == 2
+    assert exc.value.code == 3
     assert "required: --a, --b" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--t", "abc"],
+    ["mesh", "--resolution", "12.5"],
+    ["periods", "--a", "0.7"],
+])
+def test_usage_error_is_invalid_input(argv, capsys):
+    # a flag that does not parse, or a missing required one, exits 3 like
+    # the same value from a config file; 2 means a numerical check failed
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 3
+    assert "usage: saddle-forge" in capsys.readouterr().err
+
+
+def test_periods_has_no_tolerance(capsys):
+    # periods solves nothing, so a --tol would be read by nothing
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "periods", "--a", "0.7", "--b", "1.2", "--tol", "nan")
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_mesh_writes_obj(capsys, tmp_path):
@@ -252,6 +274,20 @@ def test_sweep_fig6_rejects_nonpositive_t(capsys, tmp_path, t):
                            "--n-a", "2", "--n-b", "2", "-o", str(out_path))
     assert code == 3
     assert "DomainViolation" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_sweep_fig6_rejects_bad_tolerance(capsys, tmp_path, monkeypatch, tol):
+    # rejected before the grid, as a bad (t, X_offset) is
+    def no_report(*args):
+        raise AssertionError("a grid point was evaluated")
+    monkeypatch.setattr(periods, "period_report_for", no_report)
+    out_path = tmp_path/"fig6.csv"
+    code, _, err = run_cli(capsys, "sweep", "--fig6", "--n-a", "2",
+                           "--n-b", "2", "--tol", tol, "-o", str(out_path))
+    assert code == 3
+    assert "InvalidResolution" in err
     assert not out_path.exists()
 
 

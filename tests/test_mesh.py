@@ -5,6 +5,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from saddle_forge.errors import (BranchInconsistency, InvalidResolution,
                                  WeldMismatch)
@@ -261,8 +262,20 @@ def _copy_maps(piece, m):
     return maps, np.array(signs)
 
 
+@pytest.fixture(scope="module")
+def piece64_x3(piece64):
+    """piece64 mirrored in x3 = 0.  Its half-period mirror lies above it
+    (levels["ED"] > 0, as on no solved member so far), so assemble joins
+    the s3 = +1 copies of period k to the s3 = -1 copies of period k + 1."""
+    levels = {tag: -level if STRETCHES[tag][0] == 2 else level
+              for tag, level in piece64.levels.items()}
+    assert piece64.levels["ED"] < 0 < levels["ED"]
+    return dataclasses.replace(piece64, vertices=piece64.vertices*[1, 1, -1],
+                               levels=levels)
+
+
 @pytest.mark.parametrize("n_periods", [1, 2])
-@pytest.mark.parametrize("piece_name", ["piece64", "piece128"])
+@pytest.mark.parametrize("piece_name", ["piece64", "piece128", "piece64_x3"])
 def test_tower_is_welded_along_every_seam(piece_name, n_periods, request):
     piece = request.getfixturevalue(piece_name)
     m = assemble(piece, n_periods=n_periods)
@@ -301,6 +314,20 @@ def test_tower_is_welded_along_every_seam(piece_name, n_periods, request):
             n = uses(cmap[se[:, 0]], cmap[se[:, 1]])
             welded = tag not in ("ED", "BA") or 0 <= k + s3*up < n_periods
             assert np.all(n == (2 if welded else 1)), (tag, c, np.unique(n))
+
+
+@pytest.mark.parametrize("n_periods", [1, 2, 3])
+def test_x3_mirrored_piece_builds_the_same_tower(piece64, piece64_x3,
+                                                 n_periods):
+    # every period holds both x3-signs of the piece, so mirroring the piece
+    # changes neither the vertex count nor the point set of the tower
+    m = assemble(piece64, n_periods=n_periods)
+    mx = assemble(piece64_x3, n_periods=n_periods)
+    assert len(mx.vertices) == len(m.vertices)
+    assert len(mx.faces) == len(m.faces)
+    bbox = np.linalg.norm(m.vertices.max(0) - m.vertices.min(0))
+    dist, _ = cKDTree(m.vertices).query(mx.vertices)
+    assert dist.max() < 1e-9*bbox
 
 
 def test_assemble_stacks_periods(piece64):

@@ -1,11 +1,13 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import saddle_forge.verify as verify
 from saddle_forge.errors import ContourTooClose, NotApplicable
-from saddle_forge.mesh import assemble, build_grid, integrate_piece
+from saddle_forge.mesh import (AssembledMesh, assemble, build_grid,
+                               integrate_piece)
 from saddle_forge.params import SurfaceParams, sym_funcs
 from saddle_forge.verify import (SYMMETRY_TABLE, case_diagnostics,
                                  check_injectivity, check_profile_bell,
@@ -209,9 +211,17 @@ def test_tower_certified_by_chamber(request, name):
                          ids=["x1", "x2", "x3"])
 def test_chamber_negative_control(piece32, shift, wall):
     # the piece pushed across one wall: the certificate must refuse and the
-    # generic check on the tower must decide
+    # generic check on the tower must decide.  assemble refuses a piece off
+    # its mirrors, so the two-period tower is its 16 placed copies, unwelded
     piece = dataclasses.replace(piece32, vertices=piece32.vertices + shift)
-    tower = assemble(piece, n_periods=2, check=False)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    n = len(piece.vertices)
+    vertices, faces = [], []
+    for c in range(16):
+        vertices.append(piece.vertices*signs[c % 8] + [0.0, 0.0, c//8*piece.T])
+        odd = np.prod(signs[c % 8]) < 0
+        faces.append(c*n + (piece.faces[:, ::-1] if odd else piece.faces))
+    tower = AssembledMesh(np.vstack(vertices), np.vstack(faces), piece.T, 2)
     res = check_tower_embedded(piece, tower)
     assert not res.passed
     assert res.detail.startswith(f"not certified: {wall} "), res.detail
