@@ -25,7 +25,7 @@ from .errors import (BranchInconsistency, ContourTooClose, DegenerateRoot,
                      DomainViolation, InvalidResolution, NoConvergence,
                      NoRoot, NotApplicable, SaddleForgeError,
                      WeldMismatch)
-from .params import SurfaceParams, SymFuncs, from_family, sym_funcs
+from .params import SurfaceParams, SymFuncs, sym_funcs
 from .quad import integrate_singular, integrate_to_infinity
 from .weier import g_eval, phi_vec, vertical_normal_points, w_closed
 from .periods import (FamilySolution, PeriodReport, F_eval, I_integral,

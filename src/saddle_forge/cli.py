@@ -158,10 +158,9 @@ def cmd_verify(args):
     except NotApplicable as e:
         print(f"profile_bell: skipped ({e})", file=sys.stderr)
 
-    if not args.skip_intersections:
-        asm = mesh.assemble(piece, n_periods=2)
-        results.append(verify.check_tower_embedded(piece, asm))
-        print(f"self_intersection: {results[-1].detail}", file=sys.stderr)
+    asm = mesh.assemble(piece, n_periods=2)
+    results.append(verify.check_tower_embedded(piece, asm))
+    print(f"self_intersection: {results[-1].detail}", file=sys.stderr)
 
     diag = verify.case_diagnostics(p)
     print(f"diagnostics: discriminant={diag['discriminant']:.6g} "
@@ -189,8 +188,7 @@ def cmd_sweep(args):
     if args.fig6:
         return _sweep_fig6(args)
     t_grid = _grid(args.t_min, args.t_max, args.n_t, "--n-t")
-    X_grid = [args.X_offset] if args.n_X == 1 \
-        else _grid(args.X_min, args.X_max, args.n_X, "--n-X")
+    X_grid = _grid(args.X_min, args.X_max, args.n_X, "--n-X")
     rows = periods.sweep_family(t_grid, X_grid, tol=args.tol)
     periods.write_sweep_csv(rows, args.output)
     n_ok = sum(1 for (_, _, s) in rows if s is not None)
@@ -278,7 +276,6 @@ def build_parser():
     _add_mesh_options(sp)
     sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED,
                     help="seed of the injectivity sampling")
-    sp.add_argument("--skip-intersections", action="store_true")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("sweep", help="solve the family over a parameter grid")
@@ -291,7 +288,9 @@ def build_parser():
                          "window at fixed (t, X_offset) for contour plotting")
     sp.add_argument("--X-min", type=float, default=0.0)
     sp.add_argument("--X-max", type=float, default=0.02)
-    sp.add_argument("--n-X", type=int, default=1)
+    sp.add_argument("--n-X", type=int, default=1,
+                    help="X_offset grid size, from --X-min to --X-max "
+                         "(--X-offset is the --fig6 point)")
     sp.add_argument("--n-a", type=int, default=12,
                     help="fig6 grid size in a")
     sp.add_argument("--n-b", type=int, default=12,

@@ -43,11 +43,6 @@ class SurfaceParams:
         return self.X - self.a
 
 
-def from_family(t: float, X_offset: float, a: float, b: float, y: float) -> SurfaceParams:
-    """Build params from the family coordinates (t, X_offset) and (a, b, y)."""
-    return SurfaceParams(a=a, b=b, x=a - t, X=a + X_offset, y=y).validate()
-
-
 @dataclass(frozen=True)
 class SymFuncs:
     """Coefficients of the product

@@ -20,13 +20,6 @@ from .params import SurfaceParams, SymFuncs, check_moduli, s_coeffs, sym_funcs
 from .quad import integrate_singular, integrate_to_infinity
 
 
-def _finite_tail(vals):
-    """Zero out overflow garbage from the extreme double-exponential tail,
-    where the integrand itself has long since decayed below machine epsilon."""
-    vals = np.asarray(vals)
-    return np.where(np.isfinite(vals), vals, 0.0)
-
-
 @dataclass(frozen=True)
 class PeriodReport:
     r: float
@@ -96,11 +89,12 @@ def I_integral(p: SurfaceParams, s: SymFuncs) -> float:
 
     def f(t, dlo, dhi):
         del dhi
-        with np.errstate(over="ignore", invalid="ignore"):
-            rad = dlo*(t + b)*(t*t - x*x)*(t*t - y*y)
-            out = ((s.S1*t**4 + s.S3*t*t + s.S5)
-                   / ((t*t - 1.0)*(t*t - a*a)*np.sqrt(rad)))
-        return _finite_tail(out)
+        # the quartics divided by t^4 and each radicand factor rooted on its
+        # own, so that no intermediate overflows at the outermost nodes
+        tt = t*t
+        u = 1.0/tt
+        return ((s.S1 + (s.S3 + s.S5*u)*u)/((1.0 - u)*(1.0 - a*a*u))
+                / (np.sqrt(dlo*(t + b))*np.sqrt(tt - x*x)*np.sqrt(tt - y*y)))
 
     return _named("I", "(b, inf)", p, integrate_to_infinity, f, b, scale=b)
 
@@ -115,14 +109,14 @@ def J_integral(p: SurfaceParams, s: SymFuncs) -> float:
 
     def f(t, dlo, dhi):
         del dlo, dhi
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi = (2*np.arctan(t/X) - np.arctan(t/b)
-                   + np.arctan(t/x) - np.arctan(t/y))
-            gm = 2.0/np.tan(psi)
-            rad = (t*t + b*b)*(t*t + x*x)*(t*t + y*y)
-            out = (0.5*t*(t**4 - s.S2*t*t + s.S4)*gm
-                   / ((t*t + 1.0)*(t*t + a*a)*np.sqrt(rad)))
-        return _finite_tail(out)
+        psi = (2*np.arctan(t/X) - np.arctan(t/b)
+               + np.arctan(t/x) - np.arctan(t/y))
+        # as in I, so that no intermediate overflows
+        tt = t*t
+        u = 1.0/tt
+        return ((1.0 + (s.S4*u - s.S2)*u)/((1.0 + u)*(1.0 + a*a*u))
+                * t/np.tan(psi)
+                / (np.sqrt(tt + b*b)*np.sqrt(tt + x*x)*np.sqrt(tt + y*y)))
 
     return _named("J", "(0, inf)", p, integrate_to_infinity, f, 0.0)
 

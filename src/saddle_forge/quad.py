@@ -46,10 +46,10 @@ _MAX_LEVELS = 12
 def _tanh_sinh(level):
     """The read-only node table of one level, or (key None) of levels
     0.._MIN_LEVELS, laid out level by level, each level in ascending t:
-    (tanh q < 0, weight, e^q, e^-q, cosh q, weight finite) with
-    q = (pi/2) sinh t, followed by the level bounds, a tuple of ints.
-    Level 0 has the nodes t = k for |k| <= 4; level L >= 1 the odd k with
-    |k h| <= 4.5, h = 2^-L."""
+    (tanh q < 0, weight, e^q, e^-q, cosh q) with q = (pi/2) sinh t,
+    followed by the level bounds, a tuple of ints.  Level 0 has the nodes
+    t = k for |k| <= 4; level L >= 1 the odd k with |k h| <= 4.5, h = 2^-L.
+    |t| <= 4.5 keeps |q| below 71, so every weight is finite."""
     parts = []
     for L in range(_MIN_LEVELS + 1) if level is None else [level]:
         # each level's table on its own, so it matches a per-level pass
@@ -60,8 +60,7 @@ def _tanh_sinh(level):
         q = 0.5*np.pi*np.sinh(t)
         cq = np.cosh(q)
         wk = 0.5*np.pi*np.cosh(t)/cq**2
-        parts.append((np.tanh(q) < 0, wk, np.exp(q), np.exp(-q), cq,
-                      np.isfinite(wk)))
+        parts.append((np.tanh(q) < 0, wk, np.exp(q), np.exp(-q), cq))
     tab = tuple(map(np.concatenate, zip(*parts)))
     for arr in tab:
         arr.flags.writeable = False
@@ -77,14 +76,14 @@ def integrate_singular(f, lo: float, hi: float):
     half = 0.5*(hi - lo)
 
     def level_sums(level):
-        neg, wk, eq, emq, cq, finite, bounds = _tanh_sinh(level)
+        neg, wk, eq, emq, cq, bounds = _tanh_sinh(level)
         # 1 +- tanh(q) without cancellation
         dlo = half*eq/cq
         dhi = half*emq/cq
         # build abscissae from the endpoint distances so that xs never rounds
         # onto lo or hi even for extreme nodes
         xs = np.where(neg, lo + dlo, hi - dhi)
-        ok = (dlo > 0) & (dhi > 0) & finite
+        ok = (dlo > 0) & (dhi > 0)
         if not ok.all():
             xs, dlo, dhi, wk = xs[ok], dlo[ok], dhi[ok], wk[ok]
             bounds = np.concatenate(([0], np.cumsum(ok)))[list(bounds)]

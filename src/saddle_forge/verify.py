@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContourTooClose, NotApplicable
-from .mesh import (WELD_TOL, AssembledMesh, PieceMesh, mirror_planes,
-                   stretch_intervals)
+from .mesh import (STRETCHES, WELD_TOL, AssembledMesh, PieceMesh,
+                   mirror_planes, stretch_intervals)
 from .params import SurfaceParams, sym_funcs
 from .weier import g_eval, phi_vec, vertical_normal_points, w_closed
 
@@ -83,19 +83,23 @@ def _stretch_samples(p: SurfaceParams, n: int):
     return out
 
 
-# per stretch: (g condition, dh condition) as (kind, sign) with kinds
+# per stretch: the signs of its (g condition, dh condition), of kinds
 #   're'  : value real with the given sign
 #   'im'  : value imaginary with the given sign of the imaginary part
 #   'mod1': value on the unit circle (sign unused)
-SYMMETRY_TABLE = {
-    "AL": (("re", +1), ("im", +1)),
-    "LF": (("im", +1), ("re", +1)),
-    "FE": (("mod1", 0), ("im", +1)),
-    "ED": (("mod1", 0), ("im", -1)),
-    "DC": (("mod1", 0), ("im", +1)),
-    "CB": (("im", -1), ("re", -1)),
-    "BA": (("mod1", 0), ("im", -1)),
-}
+SYMMETRY_TABLE = {"AL": (+1, +1), "LF": (+1, +1), "FE": (0, +1),
+                  "ED": (0, -1), "DC": (0, +1), "CB": (-1, -1), "BA": (0, -1)}
+
+
+def _symmetry_conditions(tag: str):
+    """((g kind, sign), (dh kind, sign)) of a stretch; the kinds follow from
+    the axis its mirror fixes (STRETCHES).  g is imaginary on axis 0, real
+    on axis 1 and on the unit circle on axis 2; dh is real exactly on a
+    vertical mirror along the real axis (AL runs along z = it)."""
+    axis, _ = STRETCHES[tag]
+    g_sign, dh_sign = SYMMETRY_TABLE[tag]
+    dh_kind = "re" if axis != 2 and tag != "AL" else "im"
+    return (("im", "re", "mod1")[axis], g_sign), (dh_kind, dh_sign)
 
 
 def _cond_residual(values, kind: str, sign: int) -> float:
@@ -116,14 +120,14 @@ _SYMMETRY_TOL = 1e-9
 
 
 def check_symmetry_table(p: SurfaceParams) -> VerificationReport:
-    """The boundary stretches must carry the symmetry data of the table:
-    real/imaginary/unit-circle constraints on g and dh with fixed signs,
-    each met to _SYMMETRY_TOL.  A sample at a pole of g constrains dh
-    only."""
+    """The boundary stretches must carry the symmetry data of their
+    mirrors: real/imaginary/unit-circle constraints on g and dh with the
+    signs of SYMMETRY_TABLE, each met to _SYMMETRY_TOL.  A sample at a
+    pole of g constrains dh only."""
     p.validate()
     rep = VerificationReport()
     for tag, zs in _stretch_samples(p, _SYMMETRY_SAMPLES).items():
-        (gk, gs), (dk, ds) = SYMMETRY_TABLE[tag]
+        (gk, gs), (dk, ds) = _symmetry_conditions(tag)
         g = g_eval(p, zs, w_closed(p, zs))
         worst_g = _cond_residual(g[np.isfinite(g)], gk, gs)
         worst_dh = _cond_residual(phi_vec(p, zs)[:, 2], dk, ds)

@@ -11,9 +11,12 @@ de_to_infinity_oracle are the double-exponential rules refined level by
 level, one integrand call per level with every node table recomputed
 (de_to_infinity_oracle is de_singular_oracle on (0, 1) under the map
 x = lo + scale*u/(1 - u)); the library's fused first pass must reproduce
-them bit for bit.
+them bit for bit.  collision_pairs_oracle finds every pair of close
+vertices, where the injectivity check samples pairs.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.integrate import quad as scipy_quad
@@ -259,3 +262,24 @@ def de_to_infinity_oracle(f, lo: float, scale: float = 1.0):
         return np.asarray(f(lo + d, d, np.full_like(d, np.inf)))*(scale/du_hi**2)
 
     return de_singular_oracle(mapped, 0.0, 1.0)
+
+
+def collision_pairs_oracle(vertices, tol: float) -> set:
+    """Every vertex pair (i, j), i < j, closer than tol, found exhaustively.
+
+    Along one axis an interval shorter than tol holds at most one boundary
+    of the two grids of cell 2*tol shifted by 0 and tol, so such a pair
+    shares a cell in at least one of the eight grids shifted by 0 or tol
+    along each axis; only the pairs within a shared cell are measured."""
+    pairs = set()
+    for shift in itertools.product((0.0, tol), repeat=3):
+        keys = np.floor((vertices - shift)/(2*tol)).astype(np.int64)
+        _, cell, counts = np.unique(keys, axis=0, return_inverse=True,
+                                    return_counts=True)
+        cell = cell.ravel()
+        for crowded in np.flatnonzero(counts > 1):
+            members = np.flatnonzero(cell == crowded)
+            for i, j in itertools.combinations(members, 2):
+                if np.linalg.norm(vertices[i] - vertices[j]) < tol:
+                    pairs.add((int(i), int(j)))
+    return pairs

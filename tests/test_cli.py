@@ -210,11 +210,23 @@ def test_verify_rejects_nan_lc_tol(capsys, monkeypatch):
     monkeypatch.setattr(verify, "check_symmetry_table", no_check)
     monkeypatch.setattr(verify, "degree_diagnostic", no_check)
     code, out, err = run_cli(capsys, "verify", "--t", "0.02", "--tol", "1e-9",
-                             "--resolution", "16", "--lc-tol", "nan",
-                             "--skip-intersections")
+                             "--resolution", "16", "--lc-tol", "nan")
     assert code == 3
     assert "InvalidResolution" in err
     assert "verified" not in out
+
+
+def test_verify_always_checks_embeddedness(capsys, monkeypatch):
+    # a verdict without the self-intersection check would certify nothing
+    # about embeddedness, so there is no flag to skip it
+    def no_solve(*args):
+        raise AssertionError("the period solve ran")
+    monkeypatch.setattr(periods, "_newton2", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "verify", "--skip-intersections")
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --skip-intersections" in \
+        capsys.readouterr().err
 
 
 def test_verify_rejects_negative_seed(capsys, monkeypatch):
@@ -239,6 +251,17 @@ def test_sweep_writes_csv(capsys, tmp_path):
     assert lines[0] == "t,X_offset,a,b,y,r,R,I,J,K,pi1,pi2,converged"
     assert len(lines) == 3
     assert all(ln.endswith(",1") for ln in lines[1:])
+
+
+def test_sweep_reads_one_X_column_from_X_min(capsys, tmp_path):
+    # the X_offset column is linspace(X_min, X_max, n_X), one point or many
+    out_path = tmp_path/"sweep.csv"
+    code, _, err = run_cli(capsys, "sweep", "--X-min", "0.01",
+                           "--X-max", "0.02", "--n-t", "1", "--tol", "1e-9",
+                           "-o", str(out_path))
+    assert code == 0, err
+    data = np.genfromtxt(out_path, delimiter=",", names=True)
+    assert float(data["X_offset"]) == 0.01
 
 
 def test_sweep_fig6_emits_period_landscape(capsys, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from _oracles import quartic_identity_residual
 from conftest import draw_params
 from saddle_forge.errors import DomainViolation
-from saddle_forge.params import SurfaceParams, from_family, sym_funcs
+from saddle_forge.params import SurfaceParams, sym_funcs
 
 
 def test_sym_funcs_hand_evaluated_example():
@@ -42,7 +42,8 @@ def test_validate_rejects_bad_orderings():
 
 
 def test_family_coordinates_round_trip():
-    p = from_family(0.02, 0.01, 0.9, 1.2, 1.05)
+    a, t, X_offset = 0.9, 0.02, 0.01
+    p = SurfaceParams(a=a, b=1.2, x=a - t, X=a + X_offset, y=1.05).validate()
     assert p.t == pytest.approx(0.02)
     assert p.X_offset == pytest.approx(0.01)
     assert p.x == pytest.approx(0.88)

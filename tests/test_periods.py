@@ -210,6 +210,16 @@ def test_one_start_covers_the_family_domain():
         assert abs(warm.a - sol.a) < 1e-8 and abs(warm.b - sol.b) < 1e-8
 
 
+def test_solves_next_to_the_puncture_raise_no_floating_point_error():
+    # the I and J integrands run unguarded out to the outermost
+    # double-exponential nodes, t ~ 1e61 b; at t -> 0, y - 1 ~ 3e-7
+    with np.errstate(all="raise"):
+        for t in (1e-5, 2e-5):
+            for X_offset in np.linspace(0.0, 0.049, 8):
+                sol = solve_periods(t, X_offset, tol=1e-6)
+                assert max(abs(sol.report.pi1), abs(sol.report.pi2)) < 1e-6
+
+
 def test_quadrature_failure_carries_plain_floats():
     # at t = 1e-6 the flux integral K does not converge at the cold start
     with pytest.raises(NoConvergence) as exc:
