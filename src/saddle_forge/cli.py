@@ -6,13 +6,11 @@ to stderr.  Exit codes: 0 success, 2 a numerical check failed, 3 invalid
 input (a usage error included), 4 I/O error.
 
 Options may also be supplied through a config file of `key = value` lines
-(--config); explicit command-line flags override file values.  The thread
-cap for BLAS-backed array work can be set with SADDLE_FORGE_THREADS.  It is
-applied when the `saddle_forge` package is imported, which both
-`python -m saddle_forge.cli` and the `saddle-forge` script do before numpy
-loads; it has no effect if numpy was imported earlier in the same process,
-and an explicitly set OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS
-or NUMEXPR_NUM_THREADS takes precedence.
+(--config); explicit command-line flags override file values.  An option
+the chosen mode ignores (`sweep --t` without --fig6, a grid option with it,
+`mesh --n-periods` with --piece-only) is a usage error.  SADDLE_FORGE_THREADS
+caps the BLAS thread pool; the `saddle_forge` package docstring says when it
+applies.
 """
 from __future__ import annotations
 
@@ -57,29 +55,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_args(argv):
-    """The options of argv.  The values of a --config file become the
+    """The options of argv.  A first parse without defaults names the
+    options argv gives.  The values of a --config file become the
     subcommand's defaults for a second parse of argv, so every flag given
     on the command line wins over the file, however it is spelled, and a
-    file value satisfies a required option."""
+    file value satisfies a required option.  Giving an option that the
+    chosen mode ignores (`_IGNORED`) is a usage error."""
     parser = build_parser()
-    required = [a for sp in parser.subcommands.values() for a in sp._actions
-                if a.required]
-    for action in required:
-        action.required = False
-    args = parser.parse_args(argv)
-    sp = parser.subcommands[args.command]
-    options = {a.dest: a for a in sp._actions if hasattr(args, a.dest)}
+    for sp in parser.subcommands.values():
+        for action in sp._actions:
+            action.default, action.required = argparse.SUPPRESS, False
+    given = vars(parser.parse_args(argv))
+    parser = build_parser()
+    sp = parser.subcommands[given["command"]]
+    options = {a.dest: a for a in sp._actions if a.dest != "help"}
     defaults = {}
-    if args.config:
-        for k, v in _read_config(args.config).items():
+    if "config" in given:
+        for k, v in _read_config(given["config"]).items():
             if k not in options:
                 print(f"error: unknown config key {k!r}", file=sys.stderr)
                 sys.exit(EXIT_INVALID_INPUT)
             defaults[k] = _config_value(k, v, options[k])
         sp.set_defaults(**defaults)
-    for action in required:
-        action.required = action.dest not in defaults
-    return parser.parse_args(argv)
+    for action in sp._actions:
+        action.required = action.required and action.dest not in defaults
+    args = parser.parse_args(argv)
+    for (switch, on), ignored in _IGNORED.items():
+        clash = [d for d in ignored if d in given or d in defaults]
+        if getattr(args, switch, None) == on and clash:
+            sp.error(f"--{clash[0].replace('_', '-')} is ignored "
+                     f"{'with' if on else 'without'} "
+                     f"--{switch.replace('_', '-')}")
+    return args
 
 
 _BOOLS = {"1": True, "true": True, "yes": True,
@@ -122,8 +129,7 @@ def cmd_periods(args):
 
 def cmd_mesh(args):
     sol = periods.solve_periods(args.t, args.X_offset, tol=args.tol)
-    piece = mesh.integrate_piece(mesh.build_grid(sol.params, args.resolution),
-                                 lc_tol=args.lc_tol)
+    piece = mesh.integrate_piece(mesh.build_grid(sol.params, args.resolution))
     rep = sol.report
     if args.piece_only:
         out_mesh = piece
@@ -142,10 +148,9 @@ def cmd_verify(args):
     if args.seed < 0:
         raise InvalidResolution(f"--seed must be at least 0, got {args.seed}")
     p = periods.solve_periods(args.t, args.X_offset, tol=args.tol).params
-    # the piece is built first, so a bad --resolution or --lc-tol is
-    # rejected before the curve-level checks run
-    piece = mesh.integrate_piece(mesh.build_grid(p, args.resolution),
-                                 lc_tol=args.lc_tol)
+    # the piece is built first, so a bad --resolution is rejected before
+    # the curve-level checks run
+    piece = mesh.integrate_piece(mesh.build_grid(p, args.resolution))
     results = verify.check_symmetry_table(p).results
 
     dd = verify.degree_diagnostic(p)
@@ -238,10 +243,13 @@ def _add_common(sp, solves=True):
                         help="period-solver residual tolerance")
 
 
-def _add_mesh_options(sp):
-    sp.add_argument("--resolution", type=int, default=64)
-    sp.add_argument("--lc-tol", type=float, default=1e-8,
-                    help="loop-closure tolerance relative to cell size")
+# (switch, value) -> the options a subcommand ignores in that mode; giving
+# one, on the command line or in a config file, exits 3
+_IGNORED = {
+    ("piece_only", True): ("n_periods",),
+    ("fig6", False): ("t", "X_offset"),
+    ("fig6", True): ("t_min", "t_max", "n_t", "X_min", "X_max", "n_X"),
+}
 
 
 def build_parser():
@@ -264,7 +272,7 @@ def build_parser():
 
     sp = sub.add_parser("mesh", help="solve, mesh, assemble, export OBJ")
     _add_common(sp)
-    _add_mesh_options(sp)
+    sp.add_argument("--resolution", type=int, default=64)
     sp.add_argument("--n-periods", type=int, default=1)
     sp.add_argument("--piece-only", action="store_true",
                     help="export the fundamental piece instead of the tower")
@@ -273,7 +281,7 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run the verification checks")
     _add_common(sp)
-    _add_mesh_options(sp)
+    sp.add_argument("--resolution", type=int, default=64)
     sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED,
                     help="seed of the injectivity sampling")
     sp.set_defaults(fn=cmd_verify)

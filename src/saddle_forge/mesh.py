@@ -51,7 +51,7 @@ FAR_RADIUS = 20.0     # the grid covers the quadrant out to this |Re z|, Im z
 # The boundary stretches in boundary order, each with the mirror it lies
 # in: the axis the mirror fixes and its plane, ORIGIN (through 0) or
 # HALF_PERIOD (x3 = levels["ED"], joining adjacent periods).  Welding, the
-# level check and the chamber walls all read this table.
+# mirror check and the chamber walls all read this table.
 ORIGIN, HALF_PERIOD = "origin", "half-period"
 STRETCHES = {
     "AL": (1, ORIGIN),
@@ -63,6 +63,7 @@ STRETCHES = {
     "BA": (2, HALF_PERIOD),
 }
 WELD_TOL = 1e-9      # welded vertices agree to this fraction of the bbox
+LC_TOL = 1e-8        # a quad closes its loop to this fraction of its size
 
 
 def stretch_intervals(p: SurfaceParams, far: float) -> dict:
@@ -275,17 +276,14 @@ def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
     return acc*ds[:, None]
 
 
-def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8) -> PieceMesh:
+def integrate_piece(grid: DomainGrid) -> PieceMesh:
     """Positions by accumulating real edge increments along the grid's
     spanning tree.
 
     Every grid quad provides a loop-closure residual; each must stay below
-    lc_tol times the cell scale (largest edge increment of the quad), with
-    an absolute floor at the rounding level of the coordinates.  lc_tol
-    must be a finite number > 0.
+    LC_TOL times the cell scale (largest edge increment of the quad), with
+    an absolute floor at the rounding level of the coordinates.
     """
-    if not 0.0 < lc_tol < np.inf:
-        raise InvalidResolution(f"lc_tol must be a finite number > 0, got {lc_tol}")
     p = grid.p
     E0, E1 = grid.edges[:, 0], grid.edges[:, 1]
     inc = edge_increments(p, grid.z[E0], grid.z[E1])
@@ -326,7 +324,7 @@ def integrate_piece(grid: DomainGrid, lc_tol: float = 1e-8) -> PieceMesh:
     T = 2.0*abs(levels["ED"])
 
     floor = 64*np.finfo(float).eps*np.max(np.abs(pos))
-    bad = lc > np.maximum(lc_tol*scale, floor)
+    bad = lc > np.maximum(LC_TOL*scale, floor)
     if bad.any():
         q = int(np.argmax(lc/np.maximum(scale, 1e-300)))
         raise BranchInconsistency(
@@ -346,20 +344,16 @@ def mirror_planes(piece: PieceMesh) -> dict:
             for tag, (axis, plane) in STRETCHES.items()}
 
 
-def _level_gaps(piece: PieceMesh) -> dict:
-    """Distance of each welded stretch's level from its mirror (nonzero
-    where the period problem is not solved)."""
-    return {tag: abs(piece.levels[tag] - level)
-            for tag, (_, level) in mirror_planes(piece).items()}
-
-
 def _seam_deviation(piece: PieceMesh):
     """Max deviation of each stretch from its own level, and the largest
-    level gap of a welded stretch from its mirror."""
+    level gap of a welded stretch from its mirror (nonzero where the period
+    problem is not solved)."""
     v, bd = piece.vertices, piece.boundary
-    dev = {tag: float(np.max(np.abs(v[bd[tag], axis] - piece.levels[tag])))
-           for tag, (axis, _) in STRETCHES.items()}
-    return dev, max(_level_gaps(piece).values())
+    dev, gap = {}, 0.0
+    for tag, (axis, level) in mirror_planes(piece).items():
+        dev[tag] = float(np.max(np.abs(v[bd[tag], axis] - piece.levels[tag])))
+        gap = max(gap, abs(piece.levels[tag] - level))
+    return dev, gap
 
 
 def assemble(piece: PieceMesh, n_periods: int = 1) -> AssembledMesh:
@@ -370,9 +364,9 @@ def assemble(piece: PieceMesh, n_periods: int = 1) -> AssembledMesh:
     of one reflection (STRETCHES), and the copies that reflection pairs
     share its vertices: within a period for a mirror through 0, across
     adjacent periods for the half-period mirror.  Vertices are welded by
-    these index maps, never by coordinates.  Stretches off their mirrors
-    (unsolved period parameters) or welded vertices more than WELD_TOL times
-    the bounding-box diagonal apart raise WeldMismatch.
+    these index maps, never by coordinates.  A stretch vertex off its
+    mirror (unsolved period parameters) or welded vertices more than
+    WELD_TOL times the bounding-box diagonal apart raise WeldMismatch.
     """
     if not isinstance(n_periods, (int, np.integer)) or n_periods < 1:
         raise InvalidResolution(f"n_periods must be an integer >= 1, got {n_periods!r}")
@@ -380,17 +374,14 @@ def assemble(piece: PieceMesh, n_periods: int = 1) -> AssembledMesh:
     n = len(v)
     bbox = np.linalg.norm(v.max(axis=0) - v.min(axis=0))
     tol = WELD_TOL*bbox
-    dev, _ = _seam_deviation(piece)
-    bad = {k: d for k, d in dev.items() if d > tol}
-    if bad:
-        raise WeldMismatch(f"symmetry stretches off their planes beyond "
-                           f"{tol:.3e}: {bad}")
-    gaps = _level_gaps(piece)
-    worst = max(gaps, key=gaps.get)
-    if gaps[worst] > tol:
-        axis, level = mirror_planes(piece)[worst]
+    planes = mirror_planes(piece)
+    off = {tag: np.max(np.abs(v[piece.boundary[tag], axis] - level))
+           for tag, (axis, level) in planes.items()}
+    worst = max(off, key=off.get)
+    if off[worst] > tol:
+        axis, level = planes[worst]
         raise WeldMismatch(
-            f"stretch {worst} lies {gaps[worst]:.3e} off its mirror "
+            f"stretch {worst} lies {off[worst]:.3e} off its mirror "
             f"x{axis + 1} = {level:.6g}, beyond tol {tol:.3e} -- period "
             f"problem not solved")
 

@@ -175,6 +175,23 @@ def test_mesh_rejects_empty_tower(capsys, tmp_path):
     assert not (tmp_path/"t.obj").exists()
 
 
+@pytest.mark.parametrize("n_periods", ["-5", "1"])
+def test_mesh_rejects_n_periods_with_piece_only(n_periods, capsys, tmp_path,
+                                                monkeypatch):
+    # the piece is no tower: any --n-periods, the default's value too, would
+    # be ignored, so it is a usage error before the solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the period problem was solved")
+    monkeypatch.setattr(periods, "solve_periods", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "mesh", "--piece-only", "--n-periods", n_periods,
+                "--resolution", "32", "-o", str(tmp_path/"t.obj"))
+    assert exc.value.code == 3
+    assert ("--n-periods is ignored with --piece-only"
+            in capsys.readouterr().err)
+    assert not (tmp_path/"t.obj").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ("--X-offset", "0.04", "--a", "1.5", "--b", "2"),
@@ -190,10 +207,10 @@ def test_periods_rejects_moduli_out_of_order(capsys, argv):
 
 
 def test_verify_takes_the_mesh_options(capsys):
-    # res 20 closes its worst cell to 3.5e-7 of the cell size, so it needs
-    # the same --lc-tol as `mesh`; the embeddedness path is named on stderr
+    # res 28 is the coarsest grid of the reference member that closes every
+    # cell to mesh.LC_TOL; the embeddedness path is named on stderr
     code, out, err = run_cli(capsys, "verify", "--t", "0.02", "--tol", "1e-9",
-                             "--resolution", "20", "--lc-tol", "1e-6")
+                             "--resolution", "28")
     assert code == 0, err
     vals = parse_kv(out)
     assert vals["verified"] == "1"
@@ -202,18 +219,18 @@ def test_verify_takes_the_mesh_options(capsys):
 
 
 def test_verify_rejects_nan_lc_tol(capsys, monkeypatch):
-    # NaN would switch the loop-closure check off: the res-16 piece closes
-    # its worst cell to 1.3e-6 only.  It is rejected before the curve-level
-    # checks run.
+    # loop closure is the constant mesh.LC_TOL: a value that would loosen
+    # the gate (NaN passes every cell) is a usage error before any check
     def no_check(*args, **kwargs):
-        raise AssertionError("a curve-level check ran")
+        raise AssertionError("a check ran")
     monkeypatch.setattr(verify, "check_symmetry_table", no_check)
-    monkeypatch.setattr(verify, "degree_diagnostic", no_check)
-    code, out, err = run_cli(capsys, "verify", "--t", "0.02", "--tol", "1e-9",
-                             "--resolution", "16", "--lc-tol", "nan")
-    assert code == 3
-    assert "InvalidResolution" in err
-    assert "verified" not in out
+    monkeypatch.setattr(periods, "solve_periods", no_check)
+    for command, value in (("verify", "nan"), ("verify", "1e3"),
+                           ("mesh", "1e-6")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, command, "--resolution", "16", "--lc-tol", value)
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --lc-tol" in capsys.readouterr().err
 
 
 def test_verify_always_checks_embeddedness(capsys, monkeypatch):
@@ -337,7 +354,8 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
 
 @pytest.mark.parametrize("command, line", [
     ("solve", "quad_rel_tol = 1e-11"), ("mesh", "far_radius = 20"),
-    ("verify", "symmetry_tol = 1e-9"), ("verify", "n_pairs = 100000")])
+    ("verify", "symmetry_tol = 1e-9"), ("verify", "n_pairs = 100000"),
+    ("mesh", "lc_tol = 1e-8"), ("verify", "lc_tol = 1e-8")])
 def test_config_rejects_removed_key(command, line, capsys, tmp_path,
                                     monkeypatch):
     # these settings are constants now; a config file that still sets one,
@@ -383,7 +401,7 @@ def test_mesh_output_flag_wins_over_config(flag, capsys, tmp_path):
     # a flag given on the command line wins over the file in any spelling
     cfg = tmp_path/"run.cfg"
     cfg.write_text(f"output = {tmp_path/'from_cfg.obj'}\n"
-                   "resolution = 20\nlc_tol = 1e-6\npiece_only = yes\n")
+                   "resolution = 28\npiece_only = yes\n")
     path = str(tmp_path/"from_flag.obj")
     argv = [flag + path] if flag.endswith("=") else [flag, path]
     code, out, err = run_cli(capsys, "mesh", "--config", str(cfg),
@@ -421,6 +439,41 @@ def test_sweep_rejects_empty_grid(argv, capsys, tmp_path):
     assert code == 3
     assert "InvalidResolution" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--X-offset", "0.03", "--n-t", "1"], "--X-offset is ignored without"),
+    (["--t", "0.02"], "--t is ignored without"),
+    (["--fig6", "--t-min", "0.04", "--n-a", "1", "--n-b", "1"],
+     "--t-min is ignored with --fig6"),
+    (["--fig6", "--n-X", "2"], "--n-X is ignored with --fig6"),
+], ids=["X-offset", "t", "fig6-t-min", "fig6-n-X"])
+def test_sweep_rejects_options_of_the_other_mode(argv, message, capsys,
+                                                 tmp_path, monkeypatch):
+    # a plain sweep reads its grid, not the --fig6 point, and --fig6 reads
+    # its point, not the grid; an option the mode would ignore exits 3
+    # before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+    monkeypatch.setattr(periods, "sweep_family", no_solve)
+    monkeypatch.setattr(periods, "resolve_params", no_solve)
+    out_path = tmp_path/"sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "sweep", *argv, "-o", str(out_path))
+    assert exc.value.code == 3
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_sweep_rejects_config_options_of_the_other_mode(capsys, tmp_path):
+    # a config file value is given as much as a flag is
+    cfg = tmp_path/"run.cfg"
+    cfg.write_text("t = 0.04\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "sweep", "--config", str(cfg),
+                "-o", str(tmp_path/"sweep.csv"))
+    assert exc.value.code == 3
+    assert "--t is ignored without --fig6" in capsys.readouterr().err
 
 
 # Run in a fresh interpreter: records OPENBLAS_NUM_THREADS at the moment numpy
@@ -469,8 +522,8 @@ _MESH_PROBE = """
 import sys
 from saddle_forge import cli
 
-code = cli.main(["mesh", "--resolution", "20", "--lc-tol", "1e-6",
-                 "--tol", "1e-9", "-o", sys.argv[1]])
+code = cli.main(["mesh", "--resolution", "28", "--tol", "1e-9",
+                 "-o", sys.argv[1]])
 print(f"exit = {code}")
 print(f"scipy_loaded = {'scipy' in sys.modules}")
 """

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import saddle_forge.mesh as mesh
 from saddle_forge.errors import (BranchInconsistency, InvalidResolution,
                                  WeldMismatch)
 from saddle_forge.mesh import (FAR_RADIUS, QUAD_SIGNS, STRETCHES, AssembledMesh,
@@ -34,14 +35,6 @@ def test_grid_rejects_bad_resolution(solved_params):
     far_b = SurfaceParams(a=p.a, b=FAR_RADIUS - 0.5, x=p.x, X=p.X, y=p.y)
     with pytest.raises(InvalidResolution):
         build_grid(far_b, 64)
-
-
-@pytest.mark.parametrize("lc_tol", [np.nan, np.inf, 0.0, -1.0])
-def test_integrate_piece_rejects_bad_lc_tol(solved_params, lc_tol):
-    # NaN or inf would pass every cell; 0 or less would leave only the
-    # rounding floor
-    with pytest.raises(InvalidResolution):
-        integrate_piece(build_grid(solved_params, 16), lc_tol=lc_tol)
 
 
 def test_grid_tags_cover_boundary(solved_params):
@@ -358,12 +351,25 @@ def test_assemble_rejects_an_open_horizontal_period():
         assemble(piece)
 
 
+def test_assemble_rejects_a_stretch_vertex_off_its_mirror(piece64):
+    # one interior vertex of FE leaves the mirror x3 = 0 and the rest of
+    # the stretch stays on it: the check reads every vertex, not a mean
+    v = piece64.vertices.copy()
+    bbox = np.linalg.norm(v.max(axis=0) - v.min(axis=0))
+    fe = piece64.boundary["FE"]
+    v[fe[len(fe)//2], 2] += 100*mesh.WELD_TOL*bbox
+    with pytest.raises(WeldMismatch, match="stretch FE lies"):
+        assemble(dataclasses.replace(piece64, vertices=v))
+
+
 @pytest.mark.xfail(raises=BranchInconsistency, strict=True,
                    reason="a needle cell on CB closes to 1.3e-6 of its size "
                           "at res 16; the conformal regrade of ROADMAP "
                           "direction 2 removes it")
-def test_reference_member_closes_at_res_16_under_lc_tol_1e_6(solved_params):
-    integrate_piece(build_grid(solved_params, 16), lc_tol=1e-6)
+def test_reference_member_closes_at_res_16_under_lc_tol_1e_6(solved_params,
+                                                           monkeypatch):
+    monkeypatch.setattr(mesh, "LC_TOL", 1e-6)
+    integrate_piece(build_grid(solved_params, 16))
 
 
 # ----------------------------------------------------------------- export

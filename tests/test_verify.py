@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import saddle_forge.mesh as mesh
 import saddle_forge.verify as verify
 from _oracles import collision_pairs_oracle
 from saddle_forge.errors import ContourTooClose, NotApplicable
@@ -180,8 +181,11 @@ def test_self_intersection_excludes_shared_vertex_neighbours(piece64):
 
 @pytest.fixture(scope="module")
 def piece20_and_copy(solved_params):
-    # res 20 closes its worst cell to 3.5e-7 of the cell size
-    piece = integrate_piece(build_grid(solved_params, 20), lc_tol=1e-6)
+    # a small piece for the all-pairs box test; res 20 closes its worst cell
+    # to 3.5e-7 of the cell size, so it builds under a looser LC_TOL
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh, "LC_TOL", 1e-6)
+        piece = integrate_piece(build_grid(solved_params, 20))
     v = np.vstack([piece.vertices, piece.vertices + 1e-3])
     f = np.vstack([piece.faces, piece.faces + len(piece.vertices)])
     return v, f
