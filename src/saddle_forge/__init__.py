@@ -29,9 +29,9 @@ from .params import SurfaceParams, SymFuncs, sym_funcs
 from .quad import integrate_singular, integrate_to_infinity
 from .weier import g_eval, phi_vec, vertical_normal_points, w_closed
 from .periods import (FamilySolution, PeriodReport, F_eval, I_integral,
-                      J_integral, K_integral, period_report_for, residue_R,
-                      residue_r, solve_periods, solve_y, sweep_family,
-                      write_sweep_csv)
+                      J_integral, K_integral, family_tangent,
+                      period_report_for, residue_R, residue_r, solve_periods,
+                      solve_y, sweep_family, write_sweep_csv)
 from .mesh import (AssembledMesh, DomainGrid, PieceMesh, assemble, build_grid,
                    curvature_stats, edge_increments, export_obj,
                    integrate_piece, mean_curvature_norm)

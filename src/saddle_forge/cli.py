@@ -60,9 +60,12 @@ def parse_args(argv):
     subcommand's defaults for a second parse of argv, so every flag given
     on the command line wins over the file, however it is spelled, and a
     file value satisfies a required option.  Giving an option that the
-    chosen mode ignores (`_IGNORED`) is a usage error."""
+    chosen mode ignores (`_IGNORED`) is a usage error.  The first parse
+    requires nothing, so its usage, printed for -h or an error, is frozen
+    as built, with the required options marked."""
     parser = build_parser()
     for sp in parser.subcommands.values():
+        sp.usage = sp.format_usage().removeprefix("usage: ").strip()
         for action in sp._actions:
             action.default, action.required = argparse.SUPPRESS, False
     given = vars(parser.parse_args(argv))

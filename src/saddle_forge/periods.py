@@ -6,6 +6,15 @@ The three conditions that make the immersion single-valued are
                       for y as the root of F, which is r = R squared and
                       cross-multiplied),
     pi1 = I + J = 0  and  pi2 = K - R/2 = 0   (solved for (a, b)).
+
+Along the family x = a - t and X = a + X_offset, and y = y(a, b) follows
+from F = 0, so the periods are functions of (a, b) alone.  Their (a, b)
+gradient is differentiated under the integral sign on the rule's fixed
+nodes (Takahasi and Mori 1974), in the same quadrature pass as the value:
+each integrand returns a stack of three rows, its value and its
+derivatives along d/da and d/db, which the chain rule forms from its
+partials in the moduli and the family tangent (family_tangent), the
+derivatives of the moduli along those two directions.
 """
 from __future__ import annotations
 
@@ -30,6 +39,16 @@ class PeriodReport:
     pi1: float
     pi2: float
     F_residual: float
+    # the (a, b) Jacobian of (pi1, pi2) along the family
+    dpi1_da: float
+    dpi1_db: float
+    dpi2_da: float
+    dpi2_db: float
+
+    @property
+    def jacobian(self) -> np.ndarray:
+        return np.array([[self.dpi1_da, self.dpi1_db],
+                         [self.dpi2_da, self.dpi2_db]])
 
 
 @dataclass(frozen=True)
@@ -69,11 +88,43 @@ def residue_R(p: SurfaceParams, s: SymFuncs) -> float:
     return float(np.pi*B/((1 - p.a*p.a)*np.sqrt(rad)))
 
 
+def _dR(p: SurfaceParams, s: SymFuncs, tan: dict) -> np.ndarray:
+    """The (a, b) gradient of residue_R along the family tangent tan."""
+    a, b, x, y = p.a, p.b, p.x, p.y
+    _, B, _, rad, _ = _residue_match(a, b, x, y, s.S2, s.S4)
+    c = np.pi/((1 - a*a)*np.sqrt(rad))
+    grad = []
+    for da, db, dx, dy, dS2, dS4 in zip(*(tan[m] for m in
+                                          ("a", "b", "x", "y", "S2", "S4"))):
+        dB = (4*a*a + 2*s.S2)*a*da + a*a*dS2 + dS4
+        # the log-derivative of rad factor by factor; a*a - x*x is
+        # (a - x)(a + x), and a - x = t does not move
+        dlog_rad = (2*(a*da - b*db)/(a*a - b*b) + (da - dx)/(a - x)
+                    + (da + dx)/(a + x) + 2*(a*da - y*dy)/(a*a - y*y))
+        grad.append(c*(dB + B*(2*a*da/(1 - a*a) - 0.5*dlog_rad)))
+    return np.array(grad)
+
+
+def _with_gradient(value, tan: dict, partials: dict, c) -> np.ndarray:
+    """The (3, n) stack of an integrand's value and its two (a, b) gradient
+    rows.  By the chain rule each row is c times the sum over the moduli m
+    of tan[m] times partials[m], the integrand's partial derivative in m
+    divided by c."""
+    out = np.empty((3, len(value)))
+    out[0] = value
+    np.matmul(np.array([tan[m] for m in partials]).T,
+              np.array(list(partials.values())), out=out[1:])
+    out[1:] *= c
+    return out
+
+
 def _named(name, interval, p, integrate, *args, **kwargs):
-    """The value of integrate(*args, **kwargs); its NoConvergence is raised
-    again naming the integral, its interval and the moduli, best as a float."""
+    """The value row and the gradient rows of integrate(*args, **kwargs),
+    a float and a (2,) array; its NoConvergence is raised again naming the
+    integral, its interval and the moduli."""
     try:
-        return float(integrate(*args, **kwargs)[0])
+        vals = integrate(*args, **kwargs)[0]
+        return float(vals[0]), vals[1:]
     except NoConvergence as exc:
         raise NoConvergence(
             f"{name} over {interval} did not converge for (a,b,x,X,y)="
@@ -81,10 +132,17 @@ def _named(name, interval, p, integrate, *args, **kwargs):
             best=float(exc.best), residual=float(exc.residual)) from exc
 
 
-def I_integral(p: SurfaceParams, s: SymFuncs) -> float:
+# Each integrand below is num*c with c a product of known factors.  Its
+# partials in the moduli are formed as G_m = d(num*c)/dm / c and multiplied
+# by c only after the chain rule, so that none of them underflows at the
+# outermost nodes, where c is ~1e-185.
+
+def I_integral(p: SurfaceParams, s: SymFuncs,
+               tan: dict) -> tuple[float, np.ndarray]:
     """Horizontal period integral along the real axis beyond the last branch
     point: integrand has an inverse-square-root endpoint at t=b and decays
-    like S1/t^3."""
+    like S1/t^3.  Returns the value and its (a, b) gradient along the
+    family tangent tan."""
     a, b, x, y = p.a, p.b, p.x, p.y
 
     def f(t, dlo, dhi):
@@ -93,18 +151,30 @@ def I_integral(p: SurfaceParams, s: SymFuncs) -> float:
         # own, so that no intermediate overflows at the outermost nodes
         tt = t*t
         u = 1.0/tt
-        return ((s.S1 + (s.S3 + s.S5*u)*u)/((1.0 - u)*(1.0 - a*a*u))
-                / (np.sqrt(dlo*(t + b))*np.sqrt(tt - x*x)*np.sqrt(tt - y*y)))
+        one_u, one_au = 1.0 - u, 1.0 - a*a*u
+        num = s.S1 + (s.S3 + s.S5*u)*u
+        c = 1.0/(one_u*one_au*(np.sqrt(dlo*(t + b))*np.sqrt(tt - x*x)
+                                * np.sqrt(tt - y*y)))
+        ua, ux, uy = u/one_au, u/(1.0 - x*x*u), u/(1.0 - y*y*u)
+        # integrate_to_infinity keeps its nodes at fixed t/b, so t scales
+        # with b, and 1/sqrt(t^2 - b^2) dt does not depend on b
+        G = {"a": 2*a*ua*num, "x": x*ux*num, "y": y*uy*num,
+             "b": -(2*u*(s.S3 + 2*s.S5*u)
+                    + (2*u/one_u + 2*a*a*ua + 2.0 + x*x*ux + y*y*uy)*num)/b,
+             "S1": np.ones_like(u), "S3": u, "S5": u*u}
+        return _with_gradient(num*c, tan, G, c)
 
     return _named("I", "(b, inf)", p, integrate_to_infinity, f, b, scale=b)
 
 
-def J_integral(p: SurfaceParams, s: SymFuncs) -> float:
+def J_integral(p: SurfaceParams, s: SymFuncs,
+               tan: dict) -> tuple[float, np.ndarray]:
     """Horizontal period integral along the imaginary axis z = it.
 
     There the Gauss map is the positive real number g = tan(psi/2) with
     psi(t) = 2 atan(t/X) - atan(t/b) + atan(t/x) - atan(t/y), so
-    g - 1/g = -2/tan(psi) and the integrand is real."""
+    g - 1/g = -2/tan(psi) and the integrand is real.  Returns the value
+    and its (a, b) gradient along the family tangent tan."""
     a, b, x, X, y = p.a, p.b, p.x, p.X, p.y
 
     def f(t, dlo, dhi):
@@ -114,24 +184,56 @@ def J_integral(p: SurfaceParams, s: SymFuncs) -> float:
         # as in I, so that no intermediate overflows
         tt = t*t
         u = 1.0/tt
-        return ((1.0 + (s.S4*u - s.S2)*u)/((1.0 + u)*(1.0 + a*a*u))
-                * t/np.tan(psi)
-                / (np.sqrt(tt + b*b)*np.sqrt(tt + x*x)*np.sqrt(tt + y*y)))
+        tb, tx, ty = tt + b*b, tt + x*x, tt + y*y
+        one_au = 1.0 + a*a*u
+        quartic = 1.0 + (s.S4*u - s.S2)*u
+        tcot = t/np.tan(psi)
+        num = quartic*tcot
+        c = 1.0/((1.0 + u)*one_au*(np.sqrt(tb)*np.sqrt(tx)*np.sqrt(ty)))
+        # d(t cot psi)/dm = -t^2 (1 + cot^2 psi) dpsi/dm, and each dpsi/dm
+        # is t/(t^2 + m^2) up to sign
+        w = quartic*(tt + tcot*tcot)
+        G = {"a": -2*a*u/one_au*num, "b": -(w + b*num)/tb,
+             "x": (w - x*num)/tx, "y": -(w + y*num)/ty, "X": 2*w/(tt + X*X),
+             "S2": -u*tcot, "S4": u*u*tcot}
+        return _with_gradient(num*c, tan, G, c)
 
     return _named("J", "(0, inf)", p, integrate_to_infinity, f, 0.0)
 
 
-def K_integral(p: SurfaceParams, s: SymFuncs) -> float:
+def K_integral(p: SurfaceParams, s: SymFuncs,
+               tan: dict) -> tuple[float, np.ndarray]:
     """Vertical flux integral over the branch cut (y, b): inverse-square-root
-    singularities at both endpoints, no interior singularity."""
+    singularities at both endpoints, no interior singularity.  Returns the
+    value and its (a, b) gradient along the family tangent tan."""
     a, b, x, y = p.a, p.b, p.x, p.y
+    span = b - y
 
-    def f(t, dlo, dhi):
-        rad = dhi*(b + t)*(t*t - x*x)*dlo*(t + y)
-        return ((t**4 + s.S2*t*t + s.S4)/((1.0 - t*t)*(a*a - t*t))
-                * t/np.sqrt(rad))
+    def f(v, dlo, dhi):
+        # on t = y + (b - y) v, v in (0, 1), the endpoints do not move with
+        # (a, b); dt cancels (b - y) out of the root of (t - y)(b - t)
+        t = y + span*v
+        tt = t*t
+        a_tt, t_b, t_x, t_y = a*a - tt, b + t, tt - x*x, t + y
+        num = (tt*tt + s.S2*tt + s.S4)*t
+        rest = a_tt*np.sqrt(t_b*t_x*t_y*dlo*dhi)
+        # the gradient rows are a further 1/(t - 1) more peaked at v -> 0,
+        # so they take 1 - t^2 from t - 1, exact in y - 1: as y -> 1 the
+        # rounding of 1 - t*t, which the value keeps (the t -> 0 defect),
+        # would stop them converging
+        one_tt = -((y - 1.0) + span*v)*(1.0 + t)
+        # the radicand factors b + t and t + y, rooted, give -1/2 of their
+        # log-derivatives
+        hb, hy = 0.5/t_b*num, 0.5/t_y*num
+        # d(num c)/dt / c; t moves with y by 1 - v and with b by v
+        Gt = ((5*tt + 3*s.S2)*tt + s.S4 - hb - hy
+              + num*(2*t/one_tt + 2*t/a_tt - t/t_x))
+        G = {"a": -2*a/a_tt*num, "x": x/t_x*num, "b": dlo*Gt - hb,
+             "y": dhi*Gt - hy, "S2": tt*t, "S4": t}
+        return _with_gradient(num/((1.0 - tt)*rest), tan, G,
+                              1.0/(one_tt*rest))
 
-    return _named("K", "(y, b)", p, integrate_singular, f, y, b)
+    return _named("K", "(y, b)", p, integrate_singular, f, 0.0, 1.0)
 
 
 def F_eval(a: float, b: float, x: float, X: float, y: float) -> float:
@@ -198,16 +300,48 @@ def resolve_params(t: float, X_offset: float, a: float, b: float) -> SurfacePara
     return SurfaceParams(a=a, b=b, x=a - t, X=a + X_offset, y=y)
 
 
+# complex step of the polynomials F and s_coeffs: Im f(v + i h dv)/h is the
+# derivative along dv to rounding (Squire and Trapp 1998)
+_H = 1e-20
+
+
+def family_tangent(p: SurfaceParams) -> dict:
+    """The derivatives along d/da and d/db at fixed (t, X_offset) of each
+    modulus and S-coefficient, keyed by name, each a pair of floats: x and
+    X move with a, and y with (a, b) by -F_a/F_y and -F_b/F_y, which keep
+    F = 0."""
+    a, b, x, X, y = p.a, p.b, p.x, p.X, p.y
+    h = 1j*_H
+    # F_a, F_b and F_y, each times _H, which cancels
+    F_a = F_eval(a + h, b, x + h, X + h, y).imag
+    F_b = F_eval(a, b + h, x, X, y).imag
+    F_y = F_eval(a, b, x, X, y + h).imag
+    y_a, y_b = -F_a/F_y, -F_b/F_y
+    tan = {"a": (1.0, 0.0), "b": (0.0, 1.0), "x": (1.0, 0.0),
+           "X": (1.0, 0.0), "y": (y_a, y_b)}
+    along_a = s_coeffs(b, x + h, X + h, y + h*y_a)
+    along_b = s_coeffs(b + h, x, X, y + h*y_b)
+    for k, (Sa, Sb) in enumerate(zip(along_a, along_b)):
+        tan[f"S{k + 1}"] = (Sa.imag/_H, Sb.imag/_H)
+    return tan
+
+
 def period_report_for(p: SurfaceParams) -> PeriodReport:
+    """The residues, the period integrals and the residuals (pi1, pi2) at p,
+    with the (a, b) Jacobian of (pi1, pi2) along the family."""
     s = sym_funcs(p)
+    tan = family_tangent(p)
     r = residue_r(p, s)
     R = residue_R(p, s)
-    I = I_integral(p, s)
-    J = J_integral(p, s)
-    K = K_integral(p, s)
+    I, dI = I_integral(p, s, tan)
+    J, dJ = J_integral(p, s, tan)
+    K, dK = K_integral(p, s, tan)
     F = _residue_match(p.a, p.b, p.x, p.y, s.S2, s.S4)[-1]
+    d1, d2 = dI + dJ, dK - 0.5*_dR(p, s, tan)
     return PeriodReport(r=r, R=R, I=I, J=J, K=K, pi1=I + J, pi2=K - 0.5*R,
-                        F_residual=float(F))
+                        F_residual=float(F),
+                        dpi1_da=float(d1[0]), dpi1_db=float(d1[1]),
+                        dpi2_da=float(d2[0]), dpi2_db=float(d2[1]))
 
 
 # the sweep --fig6 window; its centre is the cold start of the period solve
@@ -245,9 +379,10 @@ def check_tol(tol: float) -> None:
 
 def solve_periods(t: float, X_offset: float, tol: float = 1e-10,
                   seed: tuple[float, float] | None = None) -> FamilySolution:
-    """Damped Newton on (pi1, pi2)(a, b) with a finite-difference Jacobian,
-    from the warm start seed or else the centre of DEFAULT_SEED_BOX.  A stall
-    raises NoConvergence carrying the last iterate.
+    """Damped Newton on (pi1, pi2)(a, b) with the exact Jacobian of each
+    period report, from the warm start seed or else the centre of
+    DEFAULT_SEED_BOX.  A stall raises NoConvergence carrying the last
+    iterate.
     tol must be a finite number > 0.
     """
     check_family_coords(t, X_offset)
@@ -273,13 +408,7 @@ def _newton2(t, X_offset, v0, tol):
     for _ in range(_MAX_ITER):
         if np.max(np.abs(pv)) < tol:
             return v, pv, at
-        h = 1e-7
-        Jm = np.zeros((2, 2))
-        for j in range(2):
-            vp = v.copy()
-            vp[j] += h
-            Jm[:, j] = (_pis(t, X_offset, vp[0], vp[1])[0] - pv)/h
-        dv = np.linalg.solve(Jm, -pv)
+        dv = np.linalg.solve(at[1].jacobian, -pv)
         # a trial step whose moduli resolve_params rejects is halved
         lam = 1.0
         while True:

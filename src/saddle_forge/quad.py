@@ -18,14 +18,21 @@ The rule halves the step from h = 1 level by level.  Every node of levels
 0.._MIN_LEVELS lies on the level-_MIN_LEVELS grid, so the integrand is
 called once on all 289 of them and once per level after that.  The node
 tables (abscissae and weights before the interval is applied) do not
-depend on the integrand: they are built on first use and kept read-only.
+depend on the integrand: they are built on first use and kept read-only,
+as are the nodes on the last few intervals used (every semi-infinite
+range is the same (0, 1)).
 Each level's sum is taken over that level's nodes in ascending order, so
 values, error estimates and the abscissae the integrand sees are bit for
 bit those of one call per level.
+
+An integrand may return a (k, n) stack of k integrands on the n nodes, say
+a value and its derivatives in parameters under the integral sign.  Each
+row is summed as a one-row call would sum it, the rule refines until every
+row has converged, and value and error estimate come back as (k,) arrays.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -67,47 +74,65 @@ def _tanh_sinh(level):
     return tab + (tuple(accumulate((len(p[0]) for p in parts), initial=0)),)
 
 
+@lru_cache(maxsize=8)
+def _nodes(level, lo, hi):
+    """The read-only abscissae, endpoint distances d_lo and d_hi, weights
+    and level bounds of _tanh_sinh(level) on (lo, hi), without the nodes
+    whose distance to an endpoint underflows to 0."""
+    neg, wk, eq, emq, cq, bounds = _tanh_sinh(level)
+    half = 0.5*(hi - lo)
+    # 1 +- tanh(q) without cancellation
+    dlo = half*eq/cq
+    dhi = half*emq/cq
+    # build abscissae from the endpoint distances so that xs never rounds
+    # onto lo or hi even for extreme nodes
+    xs = np.where(neg, lo + dlo, hi - dhi)
+    ok = (dlo > 0) & (dhi > 0)
+    if not ok.all():
+        xs, dlo, dhi, wk = xs[ok], dlo[ok], dhi[ok], wk[ok]
+        bounds = tuple(np.concatenate(([0], np.cumsum(ok)))[list(bounds)])
+    for arr in (xs, dlo, dhi, wk):
+        arr.flags.writeable = False
+    return xs, dlo, dhi, wk, bounds
+
+
 def integrate_singular(f, lo: float, hi: float):
     """Integrate f on (lo, hi) allowing integrable endpoint singularities.
 
     Uses the tanh-sinh double-exponential substitution, refined by
-    halving the step; returns (value, err_estimate).
+    halving the step; returns (value, err_estimate), each of f's leading
+    shape: scalars for one integrand, (k,) for a (k, n) stack.  A stack's
+    NoConvergence carries its first row's value and residual.
     """
     half = 0.5*(hi - lo)
 
     def level_sums(level):
-        neg, wk, eq, emq, cq, bounds = _tanh_sinh(level)
-        # 1 +- tanh(q) without cancellation
-        dlo = half*eq/cq
-        dhi = half*emq/cq
-        # build abscissae from the endpoint distances so that xs never rounds
-        # onto lo or hi even for extreme nodes
-        xs = np.where(neg, lo + dlo, hi - dhi)
-        ok = (dlo > 0) & (dhi > 0)
-        if not ok.all():
-            xs, dlo, dhi, wk = xs[ok], dlo[ok], dhi[ok], wk[ok]
-            bounds = np.concatenate(([0], np.cumsum(ok)))[list(bounds)]
+        xs, dlo, dhi, wk, bounds = _nodes(level, lo, hi)
         fw = np.asarray(f(xs, dlo, dhi))*wk
-        # np.sum's pairwise add.reduce over each level's share of fw
-        return [half*np.add.reduce(fw[i:j])
-                for i, j in zip(bounds[:-1], bounds[1:])]
+        sums = np.empty((len(bounds) - 1,) + fw.shape[:-1])
+        for k, (i, j) in enumerate(zip(bounds[:-1], bounds[1:])):
+            # np.sum's pairwise add.reduce over a level's share of each row
+            np.add.reduce(fw[..., i:j], axis=-1, out=sums[k, ...])
+        return half*sums
 
-    sums = level_sums(None)
-    h = 1.0
-    val = h*sums[0]
-    prev = np.inf
-    for level in range(1, _MAX_LEVELS + 1):
-        h *= 0.5
-        s = sums[level] if level <= _MIN_LEVELS else level_sums(level)[0]
-        new = 0.5*val + h*s
+    # The value at level L is val = val/2 + h*s, h = 2^-L and s the level's
+    # sum.  Halving is exact (barring subnormals), so val is h times the
+    # running sum of the s, rounded as the recurrence rounds; cumsum adds
+    # in level order.
+    total = np.cumsum(level_sums(None), axis=0)
+    val = 2.0**(1 - _MIN_LEVELS)*total[-2]
+    total = total[-1]
+    for level in range(_MIN_LEVELS, _MAX_LEVELS + 1):
+        if level > _MIN_LEVELS:
+            total = total + level_sums(level)[0]
+        new = 2.0**-level*total
         delta = abs(new - val)
         val = new
-        if (level >= _MIN_LEVELS
-                and delta <= max(_ABS_TOL, _REL_TOL*abs(val))):
+        if (delta <= np.maximum(_ABS_TOL, _REL_TOL*abs(val))).all():
             return val, delta
-        prev = delta
     raise NoConvergence("double-exponential refinement did not converge",
-                        best=val, residual=prev)
+                        best=float(np.ravel(val)[0]),
+                        residual=float(np.ravel(delta)[0]))
 
 
 def integrate_to_infinity(f, lo: float, scale: float = 1.0):

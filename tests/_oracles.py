@@ -11,8 +11,11 @@ de_to_infinity_oracle are the double-exponential rules refined level by
 level, one integrand call per level with every node table recomputed
 (de_to_infinity_oracle is de_singular_oracle on (0, 1) under the map
 x = lo + scale*u/(1 - u)); the library's fused first pass must reproduce
-them bit for bit.  collision_pairs_oracle finds every pair of close
-vertices, where the injectivity check samples pairs.
+them bit for bit.  central_jacobian_oracle differences the period
+residuals, where period_report_for differentiates under the integral sign,
+and fd_newton_oracle is the period solve on a forward-difference Jacobian.
+collision_pairs_oracle finds every pair of close vertices, where the
+injectivity check samples pairs.
 """
 from __future__ import annotations
 
@@ -21,8 +24,8 @@ import itertools
 import numpy as np
 from scipy.integrate import quad as scipy_quad
 
-from saddle_forge import quad
-from saddle_forge.errors import NoConvergence
+from saddle_forge import periods, quad
+from saddle_forge.errors import DomainViolation, NoConvergence, NoRoot
 from saddle_forge.params import SurfaceParams, SymFuncs, sym_funcs
 from saddle_forge.weier import g_eval, phi_vec, w_closed
 
@@ -214,8 +217,8 @@ def scipy_K_oracle(p: SurfaceParams) -> float:
 
 def _de_refine(term):
     """Trapezoid-in-level refinement of the tanh-sinh rule, one term(h, ks)
-    call per level; the tolerances and level bounds are read from quad at
-    call time."""
+    call per level, until every row of a stacked term has converged; the
+    tolerances and level bounds are read from quad at call time."""
     h = 1.0
     val = h*term(h, np.arange(-4, 5))
     prev = np.inf
@@ -224,14 +227,15 @@ def _de_refine(term):
         kmax = int(np.ceil(4.5/h))
         ks = np.arange(-kmax, kmax + 1)
         new = 0.5*val + h*term(h, ks[ks % 2 != 0])
-        delta = abs(new - val)
+        delta = np.abs(new - val)
         val = new
-        if (level >= quad._MIN_LEVELS
-                and delta <= max(quad._ABS_TOL, quad._REL_TOL*abs(val))):
+        if (level >= quad._MIN_LEVELS and np.all(
+                delta <= np.maximum(quad._ABS_TOL, quad._REL_TOL*np.abs(val)))):
             return val, delta
         prev = delta
     raise NoConvergence("double-exponential refinement did not converge",
-                        best=val, residual=prev)
+                        best=float(np.ravel(val)[0]),
+                        residual=float(np.ravel(prev)[0]))
 
 
 def de_singular_oracle(f, lo: float, hi: float):
@@ -248,7 +252,8 @@ def de_singular_oracle(f, lo: float, hi: float):
         dhi = half*np.exp(-q)/np.cosh(q)
         xs = np.where(xk < 0, lo + dlo, hi - dhi)
         ok = (dlo > 0) & (dhi > 0) & np.isfinite(wk)
-        return half*np.sum(np.asarray(f(xs[ok], dlo[ok], dhi[ok]))*wk[ok])
+        fw = np.asarray(f(xs[ok], dlo[ok], dhi[ok]))*wk[ok]
+        return half*np.sum(fw, axis=-1)
 
     return _de_refine(term)
 
@@ -262,6 +267,54 @@ def de_to_infinity_oracle(f, lo: float, scale: float = 1.0):
         return np.asarray(f(lo + d, d, np.full_like(d, np.inf)))*(scale/du_hi**2)
 
     return de_singular_oracle(mapped, 0.0, 1.0)
+
+
+def period_residuals(t, X_offset, a, b):
+    """(pi1, pi2) at (a, b) on the family, with its period report."""
+    rep = periods.period_report_for(periods.resolve_params(t, X_offset, a, b))
+    return np.array([rep.pi1, rep.pi2]), rep
+
+
+def central_jacobian_oracle(t, X_offset, a, b, h):
+    """The (a, b) Jacobian of (pi1, pi2) by central differences of step h,
+    whose truncation error is (h^2/6) times a third derivative."""
+    cols = []
+    for e in np.eye(2):
+        hi, _ = period_residuals(t, X_offset, a + h*e[0], b + h*e[1])
+        lo, _ = period_residuals(t, X_offset, a - h*e[0], b - h*e[1])
+        cols.append((hi - lo)/(2*h))
+    return np.column_stack(cols)
+
+
+def fd_newton_oracle(t, X_offset, v0, tol, h=1e-7):
+    """The damped Newton of periods.solve_periods with a forward-difference
+    Jacobian of step h, two extra reports per step, in place of each
+    report's own Jacobian.  Returns the last iterate and its residuals."""
+    v = np.array(v0, dtype=float)
+    pv, _ = period_residuals(t, X_offset, *v)
+    for _ in range(periods._MAX_ITER):
+        if np.max(np.abs(pv)) < tol:
+            break
+        Jm = np.zeros((2, 2))
+        for j in range(2):
+            vp = v.copy()
+            vp[j] += h
+            Jm[:, j] = (period_residuals(t, X_offset, *vp)[0] - pv)/h
+        dv = np.linalg.solve(Jm, -pv)
+        lam = 1.0
+        while True:
+            vn = v + lam*dv
+            try:
+                pn, _ = period_residuals(t, X_offset, *vn)
+                if np.linalg.norm(pn) < np.linalg.norm(pv) or lam <= 0.25:
+                    v, pv = vn, pn
+                    break
+            except (DomainViolation, NoRoot):
+                pass
+            lam *= 0.5
+            if lam < 1e-8:
+                return v, pv
+    return v, pv
 
 
 def collision_pairs_oracle(vertices, tol: float) -> set:

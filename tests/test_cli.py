@@ -106,6 +106,24 @@ def test_periods_takes_moduli_from_config(capsys, tmp_path):
     assert "required: --a, --b" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["periods", "--help"], ["periods", "-h"],
+                                  ["periods", "--t", "abc"]])
+def test_periods_usage_marks_the_moduli_required(argv, capsys):
+    # the usage printed for -h or a usage error shows --a and --b without
+    # brackets; without them periods still exits 3
+    with pytest.raises(SystemExit):
+        run_cli(capsys, *argv)
+    out = capsys.readouterr()
+    usage = " ".join((out.out + out.err).split("\n\n")[0].split())
+    assert usage.startswith("usage: saddle-forge periods")
+    assert "--a A --b B" in usage
+    assert "[--a A]" not in usage and "[--b B]" not in usage
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "periods", "--t", "0.02")
+    assert exc.value.code == 3
+    assert "required: --a, --b" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--t", "abc"],
     ["mesh", "--resolution", "12.5"],

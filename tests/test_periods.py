@@ -3,19 +3,25 @@ import dataclasses
 import numpy as np
 import pytest
 
-from _oracles import (residue_contour_oracle, scipy_I_oracle, scipy_J_oracle,
+from _oracles import (central_jacobian_oracle, fd_newton_oracle,
+                      residue_contour_oracle, scipy_I_oracle, scipy_J_oracle,
                       scipy_K_oracle)
 from conftest import draw_params
+from saddle_forge import periods
 from saddle_forge.errors import (DegenerateRoot, DomainViolation,
                                  NoConvergence, NoRoot)
 from saddle_forge.params import SurfaceParams, sym_funcs
 from saddle_forge.periods import (DEFAULT_SEED_BOX, SWEEP_HEADER, F_eval,
                                   I_integral, J_integral, K_integral,
-                                  _F_coeffs, period_report_for, residue_R,
-                                  residue_r, resolve_params, solve_periods,
-                                  solve_y, sweep_family, write_sweep_csv)
+                                  _F_coeffs, family_tangent, period_report_for,
+                                  residue_R, residue_r, resolve_params,
+                                  solve_periods, solve_y, sweep_family,
+                                  write_sweep_csv)
 
 P0 = SurfaceParams(a=0.5, b=2.0, x=0.3, X=0.5, y=1.5)
+# the 7 x 6 family grid of (t, X_offset)
+FAMILY_T = (0.001, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05)
+FAMILY_X = (0.0, 0.01, 0.02, 0.03, 0.04, 0.049)
 
 
 # ---------------------------------------------------------------- residues
@@ -49,8 +55,8 @@ def test_residue_signs_and_reality():
     SurfaceParams(a=0.9, b=1.3, x=0.85, X=0.91, y=1.1),
 ])
 def test_I_matches_scipy_oracle(p):
-    assert I_integral(p, sym_funcs(p)) == pytest.approx(scipy_I_oracle(p),
-                                                        rel=1e-9, abs=1e-11)
+    value, _ = I_integral(p, sym_funcs(p), family_tangent(p))
+    assert value == pytest.approx(scipy_I_oracle(p), rel=1e-9, abs=1e-11)
 
 
 @pytest.mark.parametrize("p", [
@@ -58,8 +64,8 @@ def test_I_matches_scipy_oracle(p):
     SurfaceParams(a=0.9, b=1.3, x=0.85, X=0.91, y=1.1),
 ])
 def test_J_matches_scipy_oracle(p):
-    assert J_integral(p, sym_funcs(p)) == pytest.approx(scipy_J_oracle(p),
-                                                        rel=1e-8, abs=1e-10)
+    value, _ = J_integral(p, sym_funcs(p), family_tangent(p))
+    assert value == pytest.approx(scipy_J_oracle(p), rel=1e-8, abs=1e-10)
 
 
 @pytest.mark.parametrize("p", [
@@ -67,8 +73,8 @@ def test_J_matches_scipy_oracle(p):
     SurfaceParams(a=0.9, b=1.3, x=0.85, X=0.91, y=1.1),
 ])
 def test_K_matches_scipy_oracle(p):
-    assert K_integral(p, sym_funcs(p)) == pytest.approx(scipy_K_oracle(p),
-                                                        rel=1e-9, abs=1e-11)
+    value, _ = K_integral(p, sym_funcs(p), family_tangent(p))
+    assert value == pytest.approx(scipy_K_oracle(p), rel=1e-9, abs=1e-11)
 
 
 # ------------------------------------------------------- implicit y solve
@@ -166,6 +172,37 @@ def test_period_report_for_params_matches_family_route(solved):
     assert rep.pi2 == pytest.approx(solved.report.pi2, abs=1e-12)
 
 
+def test_jacobian_matches_central_differences_to_truncation_error():
+    # central differences of step h miss the Jacobian by c h^2 + O(h^4), so
+    # J must agree with their Richardson extrapolation D_h + (D_h - D_2h)/3
+    # far inside the truncation error |D_2h - D_h| = 3 c h^2 (a difference
+    # Jacobian of step h would sit a third of it away); no node of any
+    # row raises a floating-point error
+    h = 1e-3
+    with np.errstate(all="raise"):
+        rows = sweep_family(FAMILY_T, FAMILY_X)
+    for t, X_offset, sol in rows:
+        J = sol.report.jacobian
+        D_h = central_jacobian_oracle(t, X_offset, sol.a, sol.b, h)
+        D_2h = central_jacobian_oracle(t, X_offset, sol.a, sol.b, 2*h)
+        truncation = np.max(np.abs(D_2h - D_h))
+        assert truncation < 1e-4*np.max(np.abs(J))
+        assert np.max(np.abs(J - (D_h + (D_h - D_2h)/3))) < 0.01*truncation
+
+
+def test_solves_match_the_finite_difference_newton():
+    # from the same start, Newton on forward differences of step 1e-7
+    # reaches the same (a, b) to well inside the solve tolerance
+    a_lo, a_hi, b_lo, b_hi = DEFAULT_SEED_BOX
+    seed = (0.5*(a_lo + a_hi), 0.5*(b_lo + b_hi))
+    for t in FAMILY_T:
+        for X_offset in FAMILY_X:
+            sol = solve_periods(t, X_offset)
+            v, pv = fd_newton_oracle(t, X_offset, seed, 1e-10)
+            assert np.max(np.abs(pv)) < 1e-10
+            assert np.max(np.abs(v - (sol.a, sol.b))) < 1e-9
+
+
 def test_period_map_changes_sign_over_seed_window():
     # the Newton solve works because each period component changes sign
     # across the default seed box at the reference family member
@@ -243,8 +280,18 @@ def test_solve_periods_rejects_bad_family_coordinates():
 
 # ----------------------------------------------------------------- sweep
 
-def test_sweep_family_and_csv_round_trip(tmp_path):
+def test_sweep_family_and_csv_round_trip(tmp_path, monkeypatch):
+    # each Newton step takes one period report, its Jacobian included: a
+    # differenced Jacobian would take three (40 reports for this sweep)
+    reports = []
+    report_for = periods.period_report_for
+
+    def counted(p):
+        reports.append(p)
+        return report_for(p)
+    monkeypatch.setattr(periods, "period_report_for", counted)
     rows = sweep_family([0.015, 0.02], [0.0, 0.01], tol=1e-9)
+    assert len(reports) <= 20
     assert len(rows) == 4
     for t, X_offset, sol in rows:
         assert sol is not None

@@ -168,11 +168,59 @@ def test_one_call_up_to_the_minimum_level_then_one_per_level(rule, f, args,
     assert seen == calls
 
 
+@pytest.mark.parametrize("rule, rows, args", [
+    (integrate_singular,
+     [lambda t, dlo, dhi: 1.0/np.sqrt(dhi*(_B + t)*dlo*(t + _Y)),
+      lambda t, dlo, dhi: t/np.sqrt(dhi*(_B + t)*dlo*(t + _Y)),
+      lambda t, dlo, dhi: t*t/np.sqrt(dhi*(_B + t)*dlo*(t + _Y))], (_Y, _B)),
+    (integrate_to_infinity,
+     [lambda t, dlo, dhi: 1.0/(t*np.sqrt(dlo*(t + 2.0))),
+      lambda t, dlo, dhi: 1.0/(t*t*np.sqrt(dlo*(t + 2.0)))], (2.0, 2.0)),
+])
+def test_stacked_rows_match_one_row_calls(rule, rows, args):
+    # rows that converge at the same level come back bit for bit as k
+    # one-row calls return them
+    def stack(t, dlo, dhi):
+        return np.vstack([f(t, dlo, dhi) for f in rows])
+    val, err = rule(stack, *args)
+    assert val.shape == err.shape == (len(rows),)
+    for k, f in enumerate(rows):
+        assert _bits((val[k], err[k])) == _bits(rule(f, *args))
+
+
+def test_stacked_no_convergence_reports_the_first_row_as_floats():
+    # a stack converges only once every row has; its NoConvergence carries
+    # the first row's best value and residual, as plain floats
+    smooth = lambda t, dlo, dhi: np.sin(t)  # noqa: E731
+    spike = lambda t, dlo, dhi: np.abs(t - np.sqrt(2)/2)**-0.999  # noqa: E731
+    with pytest.raises(NoConvergence) as exc:
+        integrate_singular(
+            lambda t, dlo, dhi: np.vstack((smooth(t, dlo, dhi),
+                                           spike(t, dlo, dhi))), 0.0, 1.0)
+    assert type(exc.value.best) is float
+    assert type(exc.value.residual) is float
+    with pytest.raises(NoConvergence) as oracle:
+        de_singular_oracle(
+            lambda t, dlo, dhi: np.vstack((smooth(t, dlo, dhi),
+                                           spike(t, dlo, dhi))), 0.0, 1.0)
+    assert (_bits((exc.value.best, exc.value.residual))
+            == _bits((oracle.value.best, oracle.value.residual)))
+    assert exc.value.best == pytest.approx(1.0 - np.cos(1.0), abs=1e-13)
+
+
 @pytest.mark.parametrize("level", [None, 6])
 def test_cached_node_tables_refuse_writes(level):
     table = quad._tanh_sinh(level)
     assert quad._tanh_sinh(level) is table
     for arr in table[:-1]:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_interval_nodes_are_reused_and_refuse_writes():
+    nodes = quad._nodes(None, 0.0, 1.0)
+    assert quad._nodes(None, 0.0, 1.0) is nodes
+    for arr in nodes[:-1]:
         with pytest.raises(ValueError):
             arr[0] = 0
 
