@@ -7,15 +7,16 @@ input (a usage error included), 4 I/O error.
 
 Options may also be supplied through a config file of `key = value` lines
 (--config); explicit command-line flags override file values.  An option
-the chosen mode ignores (`sweep --t` without --fig6, a grid option with it,
-`mesh --n-periods` with --piece-only) is a usage error.  SADDLE_FORGE_THREADS
-caps the BLAS thread pool; the `saddle_forge` package docstring says when it
-applies.
+the chosen mode ignores (`sweep --t` without --fig6, a grid option or --tol
+with it, `mesh --n-periods` with --piece-only) is a usage error.
+SADDLE_FORGE_THREADS caps the BLAS thread pool; the `saddle_forge` package
+docstring says when it applies.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 
 import numpy as np
@@ -30,7 +31,8 @@ def _read_config(path):
     try:
         with open(path) as fh:
             for line in fh:
-                line = line.split("#", 1)[0].strip()
+                # a comment starts a line or follows whitespace
+                line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
@@ -209,9 +211,8 @@ def _sweep_fig6(args):
     """Raw period-residual landscape: pi1 and pi2 over an (a, b) grid at
     fixed family coordinates, for contour plotting of the two zero sets."""
     # a point error below is recorded as a row; a bad (t, X_offset) would
-    # fail every point, so it is rejected before the grid, as is a bad --tol
+    # fail every point, so it is rejected before the grid
     periods.check_family_coords(args.t, args.X_offset)
-    periods.check_tol(args.tol)
     a_lo, a_hi, b_lo, b_hi = periods.DEFAULT_SEED_BOX
     a_grid = _grid(a_lo, a_hi, args.n_a, "--n-a")
     b_grid = _grid(b_lo, b_hi, args.n_b, "--n-b")
@@ -251,7 +252,7 @@ def _add_common(sp, solves=True):
 _IGNORED = {
     ("piece_only", True): ("n_periods",),
     ("fig6", False): ("t", "X_offset"),
-    ("fig6", True): ("t_min", "t_max", "n_t", "X_min", "X_max", "n_X"),
+    ("fig6", True): ("t_min", "t_max", "n_t", "X_min", "X_max", "n_X", "tol"),
 }
 
 

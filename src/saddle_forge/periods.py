@@ -76,33 +76,21 @@ def _residue_match(a, b, x, y, S2, S4):
     return A, B, rad_r, rad_R, A*A*rad_R - B*B*rad_r
 
 
+def _residues(a, b, x, y, S2, S4):
+    """r, R and F of _residue_match (complex steps at complex moduli)."""
+    A, B, rad_r, rad_R, F = _residue_match(a, b, x, y, S2, S4)
+    return (np.pi*A/((1 - a*a)*np.sqrt(rad_r)),
+            np.pi*B/((1 - a*a)*np.sqrt(rad_R)), F)
+
+
 def residue_r(p: SurfaceParams, s: SymFuncs) -> float:
     """Closed form for 2*pi*i times the residue of dh at the puncture z=1."""
-    A, _, rad, _, _ = _residue_match(p.a, p.b, p.x, p.y, s.S2, s.S4)
-    return float(np.pi*A/((1 - p.a*p.a)*np.sqrt(rad)))
+    return float(_residues(p.a, p.b, p.x, p.y, s.S2, s.S4)[0])
 
 
 def residue_R(p: SurfaceParams, s: SymFuncs) -> float:
     """Closed form for 2*pi*i times the residue of dh at the puncture z=a."""
-    _, B, _, rad, _ = _residue_match(p.a, p.b, p.x, p.y, s.S2, s.S4)
-    return float(np.pi*B/((1 - p.a*p.a)*np.sqrt(rad)))
-
-
-def _dR(p: SurfaceParams, s: SymFuncs, tan: dict) -> np.ndarray:
-    """The (a, b) gradient of residue_R along the family tangent tan."""
-    a, b, x, y = p.a, p.b, p.x, p.y
-    _, B, _, rad, _ = _residue_match(a, b, x, y, s.S2, s.S4)
-    c = np.pi/((1 - a*a)*np.sqrt(rad))
-    grad = []
-    for da, db, dx, dy, dS2, dS4 in zip(*(tan[m] for m in
-                                          ("a", "b", "x", "y", "S2", "S4"))):
-        dB = (4*a*a + 2*s.S2)*a*da + a*a*dS2 + dS4
-        # the log-derivative of rad factor by factor; a*a - x*x is
-        # (a - x)(a + x), and a - x = t does not move
-        dlog_rad = (2*(a*da - b*db)/(a*a - b*b) + (da - dx)/(a - x)
-                    + (da + dx)/(a + x) + 2*(a*da - y*dy)/(a*a - y*y))
-        grad.append(c*(dB + B*(2*a*da/(1 - a*a) - 0.5*dlog_rad)))
-    return np.array(grad)
+    return float(_residues(p.a, p.b, p.x, p.y, s.S2, s.S4)[1])
 
 
 def _with_gradient(value, tan: dict, partials: dict, c) -> np.ndarray:
@@ -256,14 +244,17 @@ def _F_coeffs(a: float, b: float, x: float, X: float) -> np.ndarray:
 
 # Newton on y stops once its step falls below this share of y
 _Y_TOL = 1e-12
+# complex step of the closed forms F, s_coeffs and R: Im f(v + i h dv)/h is
+# the derivative along dv to rounding (Squire and Trapp 1998)
+_H = 1e-20
 
 
 def solve_y(a: float, b: float, x: float, X: float) -> float:
     """Smallest root of F in (1, b), from the quartic's companion matrix,
-    polished by Newton with values from the factored F_eval (the monomial
-    form cancels badly as y -> 1).  Raises NoRoot if there is none, and
-    DegenerateRoot if it sits so close to y = 1 that r = R cannot be
-    resolved in double precision."""
+    polished by Newton on the factored F_eval with its slope by complex
+    step (the monomial form cancels badly as y -> 1).  Raises NoRoot if
+    there is none, and DegenerateRoot if it sits so close to y = 1 that
+    r = R cannot be resolved in double precision."""
     c = _F_coeffs(a, b, x, X)
     roots = np.roots(c)
     real = roots.real[(roots.imag == 0) & (roots.real > 1.0) & (roots.real < b)]
@@ -271,9 +262,9 @@ def solve_y(a: float, b: float, x: float, X: float) -> float:
         raise NoRoot(f"F has no real root in (1, {b}) for "
                      f"(a,b,x,X)=({a},{b},{x},{X})")
     yy = float(real.min())
-    dc = np.polyder(c)
     for _ in range(3):
-        step = F_eval(a, b, x, X, yy)/np.polyval(dc, yy)
+        F_y = F_eval(a, b, x, X, yy + 1j*_H).imag/_H
+        step = F_eval(a, b, x, X, yy)/F_y
         yn = yy - step
         if not (1.0 < yn < b):
             break
@@ -281,9 +272,7 @@ def solve_y(a: float, b: float, x: float, X: float) -> float:
         if abs(step) < _Y_TOL*yy:
             break
     _, S2, _, S4, _ = s_coeffs(b, x, X, yy)
-    A, B, rad_r, rad_R, _ = _residue_match(a, b, x, yy, S2, S4)
-    # r and R without their common factor pi/(1 - a^2)
-    r, R = A/np.sqrt(rad_r), B/np.sqrt(rad_R)
+    r, R, _ = _residues(a, b, x, yy, S2, S4)
     mismatch = abs(r - R)/max(abs(r), abs(R))
     if mismatch > 1e-8:
         raise DegenerateRoot(f"root y = 1 + {yy - 1:.3g} of F misses r = R by "
@@ -300,16 +289,11 @@ def resolve_params(t: float, X_offset: float, a: float, b: float) -> SurfacePara
     return SurfaceParams(a=a, b=b, x=a - t, X=a + X_offset, y=y)
 
 
-# complex step of the polynomials F and s_coeffs: Im f(v + i h dv)/h is the
-# derivative along dv to rounding (Squire and Trapp 1998)
-_H = 1e-20
-
-
 def family_tangent(p: SurfaceParams) -> dict:
     """The derivatives along d/da and d/db at fixed (t, X_offset) of each
-    modulus and S-coefficient, keyed by name, each a pair of floats: x and
-    X move with a, and y with (a, b) by -F_a/F_y and -F_b/F_y, which keep
-    F = 0."""
+    modulus, each S-coefficient and the residue R, keyed by name, each a
+    pair of floats: x and X move with a, and y with (a, b) by -F_a/F_y and
+    -F_b/F_y, which keep F = 0.  All come by complex step."""
     a, b, x, X, y = p.a, p.b, p.x, p.X, p.y
     h = 1j*_H
     # F_a, F_b and F_y, each times _H, which cancels
@@ -323,6 +307,9 @@ def family_tangent(p: SurfaceParams) -> dict:
     along_b = s_coeffs(b + h, x, X, y + h*y_b)
     for k, (Sa, Sb) in enumerate(zip(along_a, along_b)):
         tan[f"S{k + 1}"] = (Sa.imag/_H, Sb.imag/_H)
+    R_a = _residues(a + h, b, x + h, y + h*y_a, along_a[1], along_a[3])[1]
+    R_b = _residues(a, b + h, x, y + h*y_b, along_b[1], along_b[3])[1]
+    tan["R"] = (R_a.imag/_H, R_b.imag/_H)
     return tan
 
 
@@ -331,15 +318,13 @@ def period_report_for(p: SurfaceParams) -> PeriodReport:
     with the (a, b) Jacobian of (pi1, pi2) along the family."""
     s = sym_funcs(p)
     tan = family_tangent(p)
-    r = residue_r(p, s)
-    R = residue_R(p, s)
+    r, R, F = map(float, _residues(p.a, p.b, p.x, p.y, s.S2, s.S4))
     I, dI = I_integral(p, s, tan)
     J, dJ = J_integral(p, s, tan)
     K, dK = K_integral(p, s, tan)
-    F = _residue_match(p.a, p.b, p.x, p.y, s.S2, s.S4)[-1]
-    d1, d2 = dI + dJ, dK - 0.5*_dR(p, s, tan)
+    d1, d2 = dI + dJ, dK - 0.5*np.array(tan["R"])
     return PeriodReport(r=r, R=R, I=I, J=J, K=K, pi1=I + J, pi2=K - 0.5*R,
-                        F_residual=float(F),
+                        F_residual=F,
                         dpi1_da=float(d1[0]), dpi1_db=float(d1[1]),
                         dpi2_da=float(d2[0]), dpi2_db=float(d2[1]))
 

@@ -337,15 +337,17 @@ def test_sweep_fig6_rejects_nonpositive_t(capsys, tmp_path, t):
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_sweep_fig6_rejects_bad_tolerance(capsys, tmp_path, monkeypatch, tol):
-    # rejected before the grid, as a bad (t, X_offset) is
+    # --fig6 reads no tolerance, so a bad one is a usage error, found
+    # before any grid point
     def no_report(*args):
         raise AssertionError("a grid point was evaluated")
     monkeypatch.setattr(periods, "period_report_for", no_report)
     out_path = tmp_path/"fig6.csv"
-    code, _, err = run_cli(capsys, "sweep", "--fig6", "--n-a", "2",
-                           "--n-b", "2", "--tol", tol, "-o", str(out_path))
-    assert code == 3
-    assert "InvalidResolution" in err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "sweep", "--fig6", "--n-a", "2", "--n-b", "2",
+                "--tol", tol, "-o", str(out_path))
+    assert exc.value.code == 3
+    assert "--tol is ignored with --fig6" in capsys.readouterr().err
     assert not out_path.exists()
 
 
@@ -360,6 +362,18 @@ def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):
                            "--t", "0.02")
     assert code == 0
     assert float(parse_kv(out)["t"]) == 0.02
+
+
+def test_config_comment_starts_a_line_or_follows_whitespace(tmp_path):
+    # a # inside a value is part of it, as in a file name
+    from saddle_forge.cli import parse_args
+    path = str(tmp_path/"run#2.obj")
+    cfg = tmp_path/"run.cfg"
+    cfg.write_text(f"# a whole-line comment\nt = 0.015  # note\n"
+                   f"output = {path}\n")
+    args = parse_args(["mesh", "--config", str(cfg)])
+    assert args.t == 0.015
+    assert args.output == path
 
 
 def test_config_rejects_unknown_key(capsys, tmp_path):
@@ -465,7 +479,10 @@ def test_sweep_rejects_empty_grid(argv, capsys, tmp_path):
     (["--fig6", "--t-min", "0.04", "--n-a", "1", "--n-b", "1"],
      "--t-min is ignored with --fig6"),
     (["--fig6", "--n-X", "2"], "--n-X is ignored with --fig6"),
-], ids=["X-offset", "t", "fig6-t-min", "fig6-n-X"])
+    # --fig6 solves nothing, so even a valid tolerance would go unread
+    (["--fig6", "--tol", "1e-9", "--n-a", "2", "--n-b", "2"],
+     "--tol is ignored with --fig6"),
+], ids=["X-offset", "t", "fig6-t-min", "fig6-n-X", "fig6-tol"])
 def test_sweep_rejects_options_of_the_other_mode(argv, message, capsys,
                                                  tmp_path, monkeypatch):
     # a plain sweep reads its grid, not the --fig6 point, and --fig6 reads

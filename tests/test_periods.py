@@ -80,13 +80,19 @@ def test_K_matches_scipy_oracle(p):
 # ------------------------------------------------------- implicit y solve
 
 def test_F_monomial_form_matches_factored_form():
-    # solve_y takes its roots and Newton slope from the monomial coefficients
+    # solve_y takes its roots from the monomial coefficients, and its Newton
+    # slope by complex step of the factored form; the monomial derivative is
+    # that slope's oracle
     rng = np.random.default_rng(23)
     for _ in range(30):
         p = draw_params(rng)
         c = _F_coeffs(p.a, p.b, p.x, p.X)
         assert np.polyval(c, p.y) == pytest.approx(
             F_eval(p.a, p.b, p.x, p.X, p.y), abs=1e-13*np.polyval(np.abs(c), p.y))
+        dc = np.polyder(c)
+        F_y = F_eval(p.a, p.b, p.x, p.X, p.y + 1j*periods._H).imag/periods._H
+        assert F_y == pytest.approx(np.polyval(dc, p.y),
+                                    abs=1e-13*np.polyval(np.abs(dc), p.y))
 
 
 def test_F_vanishes_at_degenerate_root():
