@@ -47,6 +47,10 @@ _SUB_FACTOR = 10.0    # switch to substituted paths within 10 edge lengths
 _ETA_ROWS_PER_64 = 3.3
 _CUT_FRACTION = 0.3   # puncture window, share of the gap to the next point
 FAR_RADIUS = 20.0     # the grid covers the quadrant out to this |Re z|, Im z
+# rows per block of the edge integration and of the OBJ writer: a block's
+# temporaries stay in cache, and larger OBJ blocks are no faster and raise
+# the peak memory of a res-128 tower export above that of the assembly
+_BLOCK = 1 << 14
 
 # The boundary stretches in boundary order, each with the mirror it lies
 # in: the axis the mirror fixes and its plane, ORIGIN (through 0) or
@@ -162,19 +166,15 @@ def build_grid(p: SurfaceParams, resolution: int) -> DomainGrid:
     # columns: graded segments, softened toward uniform where the local row
     # spacing exceeds what the clustering could match
     intervals = stretch_intervals(p, FAR_RADIUS)
-    deta = lam*np.maximum(eta, eta[1])/n_eta
-    rows = []
-    for i in range(len(eta)):
-        xs = [0.0]
-        for tag, (umap, n64) in _COLUMNS.items():
-            A, B = intervals[tag]
-            n = int(np.ceil(n64*resolution/_REF_RES))
-            ss = np.arange(1, n + 1)/n
-            wsoft = min(1.0, _GAMMA*n*deta[i]/(B - A))
-            u = (1.0 - wsoft)*umap(ss) + wsoft*ss
-            xs.extend((A + (B - A)*u).tolist())
-        rows.append(xs)
-    xs2d = np.array(rows)
+    deta = lam*np.maximum(eta, eta[1])[:, None]/n_eta
+    segments = [np.zeros((len(eta), 1))]
+    for tag, (umap, n64) in _COLUMNS.items():
+        A, B = intervals[tag]
+        n = int(np.ceil(n64*resolution/_REF_RES))
+        ss = np.arange(1, n + 1)/n
+        wsoft = np.minimum(1.0, _GAMMA*n*deta/(B - A))    # one per row
+        segments.append(A + (B - A)*((1.0 - wsoft)*umap(ss) + wsoft*ss))
+    xs2d = np.concatenate(segments, axis=1)
 
     tol = 1e-13
     alive = ~(((np.abs(xs2d - a) < cut_a - tol) & (eta[:, None] < cut_a - tol))
@@ -248,6 +248,11 @@ def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
     v (exact for the simple-pole part).  Path deformation is allowed
     because the forms are holomorphic between singularities, so the
     loop-closure telescoping of shared edges is preserved exactly.
+
+    The edges are integrated in blocks of _BLOCK, one phi_vec_delta call
+    per block and Gauss node, and each substitution and its derivative is
+    evaluated on its own edges only.  Every step is elementwise, so an
+    edge's increment has the same bits in any block.
     """
     gl_x, gl_w = gauss_legendre_01(n_gauss)
     # branch points first, so that a tie takes the square-root path; an
@@ -265,15 +270,21 @@ def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
     s0[at_p], s1[at_p] = np.log(s0[at_p]), np.log(s1[at_p])
     ds = s1 - s0
     acc = np.zeros((len(z0), 3), complex)
-    for xg, wg in zip(gl_x, gl_w):
-        s = s0 + xg*ds
-        e = np.exp(np.where(at_p, s, 0.0))
-        delta = np.where(at_b, s*s, np.where(at_p, e, s))
-        ddelta = np.where(at_b, 2.0*s, np.where(at_p, e, 1.0))
-        f = phi_vec_delta(p, v, delta)
-        f *= wg     # in place: one (n, 3) temporary fewer per node
-        acc += f*ddelta[:, None]
-    return acc*ds[:, None]
+    for lo in range(0, len(z0), _BLOCK):
+        e = slice(lo, lo + _BLOCK)
+        ib, ip = np.flatnonzero(at_b[e]), np.flatnonzero(at_p[e])
+        ddelta = np.ones(len(acc[e]), complex)
+        for xg, wg in zip(gl_x, gl_w):
+            delta = s0[e] + xg*ds[e]      # s, and delta on a straight edge
+            s = delta[ib]
+            delta[ib], ddelta[ib] = s*s, 2.0*s
+            delta[ip] = ddelta[ip] = np.exp(delta[ip])
+            f = phi_vec_delta(p, v[e], delta)
+            f *= wg     # in place: no (n, 3) temporary per node
+            f *= ddelta[:, None]
+            acc[e] += f
+    acc *= ds[:, None]
+    return acc
 
 
 def integrate_piece(grid: DomainGrid) -> PieceMesh:
@@ -409,8 +420,11 @@ def assemble(piece: PieceMesh, n_periods: int = 1) -> AssembledMesh:
             break
         np.minimum.at(label, ia, m)
         np.minimum.at(label, ib, m)
-    rep, inv = np.unique(label, return_inverse=True)
-    per_copy = inv.reshape(n_copies, n)
+    # each group's minimum labels itself, so the roots, in id order, are
+    # the tower's vertices and a vertex's index is its root's rank
+    root = label == np.arange(n_copies*n)
+    rep = np.flatnonzero(root)
+    per_copy = (np.cumsum(root) - 1)[label].reshape(n_copies, n)
     if np.any(np.diff(np.sort(per_copy, axis=1), axis=1) == 0):
         raise WeldMismatch("weld merged two vertices of one copy")
 
@@ -418,7 +432,7 @@ def assemble(piece: PieceMesh, n_periods: int = 1) -> AssembledMesh:
         c = ids//n
         return v[ids % n]*signs[c % 8] + np.outer(c//8*piece.T, [0.0, 0.0, 1.0])
 
-    merged = np.flatnonzero(label != np.arange(n_copies*n))
+    merged = np.flatnonzero(~root)
     gap = np.max(np.linalg.norm(place(merged) - place(label[merged]), axis=1),
                  initial=0.0)
     if gap > tol:
@@ -547,11 +561,6 @@ def _open_target(path):
                     raise
                 break
     return open(path, "wb"), None
-
-
-# rows per written block; larger blocks are no faster and raise the peak
-# memory of a res-128 tower export above that of the assembly before it
-_BLOCK = 1 << 14
 
 
 def _write_obj(fh, head, mesh):

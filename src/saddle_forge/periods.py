@@ -251,10 +251,10 @@ _H = 1e-20
 
 def solve_y(a: float, b: float, x: float, X: float) -> float:
     """Smallest root of F in (1, b), from the quartic's companion matrix,
-    polished by Newton on the factored F_eval with its slope by complex
-    step (the monomial form cancels badly as y -> 1).  Raises NoRoot if
-    there is none, and DegenerateRoot if it sits so close to y = 1 that
-    r = R cannot be resolved in double precision."""
+    polished by Newton on the factored F_eval (the monomial form cancels
+    badly as y -> 1), F and its slope from one complex-step call.  Raises
+    NoRoot if there is none, and DegenerateRoot if it sits so close to
+    y = 1 that r = R cannot be resolved in double precision."""
     c = _F_coeffs(a, b, x, X)
     roots = np.roots(c)
     real = roots.real[(roots.imag == 0) & (roots.real > 1.0) & (roots.real < b)]
@@ -263,8 +263,8 @@ def solve_y(a: float, b: float, x: float, X: float) -> float:
                      f"(a,b,x,X)=({a},{b},{x},{X})")
     yy = float(real.min())
     for _ in range(3):
-        F_y = F_eval(a, b, x, X, yy + 1j*_H).imag/_H
-        step = F_eval(a, b, x, X, yy)/F_y
+        F = F_eval(a, b, x, X, yy + 1j*_H)    # F and _H times F_y
+        step = F.real/(F.imag/_H)
         yn = yy - step
         if not (1.0 < yn < b):
             break

@@ -12,6 +12,12 @@ axis and puts the pole of g (vertical normal) at z = 0; the boundary
 behaviour of (g, dh) on the seven boundary stretches of the first quadrant
 then reproduces the expected symmetry table (see verify.check_symmetry_table).
 
+The branch is taken from three square roots, of the ratios (z - x)/(z + x),
+(z + b)/(z - b) and (z + y)/(z - y).  On the closed upper half-plane the
+argument of each ratio keeps one sign, so each root is the principal root
+of Re r + i|Im r| or its conjugate; the forced +|Im r| puts a point on the
+real axis on its upper side whatever the sign of a zero imaginary part.
+
 This module is the one place the data is written out, each formula once:
 the branch w in w_closed_delta, the Gauss map g in g_eval and the form
 triple (phi1, phi2, phi3) = 1/2 (1/g - g, i/g + i g, 2) dh in
@@ -39,10 +45,19 @@ def w_closed_delta(p: SurfaceParams, v: float, delta):
 
     The exact difference serves quadrature paths that approach a branch
     point or puncture v far below the floating-point scale of v itself.
-    Each factor (c - z) is written as (z - c)*e^{-i pi} so that points on
-    the real axis (which numpy gives imaginary part +0.0) take the branch
-    that is the limit from the upper half-plane; the loose e^{-i pi} factors
-    combine into the single +i pi/2 term below.
+    The branch is w = i sqrt(r_x) sqrt(r_b) sqrt(r_y) with the ratios
+
+        r_x = (z - x)/(z + x),  r_b = (z + b)/(z - b),  r_y = (z + y)/(z - y),
+
+    each root the limit from the upper half-plane.  For Im z >= 0 and c > 0,
+    arg(z - c) >= arg(z + c), both in [0, pi]; so arg r_x lies in [0, pi]
+    and arg r_b, arg r_y in [-pi, 0].  The root of r_x is then the principal
+    root of Re r_x + i|Im r_x| (_upper_sqrt), and those of r_b and r_y are
+    the conjugates of theirs.  Where a ratio is real and negative (z on the
+    real axis between the points), the division may leave either sign on
+    its zero imaginary part; forcing +|Im r| takes the upper side whatever
+    that sign (Kahan, "Branch Cuts for Complex Elementary Functions", 1987).
+    At z = 0 every ratio is -1 and w = i * i * conj(i * i) = +1.
     """
     delta = np.asarray(delta, dtype=complex)
     b, x, y = p.b, p.x, p.y
@@ -51,9 +66,19 @@ def w_closed_delta(p: SurfaceParams, v: float, delta):
     def dif(c):
         return (v - c) + delta
 
-    h = 0.5*(np.log(z + b) - np.log(dif(b)) + np.log(dif(x)) - np.log(z + x)
-             + np.log(z + y) - np.log(dif(y)) + 1j*np.pi)
-    return np.exp(h)
+    # products out of place: numpy rounds an in-place complex product of
+    # one-element arrays differently, and an edge's bits would depend on
+    # how many edges share its call
+    return 1j*_upper_sqrt(dif(x)/(z + x))*np.conjugate(
+        _upper_sqrt((z + b)/dif(b))*_upper_sqrt((z + y)/dif(y)))
+
+
+def _upper_sqrt(r):
+    """Square root of r on the upper side of the cut, sqrt(Re r + i|Im r|),
+    with arg in [0, pi/2]; overwrites r if it is an array."""
+    r = np.asarray(r)
+    np.abs(r.imag, out=r.imag)
+    return np.sqrt(r, out=r)
 
 
 def w_closed(p: SurfaceParams, z):

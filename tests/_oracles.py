@@ -15,7 +15,12 @@ them bit for bit.  central_jacobian_oracle differences the period
 residuals, where period_report_for differentiates under the integral sign,
 and fd_newton_oracle is the period solve on a forward-difference Jacobian.
 collision_pairs_oracle finds every pair of close vertices, where the
-injectivity check samples pairs.
+injectivity check samples pairs.  Three oracles keep an earlier form of
+library code that the library now writes more cheaply, to pin that the
+values did not move: w_six_log_oracle takes the branch of w from six
+logarithms, solve_y_two_call_oracle takes F and its slope from two calls
+per Newton step, and grid_nodes_oracle lays the grid's columns row by
+row.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ import itertools
 import numpy as np
 from scipy.integrate import quad as scipy_quad
 
-from saddle_forge import periods, quad
+from saddle_forge import mesh, periods, quad
 from saddle_forge.errors import DomainViolation, NoConvergence, NoRoot
 from saddle_forge.params import SurfaceParams, SymFuncs, sym_funcs
 from saddle_forge.weier import g_eval, phi_vec, w_closed
@@ -88,6 +93,24 @@ def w_eval(p: SurfaceParams, z: complex, path=None) -> complex:
                     raise PathThroughBranchPoint(
                         "continuation step size underflow (path too close to a branch point)")
     return complex(w)
+
+
+def w_six_log_oracle(p: SurfaceParams, v: float, delta):
+    """The anchored branch of w at z = v + delta as half the sum of six
+    logarithms.  Each factor (c - z) is written as (z - c)*e^{-i pi} so that
+    points on the real axis with imaginary part +0.0 take the limit from
+    the upper half-plane; the loose e^{-i pi} factors combine into the
+    single +i pi/2 term."""
+    delta = np.asarray(delta, dtype=complex)
+    b, x, y = p.b, p.x, p.y
+    z = v + delta
+
+    def dif(c):
+        return (v - c) + delta
+
+    h = 0.5*(np.log(z + b) - np.log(dif(b)) + np.log(dif(x)) - np.log(z + x)
+             + np.log(z + y) - np.log(dif(y)) + 1j*np.pi)
+    return np.exp(h)
 
 
 def rotated_data(p: SurfaceParams, z):
@@ -315,6 +338,49 @@ def fd_newton_oracle(t, X_offset, v0, tol, h=1e-7):
             if lam < 1e-8:
                 return v, pv
     return v, pv
+
+
+def solve_y_two_call_oracle(a: float, b: float, x: float, X: float):
+    """periods.solve_y's root with F and its complex-step slope taken from
+    two F_eval calls per Newton polish step; returns (y, polish steps)."""
+    roots = np.roots(periods._F_coeffs(a, b, x, X))
+    yy = float(roots.real[(roots.imag == 0) & (roots.real > 1.0)
+                          & (roots.real < b)].min())
+    for steps in range(1, 4):
+        F_y = periods.F_eval(a, b, x, X, yy + 1j*periods._H).imag/periods._H
+        step = periods.F_eval(a, b, x, X, yy)/F_y
+        yn = yy - step
+        if not (1.0 < yn < b):
+            break
+        yy = yn
+        if abs(step) < periods._Y_TOL*yy:
+            break
+    return yy, steps
+
+
+def grid_nodes_oracle(p: SurfaceParams, resolution: int):
+    """mesh.build_grid's node positions, dead nodes included, with the
+    columns of each row laid out in a loop over the rows."""
+    cut_1 = mesh._CUT_FRACTION*min(1.0 - p.a, p.y - 1.0)
+    etaf = min(mesh.FAR_RADIUS*(0.5*resolution)**(-4.0), 0.25*cut_1)
+    lam = np.log(mesh.FAR_RADIUS/etaf)
+    n_eta = int(np.ceil(mesh._ETA_ROWS_PER_64*lam*resolution/mesh._REF_RES))
+    s = np.arange(0, n_eta + 1)/n_eta
+    eta = mesh.FAR_RADIUS*np.expm1(lam*s)/np.expm1(lam)
+    intervals = mesh.stretch_intervals(p, mesh.FAR_RADIUS)
+    deta = lam*np.maximum(eta, eta[1])/n_eta
+    rows = []
+    for i in range(len(eta)):
+        xs = [0.0]
+        for tag, (umap, n64) in mesh._COLUMNS.items():
+            A, B = intervals[tag]
+            n = int(np.ceil(n64*resolution/mesh._REF_RES))
+            ss = np.arange(1, n + 1)/n
+            wsoft = min(1.0, mesh._GAMMA*n*deta[i]/(B - A))
+            u = (1.0 - wsoft)*umap(ss) + wsoft*ss
+            xs.extend((A + (B - A)*u).tolist())
+        rows.append(xs)
+    return np.array(rows) + 1j*eta[:, None]
 
 
 def collision_pairs_oracle(vertices, tol: float) -> set:

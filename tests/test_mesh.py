@@ -8,6 +8,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import saddle_forge.mesh as mesh
+from _oracles import grid_nodes_oracle
 from saddle_forge.errors import (BranchInconsistency, InvalidResolution,
                                  WeldMismatch)
 from saddle_forge.mesh import (FAR_RADIUS, QUAD_SIGNS, STRETCHES, AssembledMesh,
@@ -75,6 +76,16 @@ def test_grid_arrays_match_nested_loops(solved_params):
     assert np.array_equal(end, np.roll(g.quads, -1, axis=1))
 
 
+@pytest.mark.parametrize("resolution", [16, 32, 64, 128, 256])
+def test_grid_columns_match_the_row_loop(solved_params, resolution):
+    # build_grid lays out each segment's columns for all rows at once; the
+    # nodes keep the bits of the loop over the rows
+    g = build_grid(solved_params, resolution)
+    nodes = grid_nodes_oracle(solved_params, resolution)
+    assert g.alive.shape == nodes.shape
+    assert np.array_equal(g.z, nodes[g.alive])
+
+
 def test_grid_windows_are_dead(solved_params):
     # no node inside either puncture window
     g = build_grid(solved_params, 32)
@@ -128,6 +139,35 @@ def test_edge_increment_gauss_order_stability(solved_params):
     v8 = edge_increments(p, z0, z1, n_gauss=8)
     v20 = edge_increments(p, z0, z1, n_gauss=20)
     assert np.allclose(v8, v20, rtol=1e-11, atol=1e-14)
+
+
+def test_blocked_edge_increments_equal_per_edge_calls(solved_params):
+    # the res-128 grid spans several blocks of mesh._BLOCK edges; each
+    # edge's increment has the bits of a call on that edge alone, on either
+    # side of every block boundary and on every path kind
+    p = solved_params
+    g = build_grid(p, 128)
+    z0, z1 = g.z[g.edges[:, 0]], g.z[g.edges[:, 1]]
+    assert len(z0) > 3*mesh._BLOCK
+    inc = edge_increments(p, z0, z1)
+    bounds = np.arange(mesh._BLOCK, len(z0), mesh._BLOCK)
+    pick = np.unique(np.concatenate([np.arange(0, len(z0), 331), bounds - 1,
+                                     bounds, [len(z0) - 1]]))
+    kinds = set()
+    for e in pick:
+        one = edge_increments(p, z0[e:e + 1], z1[e:e + 1])
+        assert np.array_equal(one[0], inc[e]), e
+        kinds.add(_path_kind(p, z0[e], z1[e]))
+    assert kinds == {"straight", "branch", "puncture"}
+
+
+def _path_kind(p, z0, z1):
+    """The path family edge_increments takes for the edge z0 -> z1."""
+    anchors = np.array([p.x, p.y, p.b, p.a, 1.0])
+    d = np.minimum(np.abs(z0 - anchors), np.abs(z1 - anchors))
+    if d.min() >= mesh._SUB_FACTOR*abs(z1 - z0):
+        return "straight"
+    return "branch" if np.argmin(d) < 3 else "puncture"
 
 
 def test_edge_between_two_anchors_keeps_its_path(solved_params):
@@ -307,6 +347,24 @@ def test_tower_is_welded_along_every_seam(piece_name, n_periods, request):
             n = uses(cmap[se[:, 0]], cmap[se[:, 1]])
             welded = tag not in ("ED", "BA") or 0 <= k + s3*up < n_periods
             assert np.all(n == (2 if welded else 1)), (tag, c, np.unique(n))
+
+
+def test_tower_vertices_are_numbered_as_by_unique(piece64):
+    # every tower vertex is placed from the least copy-major id c*n + i of
+    # its weld group, and the vertices come in the order of those ids: the
+    # inverse of np.unique over each id's group minimum is the copy map
+    n = len(piece64.vertices)
+    m = assemble(piece64, n_periods=3)
+    maps, signs = _copy_maps(piece64, m)
+    assert maps.min() >= 0
+    least = np.full(len(m.vertices), maps.size)
+    np.minimum.at(least, maps.ravel(), np.arange(maps.size))
+    rep, inv = np.unique(least[maps.ravel()], return_inverse=True)
+    assert np.array_equal(inv.reshape(maps.shape), maps)
+    c = rep//n
+    placed = (piece64.vertices[rep % n]*signs[c % 8]
+              + np.outer(c//8*piece64.T, [0.0, 0.0, 1.0]))
+    assert np.array_equal(m.vertices, placed)
 
 
 @pytest.mark.parametrize("n_periods", [1, 2, 3])

@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import (central_jacobian_oracle, fd_newton_oracle,
                       residue_contour_oracle, scipy_I_oracle, scipy_J_oracle,
-                      scipy_K_oracle)
+                      scipy_K_oracle, solve_y_two_call_oracle)
 from conftest import draw_params
 from saddle_forge import periods
 from saddle_forge.errors import (DegenerateRoot, DomainViolation,
@@ -143,6 +143,35 @@ def test_solve_y_finds_roots_next_to_the_puncture():
         r, R = residue_r(p, s), residue_R(p, s)
         assert abs(r - R) < 1e-8*max(abs(r), abs(R))
     assert n_degenerate <= 20
+
+
+def test_solve_y_polishes_with_one_F_eval_per_step(monkeypatch):
+    # each Newton polish step reads F from the real part of the complex-step
+    # call that gives F_y: at every (a, b, x, X) the 7 x 6 family sweep
+    # visits, y keeps the bits of two calls per step, and F_eval runs once
+    # for the companion coefficients and once per step
+    seen, calls = [], [0]
+    real_F, real_solve_y = periods.F_eval, periods.solve_y
+
+    def counting_F(*args):
+        calls[0] += 1
+        return real_F(*args)
+
+    def recording_solve_y(*args):
+        calls[0] = 0
+        y = real_solve_y(*args)
+        seen.append((args, y, calls[0]))
+        return y
+
+    with monkeypatch.context() as m:
+        m.setattr(periods, "F_eval", counting_F)
+        m.setattr(periods, "solve_y", recording_solve_y)
+        sweep_family(FAMILY_T, FAMILY_X)
+    assert len(seen) > len(FAMILY_T)*len(FAMILY_X)
+    for args, y, n_calls in seen:
+        y_two, steps = solve_y_two_call_oracle(*args)
+        assert y == y_two, args
+        assert n_calls == 1 + steps, args
 
 
 def test_solve_y_raises_when_no_root():

@@ -241,7 +241,9 @@ def piece32(solved_params):
     return integrate_piece(build_grid(solved_params, 32))
 
 
-@pytest.mark.parametrize("name", ["piece32", "piece64"])
+# the res-64 case runs the pair search on a whole tower (about 10 s)
+@pytest.mark.parametrize("name", ["piece32",
+                                  pytest.param("piece64", marks=pytest.mark.slow)])
 def test_tower_certified_by_chamber(request, name):
     piece = request.getfixturevalue(name)
     tower = assemble(piece, n_periods=2)

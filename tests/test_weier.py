@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import PathThroughBranchPoint, curve_rhs, rotated_data, w_eval
+import saddle_forge.mesh as mesh
+import saddle_forge.weier as weier
+from _oracles import (PathThroughBranchPoint, curve_rhs, rotated_data, w_eval,
+                      w_six_log_oracle)
 from conftest import draw_params
 from saddle_forge.params import SurfaceParams, sym_funcs
+from saddle_forge.verify import _stretch_samples
 from saddle_forge.weier import (g_eval, phi_vec, phi_vec_delta,
                                 vertical_normal_points, w_closed,
                                 w_closed_delta)
@@ -182,6 +186,64 @@ def test_delta_form_is_stable_below_float_scale():
     v1 = phi_vec_delta(P0, v, np.array([d]))[0, 2]
     v2 = phi_vec_delta(P0, v, np.array([2*d]))[0, 2]
     assert abs(v1/v2 - np.sqrt(2)) < 1e-6
+
+
+def _gauss_nodes(p, resolution, monkeypatch):
+    """(v, delta) of every Gauss node at which mesh.edge_increments
+    evaluates the forms on the grid of this resolution."""
+    seen = []
+
+    def recording(p_, v, delta):
+        seen.append((np.broadcast_to(v, delta.shape).copy(), delta.copy()))
+        return phi_vec_delta(p_, v, delta)
+
+    grid = mesh.build_grid(p, resolution)
+    z0, z1 = grid.z[grid.edges[:, 0]], grid.z[grid.edges[:, 1]]
+    with monkeypatch.context() as m:
+        m.setattr(mesh, "phi_vec_delta", recording)
+        mesh.edge_increments(p, z0, z1)
+    v, delta = zip(*seen)
+    return np.concatenate(v), np.concatenate(delta)
+
+
+def _rel_rows(new, old):
+    """Max over points of sum |new - old| / sum |old|, each sum over the
+    point's components (one for w, three for the forms)."""
+    return np.max(np.abs(new - old).reshape(len(old), -1).sum(axis=1)
+                  / np.abs(old).reshape(len(old), -1).sum(axis=1))
+
+
+def test_square_root_branch_matches_six_log_oracle(solved_params, monkeypatch):
+    # w from three square roots is w from six logarithms to rounding, at
+    # every Gauss node of the res-64 reference grid and on every stretch;
+    # so are the forms built on it
+    p = solved_params
+    v, delta = _gauss_nodes(p, 64, monkeypatch)
+    samples = _stretch_samples(p, 48)
+    v = np.concatenate([v] + [np.zeros(len(zs)) for zs in samples.values()])
+    delta = np.concatenate([delta] + list(samples.values()))
+    w = w_closed_delta(p, v, delta)
+    assert _rel_rows(w, w_six_log_oracle(p, v, delta)) <= 1e-14
+    phi = phi_vec_delta(p, v, delta)
+    monkeypatch.setattr(weier, "w_closed_delta", w_six_log_oracle)
+    assert _rel_rows(phi, phi_vec_delta(p, v, delta)) <= 1e-14
+
+
+def test_branch_on_the_real_axis_ignores_the_sign_of_zero(solved_params):
+    # on the real axis the ratio (z + b)/(z - b) is negative for z < b, and
+    # the division leaves -0.0 in its imaginary part; w must still be the
+    # limit from the upper half-plane on every real stretch
+    p = solved_params
+    samples = _stretch_samples(p, 48)
+    zs = np.concatenate([samples[tag] for tag in samples if tag != "AL"]) + 0j
+    assert np.signbit(((zs + p.b)/(zs - p.b)).imag[zs.real < p.b]).all()
+    above = w_six_log_oracle(p, 0.0, zs + 1e-200j)
+    np.testing.assert_allclose(w_closed(p, zs), above, rtol=1e-14, atol=0.0)
+    # each root takes the upper side whichever the sign of a zero
+    # imaginary part; the principal root takes the lower one for -0.0
+    r = np.array([complex(-4.0, 0.0), complex(-4.0, -0.0)])
+    assert np.sqrt(r)[1] == -2j
+    assert np.array_equal(weier._upper_sqrt(r), [2j, 2j])
 
 
 @settings(max_examples=100, deadline=None)
