@@ -14,16 +14,14 @@ from them, have none either.  The map sends the node t to
 x - lo = scale*e^(pi sinh t): on (lo, inf) the rule is an exp-sinh ladder
 (Takahasi and Mori 1974; Mori and Sugihara 2001).
 
-The rule halves the step from h = 1 level by level.  Every node of levels
-0.._MIN_LEVELS lies on the level-_MIN_LEVELS grid, so the integrand is
-called once on all 289 of them and once per level after that.  The node
-tables (abscissae and weights before the interval is applied) do not
-depend on the integrand: they are built on first use and kept read-only,
-as are the nodes on the last few intervals used (every semi-infinite
-range is the same (0, 1)).
-Each level's sum is taken over that level's nodes in ascending order, so
-values, error estimates and the abscissae the integrand sees are bit for
-bit those of one call per level.
+The rule is first taken on one grid, t = k h with h = 2^-_MIN_LEVELS and
+|t| <= 4.5: the integrand is called once on its 289 nodes, and the rule
+of step 2h is the sum over the even k of the same call.  After that the
+step halves level by level, each level one call on the odd k of its
+grid.  The node tables (abscissae and weights before the interval is
+applied) do not depend on the integrand: they are built on first use and
+kept read-only, as are the nodes on the last few intervals used (every
+semi-infinite range is the same (0, 1)).
 
 An integrand may return a (k, n) stack of k integrands on the n nodes, say
 a value and its derivatives in parameters under the integral sign.  Each
@@ -33,7 +31,6 @@ row has converged, and value and error estimate come back as (k,) arrays.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -51,35 +48,30 @@ _MAX_LEVELS = 12
 
 @cache
 def _tanh_sinh(level):
-    """The read-only node table of one level, or (key None) of levels
-    0.._MIN_LEVELS, laid out level by level, each level in ascending t:
-    (tanh q < 0, weight, e^q, e^-q, cosh q) with q = (pi/2) sinh t,
-    followed by the level bounds, a tuple of ints.  Level 0 has the nodes
-    t = k for |k| <= 4; level L >= 1 the odd k with |k h| <= 4.5, h = 2^-L.
-    |t| <= 4.5 keeps |q| below 71, so every weight is finite."""
-    parts = []
-    for L in range(_MIN_LEVELS + 1) if level is None else [level]:
-        # each level's table on its own, so it matches a per-level pass
-        h = 0.5**L
-        kmax = int(np.ceil(4.5/h))
-        ks = np.arange(-kmax, kmax + 1)
-        t = np.arange(-4.0, 5.0) if L == 0 else ks[ks % 2 != 0]*h
-        q = 0.5*np.pi*np.sinh(t)
-        cq = np.cosh(q)
-        wk = 0.5*np.pi*np.cosh(t)/cq**2
-        parts.append((np.tanh(q) < 0, wk, np.exp(q), np.exp(-q), cq))
-    tab = tuple(map(np.concatenate, zip(*parts)))
+    """The read-only node table of one level, in ascending t = k h with
+    h = 2^-level: (tanh q < 0, weight, e^q, e^-q, cosh q) with
+    q = (pi/2) sinh t.  Level _MIN_LEVELS has every k with |t| <= 4.5, a
+    later level the odd k.  |t| <= 4.5 keeps |q| below 71, so every weight
+    is finite."""
+    kmax = int(4.5*2**level)
+    ks = np.arange(-kmax, kmax + 1)
+    t = (ks if level == _MIN_LEVELS else ks[ks % 2 != 0])*0.5**level
+    q = 0.5*np.pi*np.sinh(t)
+    cq = np.cosh(q)
+    tab = (np.tanh(q) < 0, 0.5*np.pi*np.cosh(t)/cq**2, np.exp(q), np.exp(-q),
+           cq)
     for arr in tab:
         arr.flags.writeable = False
-    return tab + (tuple(accumulate((len(p[0]) for p in parts), initial=0)),)
+    return tab
 
 
 @lru_cache(maxsize=8)
 def _nodes(level, lo, hi):
-    """The read-only abscissae, endpoint distances d_lo and d_hi, weights
-    and level bounds of _tanh_sinh(level) on (lo, hi), without the nodes
-    whose distance to an endpoint underflows to 0."""
-    neg, wk, eq, emq, cq, bounds = _tanh_sinh(level)
+    """The read-only abscissae, endpoint distances d_lo and d_hi and
+    weights of _tanh_sinh(level) on (lo, hi), without the nodes whose
+    distance to an endpoint underflows to 0, and the index of the first
+    kept node with even k."""
+    neg, wk, eq, emq, cq = _tanh_sinh(level)
     half = 0.5*(hi - lo)
     # 1 +- tanh(q) without cancellation
     dlo = half*eq/cq
@@ -88,12 +80,13 @@ def _nodes(level, lo, hi):
     # onto lo or hi even for extreme nodes
     xs = np.where(neg, lo + dlo, hi - dhi)
     ok = (dlo > 0) & (dhi > 0)
-    if not ok.all():
-        xs, dlo, dhi, wk = xs[ok], dlo[ok], dhi[ok], wk[ok]
-        bounds = tuple(np.concatenate(([0], np.cumsum(ok)))[list(bounds)])
+    # d_lo falls toward the left end and d_hi toward the right, so the kept
+    # nodes are one run of k; a table starts at an even k
+    even = int(ok.argmax()) % 2
+    xs, dlo, dhi, wk = xs[ok], dlo[ok], dhi[ok], wk[ok]
     for arr in (xs, dlo, dhi, wk):
         arr.flags.writeable = False
-    return xs, dlo, dhi, wk, bounds
+    return xs, dlo, dhi, wk, even
 
 
 def integrate_singular(f, lo: float, hi: float):
@@ -106,25 +99,18 @@ def integrate_singular(f, lo: float, hi: float):
     """
     half = 0.5*(hi - lo)
 
-    def level_sums(level):
-        xs, dlo, dhi, wk, bounds = _nodes(level, lo, hi)
-        fw = np.asarray(f(xs, dlo, dhi))*wk
-        sums = np.empty((len(bounds) - 1,) + fw.shape[:-1])
-        for k, (i, j) in enumerate(zip(bounds[:-1], bounds[1:])):
-            # np.sum's pairwise add.reduce over a level's share of each row
-            np.add.reduce(fw[..., i:j], axis=-1, out=sums[k, ...])
-        return half*sums
+    def weighted(level):
+        xs, dlo, dhi, wk, even = _nodes(level, lo, hi)
+        return np.asarray(f(xs, dlo, dhi))*wk, even
 
-    # The value at level L is val = val/2 + h*s, h = 2^-L and s the level's
-    # sum.  Halving is exact (barring subnormals), so val is h times the
-    # running sum of the s, rounded as the recurrence rounds; cumsum adds
-    # in level order.
-    total = np.cumsum(level_sums(None), axis=0)
-    val = 2.0**(1 - _MIN_LEVELS)*total[-2]
-    total = total[-1]
+    # the rule of step h = 2^-level is h times half the running sum of the
+    # weighted nodes; a strided slice sums each row of a stack as one row
+    fw, even = weighted(_MIN_LEVELS)
+    val = 2.0**(1 - _MIN_LEVELS)*(half*np.sum(fw[..., even::2], axis=-1))
+    total = half*np.sum(fw, axis=-1)
     for level in range(_MIN_LEVELS, _MAX_LEVELS + 1):
         if level > _MIN_LEVELS:
-            total = total + level_sums(level)[0]
+            total = total + half*np.sum(weighted(level)[0], axis=-1)
         new = 2.0**-level*total
         delta = abs(new - val)
         val = new

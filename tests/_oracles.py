@@ -7,13 +7,14 @@ explicit circle), and the improper integral oracles use scipy's adaptive
 quadrature with explicit substitutions that remove the endpoint
 singularities.  curve_rhs, rotated_data and quartic_identity_residual write
 out identities the library's data must satisfy.  de_singular_oracle and
-de_to_infinity_oracle are the double-exponential rules refined level by
-level, one integrand call per level with every node table recomputed
+de_to_infinity_oracle are the double-exponential rules with every node
+table recomputed: one integrand call on the first grid, whose even nodes
+give the rule of twice the step, then one call per halving
 (de_to_infinity_oracle is de_singular_oracle on (0, 1) under the map
-x = lo + scale*u/(1 - u)); the library's fused first pass must reproduce
-them bit for bit.  central_jacobian_oracle differences the period
-residuals, where period_report_for differentiates under the integral sign,
-and fd_newton_oracle is the period solve on a forward-difference Jacobian.
+x = lo + scale*u/(1 - u)); the library must reproduce them bit for bit.
+central_jacobian_oracle differences the period residuals, where
+period_report_for differentiates under the integral sign, and
+fd_newton_oracle is the period solve on a forward-difference Jacobian.
 collision_pairs_oracle finds every pair of close vertices, where the
 injectivity check samples pairs.  Three oracles keep an earlier form of
 library code that the library now writes more cheaply, to pin that the
@@ -238,34 +239,45 @@ def scipy_K_oracle(p: SurfaceParams) -> float:
     return v
 
 
-def _de_refine(term):
-    """Trapezoid-in-level refinement of the tanh-sinh rule, one term(h, ks)
-    call per level, until every row of a stacked term has converged; the
-    tolerances and level bounds are read from quad at call time."""
-    h = 1.0
-    val = h*term(h, np.arange(-4, 5))
-    prev = np.inf
-    for level in range(1, quad._MAX_LEVELS + 1):
-        h *= 0.5
+def _de_refine(weighted, half):
+    """Trapezoid refinement of the tanh-sinh rule until every row of a
+    stacked integrand has converged.  weighted(h, ks) returns the kept k
+    and the weighted integrand on them.  It is called once on every k with
+    |k h| <= 4.5 at h = 2^-_MIN_LEVELS, whose even k give the rule of step
+    2h, then once per halving on the odd k; the tolerances and levels are
+    read from quad at call time."""
+    def grid(h):
         kmax = int(np.ceil(4.5/h))
-        ks = np.arange(-kmax, kmax + 1)
-        new = 0.5*val + h*term(h, ks[ks % 2 != 0])
+        return np.arange(-kmax, kmax + 1)
+
+    level = quad._MIN_LEVELS
+    h = 0.5**level
+    ks, fw = weighted(h, grid(h))
+    val = 2*h*(half*np.sum(np.compress(ks % 2 == 0, fw, axis=-1), axis=-1))
+    new = h*(half*np.sum(fw, axis=-1))
+    while True:
         delta = np.abs(new - val)
         val = new
-        if (level >= quad._MIN_LEVELS and np.all(
-                delta <= np.maximum(quad._ABS_TOL, quad._REL_TOL*np.abs(val)))):
+        if np.all(delta <= np.maximum(quad._ABS_TOL,
+                                      quad._REL_TOL*np.abs(val))):
             return val, delta
-        prev = delta
-    raise NoConvergence("double-exponential refinement did not converge",
-                        best=float(np.ravel(val)[0]),
-                        residual=float(np.ravel(prev)[0]))
+        if level == quad._MAX_LEVELS:
+            raise NoConvergence(
+                "double-exponential refinement did not converge",
+                best=float(np.ravel(val)[0]),
+                residual=float(np.ravel(delta)[0]))
+        level += 1
+        h *= 0.5
+        ks = grid(h)
+        _, fw = weighted(h, ks[ks % 2 != 0])
+        new = 0.5*val + h*(half*np.sum(fw, axis=-1))
 
 
 def de_singular_oracle(f, lo: float, hi: float):
     """tanh-sinh rule on (lo, hi), as quad.integrate_singular."""
     half = 0.5*(hi - lo)
 
-    def term(h, ks):
+    def weighted(h, ks):
         t = ks*h
         q = 0.5*np.pi*np.sinh(t)
         xk = np.tanh(q)
@@ -275,10 +287,9 @@ def de_singular_oracle(f, lo: float, hi: float):
         dhi = half*np.exp(-q)/np.cosh(q)
         xs = np.where(xk < 0, lo + dlo, hi - dhi)
         ok = (dlo > 0) & (dhi > 0) & np.isfinite(wk)
-        fw = np.asarray(f(xs[ok], dlo[ok], dhi[ok]))*wk[ok]
-        return half*np.sum(fw, axis=-1)
+        return ks[ok], np.asarray(f(xs[ok], dlo[ok], dhi[ok]))*wk[ok]
 
-    return _de_refine(term)
+    return _de_refine(weighted, half)
 
 
 def de_to_infinity_oracle(f, lo: float, scale: float = 1.0):

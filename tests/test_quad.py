@@ -81,7 +81,7 @@ def test_semi_infinite_closed_forms_to_rounding(f, lo, scale, exact):
 
 def test_no_convergence_reports_best():
     # a nearly non-integrable interior singularity defeats every level; the
-    # best value and residual are the level-by-level oracle's, bit for bit
+    # best value and residual are the oracle's, bit for bit
     f = lambda t, dlo, dhi: np.abs(t - np.sqrt(2)/2)**-0.999  # noqa: E731
     with pytest.raises(NoConvergence) as exc:
         integrate_singular(f, 0.0, 1.0)
@@ -121,7 +121,10 @@ def test_halving_tolerance_self_consistency(monkeypatch):
 
 _Y, _B = 1.5, 2.0
 # every integrand above, plus an oscillatory tail that needs 8 levels and a
-# range so narrow that the extreme nodes are dropped (dhi underflows to 0)
+# range so narrow that the extreme nodes are dropped (dhi underflows to 0);
+# there the kept nodes start at an odd k, and the peak makes the rules of
+# step 2^-5 and 2^-4 differ in more than rounding
+_PEAK = lambda t, dlo, dhi: 1.0/(1e-3 + (1e300*t - 0.3)**2)  # noqa: E731
 _ORACLE_CASES = [
     (integrate_singular, lambda t, dlo, dhi: 1.0/np.sqrt(t), (0.0, 1.0)),
     (integrate_singular, lambda t, dlo, dhi: 1.0/np.sqrt(dlo), (0.0, 1.0)),
@@ -139,6 +142,7 @@ _ORACLE_CASES = [
      lambda t, dlo, dhi: 1.0/(t*np.sqrt(dlo*(t + 2.0))), (2.0, 2.0)),
     (integrate_to_infinity,
      lambda t, dlo, dhi: np.exp(-t)*np.cos(5*t), (0.0,)),
+    (integrate_singular, _PEAK, (0.0, 1e-300)),
 ]
 _ORACLE = {integrate_singular: de_singular_oracle,
            integrate_to_infinity: de_to_infinity_oracle}
@@ -146,18 +150,19 @@ _ORACLE = {integrate_singular: de_singular_oracle,
 
 @pytest.mark.parametrize("rule, f, args", _ORACLE_CASES)
 def test_fused_rule_matches_level_by_level_oracle(rule, f, args):
-    # the integrand sees the same abscissae, only in fewer calls
+    # the integrand sees the same nodes in the same calls as the oracle's,
+    # whose node tables are recomputed on every call
     got_calls, want_calls = [], []
     got = rule(_counting(f, got_calls), *args)
     want = _ORACLE[rule](_counting(f, want_calls), *args)
     assert _bits(got) == _bits(want)
-    assert sum(got_calls) == sum(want_calls)
+    assert got_calls == want_calls
 
 
 @pytest.mark.parametrize("rule, f, args, calls", [
     (integrate_singular, lambda t, dlo, dhi: np.sin(t), (0.0, np.pi), [289]),
     (integrate_to_infinity, lambda t, dlo, dhi: t**-2, (1.0,), [289]),
-    # 8 levels: one call for levels 0-5, then one per level (9 in the oracle)
+    # 8 levels: one call on the first grid, then one per level
     (integrate_to_infinity, lambda t, dlo, dhi: np.exp(-t)*np.cos(5*t), (0.0,),
      [289, 288, 576, 1152]),
 ])
@@ -168,6 +173,18 @@ def test_one_call_up_to_the_minimum_level_then_one_per_level(rule, f, args,
     assert seen == calls
 
 
+@pytest.mark.parametrize("rule", [integrate_singular, de_singular_oracle])
+def test_zero_width_interval_is_one_call_on_no_nodes(rule):
+    # every node is dropped; the integrand still sees one call, on empty
+    # arrays, and a stack comes back as zero arrays
+    seen = []
+    got = rule(_counting(lambda t, dlo, dhi: np.ones_like(t), seen), 1.0, 1.0)
+    assert seen == [0]
+    assert _bits(got) == _bits((0.0, 0.0))
+    val, err = rule(lambda t, dlo, dhi: np.vstack((t, dlo, dhi)), 1.0, 1.0)
+    assert _bits((val, err)) == _bits((np.zeros(3), np.zeros(3)))
+
+
 @pytest.mark.parametrize("rule, rows, args", [
     (integrate_singular,
      [lambda t, dlo, dhi: 1.0/np.sqrt(dhi*(_B + t)*dlo*(t + _Y)),
@@ -176,6 +193,9 @@ def test_one_call_up_to_the_minimum_level_then_one_per_level(rule, f, args,
     (integrate_to_infinity,
      [lambda t, dlo, dhi: 1.0/(t*np.sqrt(dlo*(t + 2.0))),
       lambda t, dlo, dhi: 1.0/(t*t*np.sqrt(dlo*(t + 2.0)))], (2.0, 2.0)),
+    # the kept nodes start at an odd k, so the step-2h rule starts at index 1
+    (integrate_singular, [lambda t, dlo, dhi: np.ones_like(t), _PEAK],
+     (0.0, 1e-300)),
 ])
 def test_stacked_rows_match_one_row_calls(rule, rows, args):
     # rows that converge at the same level come back bit for bit as k
@@ -208,18 +228,18 @@ def test_stacked_no_convergence_reports_the_first_row_as_floats():
     assert exc.value.best == pytest.approx(1.0 - np.cos(1.0), abs=1e-13)
 
 
-@pytest.mark.parametrize("level", [None, 6])
+@pytest.mark.parametrize("level", [quad._MIN_LEVELS, 6])
 def test_cached_node_tables_refuse_writes(level):
     table = quad._tanh_sinh(level)
     assert quad._tanh_sinh(level) is table
-    for arr in table[:-1]:
+    for arr in table:
         with pytest.raises(ValueError):
             arr[0] = 0
 
 
 def test_interval_nodes_are_reused_and_refuse_writes():
-    nodes = quad._nodes(None, 0.0, 1.0)
-    assert quad._nodes(None, 0.0, 1.0) is nodes
+    nodes = quad._nodes(quad._MIN_LEVELS, 0.0, 1.0)
+    assert quad._nodes(quad._MIN_LEVELS, 0.0, 1.0) is nodes
     for arr in nodes[:-1]:
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -248,3 +268,23 @@ def test_period_integrals_match_oracle(monkeypatch, solved_params):
     for p in (solved_params, periods.resolve_params(*_EDGE_MEMBER)):
         periods.period_report_for(p)
     assert matches == [True]*6
+
+
+def test_period_report_takes_one_call_per_integral(monkeypatch,
+                                                   solved_params):
+    # at the reference member each of I, J and K converges on the first
+    # grid: one integrand call on 289 nodes apiece
+    seen = []
+
+    def counted(rule):
+        def run(f, *args, **kwargs):
+            seen.append([])
+            return rule(_counting(f, seen[-1]), *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(periods, "integrate_singular",
+                        counted(integrate_singular))
+    monkeypatch.setattr(periods, "integrate_to_infinity",
+                        counted(integrate_to_infinity))
+    periods.period_report_for(solved_params)
+    assert seen == [[289]]*3
