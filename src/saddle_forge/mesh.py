@@ -48,8 +48,8 @@ _ETA_ROWS_PER_64 = 3.3
 _CUT_FRACTION = 0.3   # puncture window, share of the gap to the next point
 FAR_RADIUS = 20.0     # the grid covers the quadrant out to this |Re z|, Im z
 # rows per block of the edge integration and of the OBJ writer: a block's
-# temporaries stay in cache, and larger OBJ blocks are no faster and raise
-# the peak memory of a res-128 tower export above that of the assembly
+# temporaries stay in cache, and larger OBJ blocks are no faster and only
+# raise the peak memory of an export
 _BLOCK = 1 << 14
 
 # The boundary stretches in boundary order, each with the mirror it lies
@@ -429,24 +429,30 @@ def assemble(piece: PieceMesh, n_periods: int = 1) -> AssembledMesh:
         raise WeldMismatch("weld merged two vertices of one copy")
 
     def place(ids):
-        c = ids//n
-        return v[ids % n]*signs[c % 8] + np.outer(c//8*piece.T, [0.0, 0.0, 1.0])
+        c, i = np.divmod(ids, n)
+        x = np.take(v, i, axis=0)
+        x *= np.take(signs, c % 8, axis=0)
+        x += 0.0        # a flipped zero coordinate is -0.0: make it +0.0
+        x[:, 2] += c//8*piece.T
+        return x
 
     merged = np.flatnonzero(~root)
     gap = np.max(np.linalg.norm(place(merged) - place(label[merged]), axis=1),
                  initial=0.0)
     if gap > tol:
         raise WeldMismatch(f"welded vertices {gap:.3e} apart, beyond {tol:.3e}")
+    # placed before the faces are allocated, so that the temporaries of
+    # placing do not add to the faces at the peak memory
+    vertices = place(rep)
 
-    faces = per_copy[:, piece.faces]
+    # a copy with an odd number of flips reverses its triangles' orientation
+    F = piece.faces
     odd = np.prod(signs[copies % 8], axis=1) < 0
-    faces[odd] = faces[odd][:, :, ::-1]
-    faces = faces.reshape(-1, 3)
-    if len(faces) != n_copies*len(piece.faces):
-        raise WeldMismatch(f"tower has {len(faces)} faces, expected "
-                           f"{n_copies*len(piece.faces)}")
-    return AssembledMesh(vertices=place(rep), faces=faces, T=piece.T,
-                         n_periods=n_periods)
+    faces = np.empty((n_copies, len(F), 3), per_copy.dtype)
+    for c in copies:
+        np.take(per_copy[c], F[:, ::-1] if odd[c] else F, out=faces[c])
+    return AssembledMesh(vertices=vertices, faces=faces.reshape(-1, 3),
+                         T=piece.T, n_periods=n_periods)
 
 
 def curvature_stats(vertices: np.ndarray, faces: np.ndarray):
@@ -507,14 +513,18 @@ def export_obj(mesh, path, pi1: float = 0.0, pi2: float = 0.0,
     %.12e"`` and ``"f %d %d %d"`` (1-based), written without formatting every
     number in Python.  A tower is reflections and translations of one piece,
     so a column holds few distinct magnitudes.  Each distinct ``|x|`` of a
-    column is formatted once with Python's ``"%.12e"``; a coordinate is that
-    text behind a '-' when its sign bit is set.  This is exact because the
-    decimal conversion is correctly rounded, hence symmetric in sign:
-    ``"%.12e" % -x == "-" + "%.12e" % x``, for -0.0 and -inf too.  NaN is
-    the exception: ``"%.12e"`` prints ``nan`` whatever its sign bit, so a NaN
-    never takes the '-'.  Face indices are gathered from a table of the
-    digits of 1..n_vertices.  Rows are built in fixed-width byte blocks whose
-    padding is NUL, then stripped.
+    column is formatted once; a coordinate is that text behind a '-' when
+    its sign bit is set.  This is exact because the decimal conversion is
+    correctly rounded, hence symmetric in sign: ``"%.12e" % -x == "-" +
+    "%.12e" % x``, for -0.0 and -inf too.  NaN is the exception: ``"%.12e"``
+    prints ``nan`` whatever its sign bit, so a NaN never takes the '-'.  The
+    magnitudes are formatted in numpy from a double-double product with a
+    power of ten (see _magnitude_fields); Python's ``"%.12e"`` formats only
+    those within 1e-6 of a rounding tie in the 13th digit, zero, subnormals,
+    infinities, NaN and three-digit exponents.  Face indices are gathered
+    from a table of the digits of 1..n_vertices.  Every row gather is one
+    ``np.take`` along the rows of a table.  Rows are built in fixed-width
+    byte blocks whose padding is NUL, then stripped.
 
     The file is written under a temporary name in the target directory and
     renamed over `path` once complete, so a failed write leaves any earlier
@@ -565,8 +575,9 @@ def _open_target(path):
 
 def _write_obj(fh, head, mesh):
     fh.write(head.encode())
+    groups = _digit_groups()
     V = np.asarray(mesh.vertices, dtype=float)
-    cols = [_coordinate_table(V[:, c]) for c in range(3)]
+    cols = [_coordinate_table(V[:, c], groups) for c in range(3)]
     # 'v' + 3 x (' ' + sign + 19-byte magnitude) + '\n'
     buf = np.zeros((min(len(V), _BLOCK), 65), np.uint8)
     buf[:, [1, 22, 43]] = ord(" ")
@@ -574,20 +585,22 @@ def _write_obj(fh, head, mesh):
     for s in range(0, len(V), _BLOCK):
         rows = buf[:min(_BLOCK, len(V) - s)]
         for c, (key, table) in enumerate(cols):
-            rows[:, 2 + 21*c:22 + 21*c] = table[key[s:s + len(rows)]]
+            rows[:, 2 + 21*c:22 + 21*c] = np.take(table, key[s:s + len(rows)],
+                                                  axis=0)
         _write_block(fh, rows)
     del cols
 
     F = np.asarray(mesh.faces)
     if F.size and (F.min() < 0 or F.max() >= len(V)):
         raise ValueError(f"face index out of range 0..{len(V) - 1}")
-    digits = _index_table(len(V))
+    digits = _index_table(len(V), groups)
     w = 3*digits.shape[1]
     buf = np.zeros((min(len(F), _BLOCK), w + 2), np.uint8)
     buf[:, 0], buf[:, -1] = ord("f"), ord("\n")
     for s in range(0, len(F), _BLOCK):
         rows = buf[:min(_BLOCK, len(F) - s)]
-        rows[:, 1:-1] = digits[F[s:s + len(rows)]].reshape(len(rows), w)
+        rows[:, 1:-1] = np.take(digits, F[s:s + len(rows)],
+                                axis=0).reshape(len(rows), w)
         _write_block(fh, rows)
 
 
@@ -596,7 +609,14 @@ def _write_block(fh, rows):
     fh.write(flat[flat != 0])
 
 
-def _coordinate_table(x):
+def _digit_groups():
+    """Row i is the four ASCII digits of i, i = 0..9999."""
+    i = np.arange(10**4)
+    return (np.stack([i//1000, i//100 % 10, i//10 % 10, i % 10], axis=1)
+            + ord("0")).astype(np.uint8)
+
+
+def _coordinate_table(x, groups):
     """(key, table) with table[key[i]] the 20-byte NUL-padded field holding
     '%.12e' % x[i]; each distinct |x| is formatted once."""
     mag = np.abs(x)
@@ -611,23 +631,115 @@ def _coordinate_table(x):
     key[order] = 2*(np.cumsum(first, dtype=np.int32) - 1)
     del order, srt, first
     key += np.signbit(x) & ~np.isnan(x)
-    text = ("%19.12e"*len(uniq)) % tuple(uniq.tolist())
-    mags = np.frombuffer(text.encode(), np.uint8).reshape(-1, 19)
-    table = np.zeros((2*len(uniq), 20), np.uint8)
-    table[0::2, 1:] = mags
-    table[1::2, 1:] = mags
-    table[1::2, 0] = ord("-")
-    table[table == ord(" ")] = 0
-    return key, table
+    table = np.zeros((len(uniq), 2, 20), np.uint8)
+    table[:, :, 1:] = _magnitude_fields(uniq, groups)[0][:, None]
+    table[:, 1, 0] = ord("-")
+    return key, table.reshape(-1, 20)
 
 
-def _index_table(n):
+# the distance from a rounding tie, in units of the 13th digit, within which
+# a magnitude is formatted in Python, and the largest decimal exponent
+# formatted in numpy (the field has room for two exponent digits)
+_TIE_GUARD = 1e-6
+_MAX_EXP = 99
+
+
+def _magnitude_fields(u, groups):
+    """('%19.12e' % u[i] as (len(u), 19) bytes with spaces NUL, indices of
+    the u[i] formatted by Python) for u >= 0 or NaN.
+
+    With E = floor(log10 u), the 13 digits are u*10^(12 - E) rounded to an
+    integer.  The product is formed as a double-double: 10^(12 - E) is the
+    pair hi + lo of correctly rounded doubles (_power_of_ten), u*hi is
+    Dekker's error-free product, and u*lo joins its error term, so the sum
+    is within about 2^-100 relative of the exact product.  log10 can make E
+    one off next to a power of ten; a product outside [10^12, 10^13) moves
+    E by one.  A product still outside by a rounding error rounds to 10^12,
+    or to 10^13 and carries into the next decade: the digits the other E
+    would give.  The rounding is exact wherever the product lies further
+    than _TIE_GUARD from a tie.  Python's correctly rounded "%19.12e"
+    formats the rest: values that near a tie (2^-20 is one, and rounds half
+    to even), zero, subnormals, infinities, NaN and |E| > _MAX_EXP.
+    """
+    out = np.zeros((len(u), 19), np.uint8)
+    by_python = np.ones(len(u), bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        E = np.floor(np.log10(u))
+    fast = np.flatnonzero((u >= np.finfo(float).tiny)
+                          & (np.abs(E) <= _MAX_EXP))
+    if len(fast):
+        m, e = u[fast], E[fast].astype(np.int64)
+        # row r of hi10, lo10 is 10^(k0 + r), for every 12 - E with E from
+        # one below the least e to one above the largest
+        k0 = 11 - int(e.max())
+        hi10, lo10 = np.array([_power_of_ten(k)
+                               for k in range(k0, 14 - int(e.min()))]).T
+        r = 12 - k0 - e
+        p = m*np.take(hi10, r)
+        r -= p >= 1e13      # E one too small
+        r += p < 1e12       # E one too large
+        b = np.take(hi10, r)
+        p = m*b
+        (mh, ml), (bh, bl) = _split(m), _split(b)
+        lo = ((mh*bh - p) + mh*bl + ml*bh) + ml*bl + m*np.take(lo10, r)
+        whole = np.floor(p)
+        frac = (p - whole) + lo
+        digits = (whole + (frac > 0.5)).astype(np.int64)
+        e = 12 - k0 - r
+        carry = digits == 10**13
+        digits[carry] = 10**12
+        e += carry
+        by_python[fast] = ((np.abs(frac - 0.5) <= _TIE_GUARD)
+                           | (np.abs(e) > _MAX_EXP))
+
+        lead, digits = np.divmod(digits, 10**12)
+        f = np.zeros((len(fast), 19), np.uint8)
+        f[:, 1] = lead + ord("0")
+        f[:, 2] = ord(".")
+        f[:, 3:7] = np.take(groups, digits//10**8, axis=0)
+        f[:, 7:11] = np.take(groups, digits//10**4 % 10**4, axis=0)
+        f[:, 11:15] = np.take(groups, digits % 10**4, axis=0)
+        f[:, 15] = ord("e")
+        f[:, 16] = np.where(e < 0, ord("-"), ord("+"))
+        f[:, 17:] = np.take(groups, np.abs(e), axis=0)[:, 2:]
+        out[fast] = f
+    slow = np.flatnonzero(by_python)
+    text = ("%19.12e"*len(slow)) % tuple(u[slow].tolist())
+    f = np.frombuffer(text.encode(), np.uint8).reshape(-1, 19)
+    out[slow] = f*(f != ord(" "))
+    return out, slow
+
+
+def _power_of_ten(k):
+    """10^k as a double-double: the nearest double, and the rest rounded,
+    both correctly rounded quotients of exact integers."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num/den
+    a, b = hi.as_integer_ratio()
+    return hi, (num*b - a*den)/(den*b)
+
+
+def _split(a):
+    """Dekker's split a = hi + lo, each with at most 26 significant bits, so
+    that products of halves are exact."""
+    c = 134217729.0*a       # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _index_table(n, groups):
     """Row k-1 is ' ' + the digits of k, NUL-padded on the left, k = 1..n."""
     w = len(str(n))
-    k = np.arange(1, n + 1, dtype=np.uint32)
-    table = np.zeros((n, w + 1), np.uint8)
+    table = np.zeros((n + 1, w + 1), np.uint8)     # row k holds k, k = 0..n
     table[:, 0] = ord(" ")
-    for j in range(w):
-        p = np.uint32(10**(w - 1 - j))
-        table[:, 1 + j] = (k // p % np.uint32(10) + np.uint32(48))*(k >= p)
-    return table
+    # the q-th group of four digits from the right runs through 0..9999 and
+    # again, each value held for 10^q rows; the leftmost is cut to fit
+    for q in range(0, w, 4):
+        run = np.repeat(np.resize(groups, (n//10**q + 1, 4)), 10**q, axis=0)
+        stop = w + 1 - q
+        start = max(1, stop - 4)
+        table[:, start:stop] = run[:n + 1, 4 - (stop - start):]
+    # leading zeros: column c is NUL while k < 10^(w - c)
+    for c in range(1, w):
+        table[:10**(w - c), c] = 0
+    return table[1:]

@@ -289,37 +289,43 @@ def _crossing_interval(tri, d, axis):
     return np.minimum(t1, t2), np.maximum(t1, t2), valid
 
 
-def _tri_tri_intersect(t1, t2, n1, n2, eps):
+def _tri_tri_intersect(tri, normals, i, j, eps):
     """Vectorized triangle-triangle crossing test (Moller interval test on
-    the plane-intersection line).  t1, t2: (m, 3, 3) vertex stacks with
-    plane normals n1, n2; returns a mask of transversally crossing pairs.
-    Coplanar or merely touching (within eps along the line) pairs are not
-    counted."""
-    d2 = np.einsum("mkj,mj->mk", t2 - t1[:, None, 0], n1)
+    the plane-intersection line) of the pairs (tri[i], tri[j]), where tri
+    holds (n, 3, 3) vertex stacks with plane normals `normals`; returns a
+    mask of transversally crossing pairs.  Coplanar or merely touching
+    (within eps along the line) pairs are not counted.
+
+    The plane tests run in stages: tri[j] against the plane of tri[i] on
+    every pair, then tri[i] against the plane of tri[j] on the pairs left,
+    so tri[i] is gathered for those only."""
+    out = np.zeros(len(i), bool)
+    t2, n1 = tri[j], normals[i]
+    d2 = np.einsum("mkj,mj->mk", t2 - tri[i, 0][:, None], n1)
+    k = np.flatnonzero(_straddles(d2, n1, eps))
+    t1, t2, n1, n2, d2 = tri[i[k]], t2[k], n1[k], normals[j[k]], d2[k]
     d1 = np.einsum("mkj,mj->mk", t1 - t2[:, None, 0], n2)
-    s1 = np.linalg.norm(n1, axis=1)*eps
-    s2 = np.linalg.norm(n2, axis=1)*eps
-    same2 = (np.all(d2 > -s1[:, None], axis=1)
-             | np.all(d2 < s1[:, None], axis=1))
-    same1 = (np.all(d1 > -s2[:, None], axis=1)
-             | np.all(d1 < s2[:, None], axis=1))
-    cand = ~(same1 | same2)
-    out = np.zeros(len(t1), bool)
-    if not cand.any():
-        return out
-    idx = np.where(cand)[0]
-    axis = np.cross(n1[idx], n2[idx])
+    axis = np.cross(n1, n2)
     anorm = np.linalg.norm(axis, axis=1)
-    noncop = anorm > 1e-300
-    idx = idx[noncop]
-    if len(idx) == 0:
+    keep = _straddles(d1, n2, eps) & (anorm > 1e-300)
+    if not keep.any():
         return out
-    axis = axis[noncop]/anorm[noncop][:, None]
-    lo1, hi1, v1 = _crossing_interval(t1[idx], d1[idx], axis)
-    lo2, hi2, v2 = _crossing_interval(t2[idx], d2[idx], axis)
+    axis = axis[keep]/anorm[keep][:, None]
+    lo1, hi1, v1 = _crossing_interval(t1[keep], d1[keep], axis)
+    lo2, hi2, v2 = _crossing_interval(t2[keep], d2[keep], axis)
     overlap = (np.minimum(hi1, hi2) - np.maximum(lo1, lo2)) > eps
-    out[idx] = v1 & v2 & overlap
+    out[k[keep]] = v1 & v2 & overlap
     return out
+
+
+def _straddles(d, n, eps):
+    """Mask of the triangles whose signed distances d (times |n|) from a
+    plane of normal n are not all on one side of it within eps; a NaN
+    distance counts as on neither side."""
+    s = np.linalg.norm(n, axis=1)*eps
+    lo = np.minimum(np.minimum(d[:, 0], d[:, 1]), d[:, 2])
+    hi = np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2])
+    return ~((lo > -s) | (hi < s))
 
 
 _HASH = (np.int64(73856093), np.int64(19349663), np.int64(83492791))
@@ -436,7 +442,7 @@ def check_self_intersections(vertices: np.ndarray,
         share = (faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
         i, j = i[~share], j[~share]
         count += int(np.count_nonzero(
-            _tri_tri_intersect(tri[i], tri[j], normals[i], normals[j], eps_abs)))
+            _tri_tri_intersect(tri, normals, i, j, eps_abs)))
     return CheckResult("self_intersection", count == 0, count,
                        f"{n_cand} candidate pairs tested")
 

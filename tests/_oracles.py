@@ -16,12 +16,13 @@ central_jacobian_oracle differences the period residuals, where
 period_report_for differentiates under the integral sign, and
 fd_newton_oracle is the period solve on a forward-difference Jacobian.
 collision_pairs_oracle finds every pair of close vertices, where the
-injectivity check samples pairs.  Three oracles keep an earlier form of
+injectivity check samples pairs.  Four oracles keep an earlier form of
 library code that the library now writes more cheaply, to pin that the
 values did not move: w_six_log_oracle takes the branch of w from six
 logarithms, solve_y_two_call_oracle takes F and its slope from two calls
-per Newton step, and grid_nodes_oracle lays the grid's columns row by
-row.
+per Newton step, grid_nodes_oracle lays the grid's columns row by row, and
+assemble_oracle places the tower's vertices and faces by fancy indexing,
+after welding by connected components.
 """
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ import itertools
 
 import numpy as np
 from scipy.integrate import quad as scipy_quad
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from saddle_forge import mesh, periods, quad
 from saddle_forge.errors import DomainViolation, NoConvergence, NoRoot
@@ -392,6 +395,49 @@ def grid_nodes_oracle(p: SurfaceParams, resolution: int):
             xs.extend((A + (B - A)*u).tolist())
         rows.append(xs)
     return np.array(rows) + 1j*eta[:, None]
+
+
+def assemble_oracle(piece, n_periods: int):
+    """(vertices, faces) of mesh.assemble(piece, n_periods).
+
+    The weld groups are the connected components of the seam pairs: copy c
+    (period c // 8, bits 4, 2, 1 flipping x1, x2, x3) meets c ^ (4 >> axis)
+    on a stretch through 0, and on the half-period mirror the s3 = +1 copy
+    of period k meets the s3 = -1 copy of period k + up.  A tower vertex is
+    placed from its group's least copy-major id, in id order, by fancy
+    indexing, and the odd copies' faces are reversed through a mask."""
+    n = len(piece.vertices)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    copies = np.arange(8*n_periods)
+    up = 1 if piece.levels["ED"] > 0 else -1
+    ia, ib = [], []
+    for tag, (axis, plane) in mesh.STRETCHES.items():
+        for c in copies:
+            if plane == mesh.ORIGIN:
+                d = c ^ (4 >> axis)
+            elif c % 2 == 0 and 0 <= c//8 + up < n_periods:
+                d = c + 8*up + 1
+            else:
+                continue
+            ia.append(c*n + piece.boundary[tag])
+            ib.append(d*n + piece.boundary[tag])
+    ia, ib = np.concatenate(ia), np.concatenate(ib)
+    ids = np.arange(len(copies)*n)
+    _, group = connected_components(
+        coo_matrix((np.ones(len(ia)), (ia, ib)), shape=(len(ids), len(ids))),
+        directed=False)
+    least = np.full(group.max() + 1, len(ids))
+    np.minimum.at(least, group, ids)
+    rep, per_copy = np.unique(least[group], return_inverse=True)
+    per_copy = per_copy.reshape(len(copies), n)
+
+    c = rep//n
+    vertices = (piece.vertices[rep % n]*signs[c % 8]
+                + np.outer(c//8*piece.T, [0.0, 0.0, 1.0]))
+    faces = per_copy[:, piece.faces]
+    odd = np.prod(signs[copies % 8], axis=1) < 0
+    faces[odd] = faces[odd][:, :, ::-1]
+    return vertices, faces.reshape(-1, 3)
 
 
 def collision_pairs_oracle(vertices, tol: float) -> set:

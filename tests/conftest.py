@@ -34,6 +34,11 @@ def solved_params(solved) -> SurfaceParams:
 
 
 @pytest.fixture(scope="session")
+def piece32(solved_params):
+    return integrate_piece(build_grid(solved_params, 32))
+
+
+@pytest.fixture(scope="session")
 def piece64(solved_params):
     return integrate_piece(build_grid(solved_params, 64))
 

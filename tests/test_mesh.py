@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import saddle_forge.mesh as mesh
-from _oracles import grid_nodes_oracle
+from _oracles import assemble_oracle, grid_nodes_oracle
 from saddle_forge.errors import (BranchInconsistency, InvalidResolution,
                                  WeldMismatch)
 from saddle_forge.mesh import (FAR_RADIUS, QUAD_SIGNS, STRETCHES, AssembledMesh,
@@ -367,6 +367,27 @@ def test_tower_vertices_are_numbered_as_by_unique(piece64):
     assert np.array_equal(m.vertices, placed)
 
 
+@pytest.mark.parametrize("n_periods", [1, 2])
+@pytest.mark.parametrize("zero_off_mirror", [False, True])
+def test_assemble_matches_the_fancy_indexing_oracle(piece32, n_periods,
+                                                   zero_off_mirror):
+    piece = piece32
+    if zero_off_mirror:
+        # x1 = 0 on a vertex of FE, which lies in x3 = 0: its weld group's
+        # least id can be in a copy that flips x1, placing it at x1 = -0.0
+        v = piece.vertices.copy()
+        v[piece.boundary["FE"][3], 0] = 0.0
+        piece = dataclasses.replace(piece, vertices=v)
+    m = assemble(piece, n_periods=n_periods)
+    vertices, faces = assemble_oracle(piece, n_periods)
+    # the same bits as placing by fancy indexing, the sign of zero included:
+    # adding +0.0 turns the -0.0 of a flipped zero coordinate into +0.0,
+    # which the OBJ would otherwise print as -0.000000000000e+00
+    assert np.array_equal(m.vertices.view(np.uint64), vertices.view(np.uint64))
+    assert np.array_equal(m.faces, faces)
+    assert not np.any(np.signbit(m.vertices[m.vertices == 0.0]))
+
+
 @pytest.mark.parametrize("n_periods", [1, 2, 3])
 def test_x3_mirrored_piece_builds_the_same_tower(piece64, piece64_x3,
                                                  n_periods):
@@ -489,11 +510,12 @@ def _export_bytes(vertices, faces, path):
 def test_export_obj_matches_line_writer_on_edge_values(tmp_path):
     # signed zeros, a NaN with its sign bit set ('%.12e' prints 'nan'
     # whatever the sign), infinities, the smallest subnormal, three-digit
-    # exponents and a value whose mantissa rounds up into the next decade
+    # exponents, a value whose mantissa rounds up into the next decade and
+    # an exact tie, rounded half to even
     vals = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf,
                      -np.inf, 5e-324, -5e-324, 1e-100, -1e-100, 1e300,
                      -1e300, 9.9999999999995, -9.9999999999995, 1.0, -0.1,
-                     123.456])
+                     123.456, 2.0**-20, -2.0**-20])
     V = np.column_stack([vals, vals[::-1], np.roll(vals, 5)])
     V = np.concatenate([V, -V, V[::2]])
     assert "1.000000000000e+01" in "%.12e" % 9.9999999999995
@@ -501,7 +523,8 @@ def test_export_obj_matches_line_writer_on_edge_values(tmp_path):
     assert _export_bytes(V, F, tmp_path/"edge.obj") == _line_writer(V, F)
 
 
-@pytest.mark.parametrize("n", [1, 9, 10, 99, 100, 101])
+@pytest.mark.parametrize("n", [1, 9, 10, 99, 100, 101, 9999, 10000, 10001,
+                               123457])
 def test_export_obj_matches_line_writer_at_index_widths(n, tmp_path):
     rng = np.random.default_rng(n)
     V = rng.normal(scale=10.0**rng.integers(-3, 4, (n, 1)), size=(n, 3))
@@ -509,6 +532,62 @@ def test_export_obj_matches_line_writer_at_index_widths(n, tmp_path):
     F = np.asfortranarray(rng.integers(0, n, size=(2*n + 1, 3)))
     F[0] = (n - 1, 0, n - 1)
     assert _export_bytes(V, F, tmp_path/"w.obj") == _line_writer(V, F)
+
+
+def _python_fields(u):
+    """'%19.12e' % u[i] as (len(u), 19) bytes with spaces NUL."""
+    text = ("%19.12e"*len(u)) % tuple(u.tolist())
+    f = np.frombuffer(text.encode(), np.uint8).reshape(-1, 19)
+    return f*(f != ord(" "))
+
+
+def _decimal_ties(rng, size):
+    """Doubles halfway between two 13-digit decimals: m*2^-e = m*5^e*10^-e
+    with m*5^e a 14-digit odd number, so its last digit is a 5."""
+    e = rng.integers(1, 20, size)
+    p5 = 5**e
+    lo, hi = -(-10**13//p5), (10**14 - 1)//p5
+    m = lo + rng.integers(0, 2**62, size) % (hi - lo + 1)
+    odd = m % 2 == 1
+    ints = 10*rng.integers(10**12, 10**13, size) + 5     # 14 digits, exact
+    return np.concatenate([np.ldexp(m[odd].astype(float), -e[odd]),
+                           ints.astype(float)])
+
+
+def test_magnitude_fields_match_python_formatting(piece32):
+    rng = np.random.default_rng(23)
+    ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    tiny = np.finfo(float).tiny
+    cases = {
+        # non-negative bit patterns: NaNs, infinities, subnormals, 3-digit
+        # exponents and any normal value
+        "random bits": rng.integers(0, 2**63, 600_000).view(float),
+        "log-uniform": 10.0**rng.uniform(-20, 3, 600_000),
+        "powers of two": np.ldexp(1.0, np.arange(-1074, 1024)),
+        "powers of ten": np.concatenate([ten, np.nextafter(ten, 0.0),
+                                         np.nextafter(ten, np.inf)]),
+        "ties": _decimal_ties(rng, 100_000),
+        "edge": np.array([0.0, 5e-324, np.nextafter(tiny, 0.0), tiny,
+                          9.9999999999995, np.nextafter(9.9999999999995, 0.0),
+                          np.nextafter(9.9999999999995, 20.0), 9.99e-100,
+                          1e-99, 9.9999999999995e99, 1e100, 1.5e-150,
+                          np.finfo(float).max, np.inf, np.nan,
+                          np.copysign(np.nan, -1.0)]),
+        "res-32 piece": np.unique(np.abs(piece32.vertices)),
+    }
+    groups = mesh._digit_groups()
+    for name, u in cases.items():
+        fields, slow = mesh._magnitude_fields(u, groups)
+        want = _python_fields(u)
+        bad = np.flatnonzero(np.any(fields != want, axis=1))
+        assert len(bad) == 0, (name, len(bad), u[bad[:5]].tolist())
+        if name == "log-uniform":
+            assert len(slow) <= 10      # within 1e-6 of a tie: 1.2 expected
+        if name == "ties":
+            assert len(slow) == len(u)
+        if name == "res-32 piece":
+            assert 0.0 in u[slow] and len(slow) <= 3
+    assert "%.12e" % 2.0**-20 == "9.536743164062e-07"   # half to even
 
 
 def test_export_obj_matches_line_writer_on_two_period_tower(solved_params,

@@ -236,11 +236,6 @@ def test_self_intersection_offset_copy_negative_control(piece64):
 
 # ------------------------------------------------- chamber certificate
 
-@pytest.fixture(scope="module")
-def piece32(solved_params):
-    return integrate_piece(build_grid(solved_params, 32))
-
-
 # the res-64 case runs the pair search on a whole tower (about 10 s)
 @pytest.mark.parametrize("name", ["piece32",
                                   pytest.param("piece64", marks=pytest.mark.slow)])
