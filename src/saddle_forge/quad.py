@@ -139,7 +139,41 @@ def integrate_to_infinity(f, lo: float, scale: float = 1.0):
     return integrate_singular(mapped, 0.0, 1.0)
 
 
+def _legendre_sum(x, c):
+    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in the order of
+    operations of numpy.polynomial.legendre.legval."""
+    if len(c) == 1:
+        return c[0] + 0*x
+    c0, c1 = c[-2], c[-1]
+    for k in range(len(c) - 1, 1, -1):
+        c0, c1 = c[k - 2] - c1*((k - 1)/k), c0 + c1*x*((2*k - 1)/k)
+    return c0 + c1*x
+
+
 def gauss_legendre_01(n: int):
-    """Gauss-Legendre nodes/weights on (0, 1)."""
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    return 0.5*(xg + 1.0), 0.5*wg
+    """Gauss-Legendre nodes/weights on (0, 1).
+
+    The nodes on (-1, 1) are the eigenvalues of the symmetric Jacobi
+    matrix of the Legendre recurrence, off-diagonal k/sqrt(4k^2 - 1)
+    (Golub and Welsch 1969), polished by one Newton step on P_n; the
+    weights are proportional to 1/(P_(n-1)(x) P_n'(x)), made symmetric and
+    scaled to sum to 2.  The steps and their order of operations are those
+    of numpy.polynomial.legendre.leggauss, so the rule is its rule, without
+    the import of numpy.polynomial.
+    """
+    k = np.arange(n)
+    scl = 1.0/np.sqrt(2*k + 1)
+    off = k[1:]*scl[:-1]*scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    pn = np.zeros(n + 1)
+    pn[n] = 1.0
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    dpn = np.where((n - 1 - k) % 2 == 0, 2.0*k + 1, 0.0)
+    df = _legendre_sum(x, dpn)
+    x = x - _legendre_sum(x, pn)/df
+    fm = _legendre_sum(x, pn[1:])
+    w = 1/((fm/np.abs(fm).max())*(df/np.abs(df).max()))
+    w = (w + w[::-1])/2
+    x = (x - x[::-1])/2
+    w *= 2./w.sum()
+    return 0.5*(x + 1.0), 0.5*w

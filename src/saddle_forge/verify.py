@@ -26,6 +26,7 @@ oracle.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,22 +247,41 @@ _COLLISION_TOL = 1e-10     # share of the bounding-box diagonal
 _INJECTIVITY_PAIRS = 100_000
 
 
+def _sample_pairs(n: int, seed: int):
+    """(i, j) uint32 index arrays of the _INJECTIVITY_PAIRS vertex pairs
+    drawn from n vertices, the pairs of a vertex with itself dropped.
+
+    The indices are the bytes of the standard library's
+    random.Random(seed), read as little-endian uint32 and taken mod n, so
+    a seed draws the same pairs on every platform; the bias this leaves is
+    below n/2^32."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    draw = np.frombuffer(random.Random(seed).randbytes(8*_INJECTIVITY_PAIRS),
+                         "<u4")
+    i, j = np.split(draw % n if n else draw[:0], 2)
+    keep = np.flatnonzero(i != j)
+    return np.take(i, keep), np.take(j, keep)
+
+
 def check_injectivity(vertices: np.ndarray, seed: int = DEFAULT_SEED) -> CheckResult:
     """Distinct sampled mesh points must not coincide in space.
 
-    _INJECTIVITY_PAIRS random vertex pairs are drawn; collisions are pairs
-    closer than _COLLISION_TOL times the bounding-box diagonal, so an
-    immersed (non-injective) piece shows up as a nonzero count.
+    _INJECTIVITY_PAIRS random vertex pairs are drawn (_sample_pairs);
+    collisions are pairs closer than _COLLISION_TOL times the bounding-box
+    diagonal, so an immersed (non-injective) piece shows up as a nonzero
+    count.  Squared distances are compared, summed one axis at a time.  A
+    mesh of fewer than two vertices has no pair to sample.
     """
-    rng = np.random.default_rng(seed)
-    n = len(vertices)
-    i = rng.integers(0, n, _INJECTIVITY_PAIRS)
-    j = rng.integers(0, n, _INJECTIVITY_PAIRS)
-    keep = i != j
-    i, j = i[keep], j[keep]
+    i, j = _sample_pairs(len(vertices), seed)
+    if len(i) == 0:
+        return CheckResult("injectivity", True, 0, "0 pairs sampled")
     bbox = np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0))
-    d = np.linalg.norm(vertices[i] - vertices[j], axis=1)
-    collisions = int(np.sum(d < _COLLISION_TOL*bbox))
+    d2 = np.zeros(len(i))
+    for col in vertices.T:
+        d = np.take(col, i) - np.take(col, j)
+        d2 += d*d
+    collisions = int(np.count_nonzero(d2 < (_COLLISION_TOL*bbox)**2))
     return CheckResult("injectivity", collisions == 0, collisions,
                        f"{len(i)} pairs sampled")
 
@@ -300,10 +320,13 @@ def _tri_tri_intersect(tri, normals, i, j, eps):
     every pair, then tri[i] against the plane of tri[j] on the pairs left,
     so tri[i] is gathered for those only."""
     out = np.zeros(len(i), bool)
-    t2, n1 = tri[j], normals[i]
-    d2 = np.einsum("mkj,mj->mk", t2 - tri[i, 0][:, None], n1)
+    t2, n1 = np.take(tri, j, axis=0), np.take(normals, i, axis=0)
+    d2 = np.einsum("mkj,mj->mk",
+                   t2 - np.take(tri[:, 0], i, axis=0)[:, None], n1)
     k = np.flatnonzero(_straddles(d2, n1, eps))
-    t1, t2, n1, n2, d2 = tri[i[k]], t2[k], n1[k], normals[j[k]], d2[k]
+    t1 = np.take(tri, np.take(i, k), axis=0)
+    n2 = np.take(normals, np.take(j, k), axis=0)
+    t2, n1, d2 = (np.take(a, k, axis=0) for a in (t2, n1, d2))
     d1 = np.einsum("mkj,mj->mk", t1 - t2[:, None, 0], n2)
     axis = np.cross(n1, n2)
     anorm = np.linalg.norm(axis, axis=1)
@@ -340,6 +363,19 @@ def _cell_key(cells):
     return (cells[0]*_HASH[0]) ^ (cells[1]*_HASH[1]) ^ (cells[2]*_HASH[2])
 
 
+def _first_percentile(x):
+    """np.percentile(x, 1) of a non-empty 1-D array without NaNs, bit for
+    bit: numpy's linear interpolation at index 0.01*(n - 1) between the
+    two neighbouring ranks, placed by one np.partition."""
+    n = len(x)
+    at = 0.01*(n - 1)
+    k = int(at)
+    g = at - k
+    ranks = [k, min(k + 1, n - 1)]
+    a, b = np.partition(x, ranks)[ranks]
+    return b - (b - a)*(1 - g) if g >= 0.5 else a + (b - a)*g
+
+
 def _candidate_pairs(lo, hi, eps_abs):
     """Yield (i, j) index arrays (i < j) of the triangle pairs whose bounding
     boxes lie within eps_abs of each other on every axis; over all yields
@@ -357,11 +393,13 @@ def _candidate_pairs(lo, hi, eps_abs):
     boxes, so both registered its cell, and its floor is the registration's
     own, so exactly one shared hash key equals its key even under
     collisions."""
+    if len(lo) == 0:
+        return
     ext = np.max(hi - lo, axis=1) + 2*eps_abs
     # the base cell tracks the smallest triangles: strongly graded meshes
     # cluster thousands of tiny triangles in a region a large cell would
     # cover, and same-cell pairing must stay local to their own size class
-    h0 = max(np.percentile(ext, 1), 10*eps_abs, 1e-300)
+    h0 = max(_first_percentile(ext), 10*eps_abs, 1e-300)
     level = np.clip(np.ceil(np.log2(np.maximum(ext/h0, 1e-12))),
                     0, 40).astype(int)
     # one row per axis; hi is inflated by eps_abs from here on
@@ -402,15 +440,21 @@ def _candidate_pairs(lo, hi, eps_abs):
                 continue
             reps = n_before[mc]
             entry = np.repeat(mc, reps)
-            ii = tid[entry]
-            jj = tid[np.arange(len(entry)) + np.repeat(mc - np.cumsum(reps), reps)]
+            ii = np.take(tid, entry)
+            jj = np.take(tid, np.arange(len(entry))
+                         + np.repeat(mc - np.cumsum(reps), reps))
             # exact box test, one axis at a time on the survivors
             for lo_k, hi_k in zip(lo, hi):
-                near = (lo_k[ii] <= hi_k[jj]) & (lo_k[jj] <= hi_k[ii])
-                entry, ii, jj = entry[near], ii[near], jj[near]
-            corner = np.floor((np.maximum(lo[:, ii], lo[:, jj]) - eps_abs)/h)
-            own = _cell_key(corner.astype(np.int64)) == hk[entry]
-            ii, jj = ii[own], jj[own]
+                near = np.flatnonzero(
+                    (np.take(lo_k, ii) <= np.take(hi_k, jj))
+                    & (np.take(lo_k, jj) <= np.take(hi_k, ii)))
+                entry, ii, jj = (np.take(a, near) for a in (entry, ii, jj))
+            corner = np.floor((np.maximum(np.take(lo, ii, axis=1),
+                                          np.take(lo, jj, axis=1))
+                               - eps_abs)/h)
+            own = np.flatnonzero(_cell_key(corner.astype(np.int64))
+                                 == np.take(hk, entry))
+            ii, jj = np.take(ii, own), np.take(jj, own)
             yield np.minimum(ii, jj), np.maximum(ii, jj)
 
 
@@ -426,9 +470,11 @@ def check_self_intersections(vertices: np.ndarray,
 
     Broad phase: size-binned spatial hashing, streamed in bounded chunks so
     the candidate set (which grows large for strongly graded, near-coincident
-    sheet meshes) is never materialized at once.  Narrow phase: vectorized
-    interval test with precomputed plane normals; pairs sharing a vertex are
-    excluded (seam neighbours)."""
+    sheet meshes) is never materialized at once.  Pairs sharing a vertex
+    are seam neighbours and excluded (_shares_vertex, which compares the
+    corner ids column by column).  Narrow phase: vectorized interval test
+    with precomputed plane normals.  A mesh without faces has no candidate
+    pair."""
     tri = vertices[faces]                       # (m, 3, 3)
     lo = tri.min(axis=1)
     hi = tri.max(axis=1)
@@ -436,15 +482,29 @@ def check_self_intersections(vertices: np.ndarray,
     eps_abs = _CROSSING_EPS*bbox
     normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
 
+    corners = np.ascontiguousarray(faces.T)
     n_cand = count = 0
     for i, j in _candidate_pairs(lo, hi, eps_abs):
         n_cand += len(i)
-        share = (faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
-        i, j = i[~share], j[~share]
-        count += int(np.count_nonzero(
-            _tri_tri_intersect(tri, normals, i, j, eps_abs)))
+        keep = np.flatnonzero(~_shares_vertex(corners, i, j))
+        count += int(np.count_nonzero(_tri_tri_intersect(
+            tri, normals, np.take(i, keep), np.take(j, keep), eps_abs)))
     return CheckResult("self_intersection", count == 0, count,
                        f"{n_cand} candidate pairs tested")
+
+
+def _shares_vertex(corners, i, j):
+    """Mask of the element pairs (i, j) with a vertex in common; corners
+    holds one row of vertex ids per corner (faces.T for triangles).  Each
+    corner of i is compared with each corner of j on gathered ids, the
+    compares OR-ed together."""
+    fi = [np.take(c, i) for c in corners]
+    share = np.zeros(len(i), bool)
+    for c in corners:
+        fj = np.take(c, j)
+        for f in fi:
+            share |= f == fj
+    return share
 
 
 def _seam_crossings(pts, chains):
@@ -464,7 +524,7 @@ def _seam_crossings(pts, chains):
     boxes = np.all((np.minimum(a, b) <= np.maximum(c, d))
                    & (np.minimum(c, d) <= np.maximum(a, b)), axis=1)
     meet = (side(a, b, c)*side(a, b, d) <= 0) & (side(c, d, a)*side(c, d, b) <= 0)
-    share = (seg[i][:, :, None] == seg[j][:, None, :]).any(axis=(1, 2))
+    share = _shares_vertex(seg.T, i, j)
     return int(np.count_nonzero(meet & boxes & ~share))
 
 

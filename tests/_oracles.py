@@ -16,13 +16,16 @@ central_jacobian_oracle differences the period residuals, where
 period_report_for differentiates under the integral sign, and
 fd_newton_oracle is the period solve on a forward-difference Jacobian.
 collision_pairs_oracle finds every pair of close vertices, where the
-injectivity check samples pairs.  Four oracles keep an earlier form of
+injectivity check samples pairs.  Six oracles keep an earlier form of
 library code that the library now writes more cheaply, to pin that the
 values did not move: w_six_log_oracle takes the branch of w from six
 logarithms, solve_y_two_call_oracle takes F and its slope from two calls
-per Newton step, grid_nodes_oracle lays the grid's columns row by row, and
+per Newton step, grid_nodes_oracle lays the grid's columns row by row,
 assemble_oracle places the tower's vertices and faces by fancy indexing,
-after welding by connected components.
+after welding by connected components, shares_vertex_oracle compares the
+corner ids of face pairs in one broadcast table, and
+tri_tri_intersect_oracle runs the narrow phase on rows gathered by fancy
+indexing.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from saddle_forge import mesh, periods, quad
+from saddle_forge import mesh, periods, quad, verify
 from saddle_forge.errors import DomainViolation, NoConvergence, NoRoot
 from saddle_forge.params import SurfaceParams, SymFuncs, sym_funcs
 from saddle_forge.weier import g_eval, phi_vec, w_closed
@@ -459,3 +462,30 @@ def collision_pairs_oracle(vertices, tol: float) -> set:
                 if np.linalg.norm(vertices[i] - vertices[j]) < tol:
                     pairs.add((int(i), int(j)))
     return pairs
+
+
+def shares_vertex_oracle(faces, i, j):
+    """verify._shares_vertex on the face pairs (i, j), from the (m, 3, 3)
+    table of corner-id comparisons."""
+    return (faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
+
+
+def tri_tri_intersect_oracle(tri, normals, i, j, eps):
+    """verify._tri_tri_intersect with every row gathered by fancy indexing."""
+    out = np.zeros(len(i), bool)
+    t2, n1 = tri[j], normals[i]
+    d2 = np.einsum("mkj,mj->mk", t2 - tri[i, 0][:, None], n1)
+    k = np.flatnonzero(verify._straddles(d2, n1, eps))
+    t1, t2, n1, n2, d2 = tri[i[k]], t2[k], n1[k], normals[j[k]], d2[k]
+    d1 = np.einsum("mkj,mj->mk", t1 - t2[:, None, 0], n2)
+    axis = np.cross(n1, n2)
+    anorm = np.linalg.norm(axis, axis=1)
+    keep = verify._straddles(d1, n2, eps) & (anorm > 1e-300)
+    if not keep.any():
+        return out
+    axis = axis[keep]/anorm[keep][:, None]
+    lo1, hi1, v1 = verify._crossing_interval(t1[keep], d1[keep], axis)
+    lo2, hi2, v2 = verify._crossing_interval(t2[keep], d2[keep], axis)
+    overlap = (np.minimum(hi1, hi2) - np.maximum(lo1, lo2)) > eps
+    out[k[keep]] = v1 & v2 & overlap
+    return out

@@ -579,6 +579,37 @@ def test_mesh_runs_on_numpy_alone(tmp_path):
     assert vals["scipy_loaded"] == "False"
 
 
+_LAZY_PROBE = """
+import contextlib, io, sys
+from saddle_forge import cli
+
+loaded = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = (cli.main(["verify", "--resolution", "32"]),
+             cli.main(["mesh", "--resolution", "32", "-o", sys.argv[1]]))
+lazy = ("numpy.random", "numpy.ma", "numpy.polynomial")
+print(f"exit = {codes}")
+print(f"lazy_imported = {sorted(m for m in set(sys.modules) - loaded if m.startswith(lazy))}")
+"""
+
+
+def test_cli_runs_import_no_lazy_numpy_submodule(tmp_path):
+    # numpy 2 loads numpy.random, numpy.ma and numpy.polynomial on first
+    # use, at a cost every CLI run would pay; none of the checks or the
+    # mesh needs them (under numpy 1 they load with numpy and this holds
+    # trivially)
+    src = str(Path(saddle_forge.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE, str(tmp_path/"t.obj")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src,
+             "SADDLE_FORGE_THREADS": "1"})
+    assert res.returncode == 0, res.stderr
+    vals = parse_kv(res.stdout)
+    assert vals["exit"] == "(0, 0)", res.stderr
+    assert vals["lazy_imported"] == "[]"
+
+
 def test_cli_output_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "solve", "--t", "0.02", "--tol", "1e-9")
     code2, out2, _ = run_cli(capsys, "solve", "--t", "0.02", "--tol", "1e-9")

@@ -92,9 +92,20 @@ def test_no_convergence_reports_best():
 
 
 def test_gauss_nodes_integrate_polynomials_exactly():
-    xs, ws = gauss_legendre_01(8)
-    for k in range(0, 16):
-        assert abs(np.sum(ws*xs**k) - 1.0/(k + 1)) < 1e-13
+    for n in range(1, 33):
+        xs, ws = gauss_legendre_01(n)
+        for k in range(0, 2*n):
+            assert abs(np.sum(ws*xs**k) - 1.0/(k + 1)) < 1e-13, (n, k)
+
+
+def test_gauss_legendre_matches_leggauss():
+    # the rule is computed without importing numpy.polynomial, to its numbers
+    from numpy.polynomial.legendre import leggauss
+    for n in range(1, 33):
+        xg, wg = leggauss(n)
+        xs, ws = gauss_legendre_01(n)
+        np.testing.assert_array_max_ulp(xs, 0.5*(xg + 1.0), maxulp=4)
+        np.testing.assert_array_max_ulp(ws, 0.5*wg, maxulp=4)
 
 
 @settings(max_examples=50, deadline=None)

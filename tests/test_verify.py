@@ -6,7 +6,8 @@ import pytest
 
 import saddle_forge.mesh as mesh
 import saddle_forge.verify as verify
-from _oracles import collision_pairs_oracle
+from _oracles import (collision_pairs_oracle, shares_vertex_oracle,
+                      tri_tri_intersect_oracle)
 from saddle_forge.errors import ContourTooClose, NotApplicable
 from saddle_forge.mesh import (STRETCHES, AssembledMesh, assemble,
                                build_grid, integrate_piece)
@@ -113,6 +114,27 @@ def test_injectivity_negative_control(piece64):
     assert res.value > 0
 
 
+def test_sample_pairs_follow_the_seed():
+    n = 1000
+    i, j = verify._sample_pairs(n, 7)
+    again = verify._sample_pairs(n, 7)
+    assert np.array_equal(i, again[0]) and np.array_equal(j, again[1])
+    assert not np.array_equal(i[:n], verify._sample_pairs(n, 8)[0][:n])
+    assert np.all(i != j) and max(i.max(), j.max()) < n
+    # every index is drawn about as often as a uniform draw would
+    counts = np.bincount(np.concatenate([i, j]), minlength=n)
+    mean = 2*len(i)/n
+    assert np.all(np.abs(counts - mean) < 7*np.sqrt(mean))
+    with pytest.raises(ValueError):
+        verify._sample_pairs(n, -1)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_injectivity_without_a_vertex_pair(n):
+    res = check_injectivity(np.zeros((n, 3)))
+    assert (res.passed, res.value, res.detail) == (True, 0, "0 pairs sampled")
+
+
 def _collision_tol(vertices):
     bbox = np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0))
     return verify._COLLISION_TOL*bbox
@@ -179,6 +201,14 @@ def test_self_intersection_excludes_shared_vertex_neighbours(piece64):
     assert check_self_intersections(v, f).passed
 
 
+@pytest.mark.parametrize("n_faces, n_vertices", [(0, 1), (0, 3), (1, 3)])
+def test_self_intersection_without_a_face_pair(n_faces, n_vertices):
+    v, f = _tri_mesh([[(0, 0, 0), (1, 0, 0), (0, 1, 0)]])
+    res = check_self_intersections(v[:n_vertices], f[:n_faces])
+    assert (res.passed, res.value, res.detail) == \
+        (True, 0, "0 candidate pairs tested")
+
+
 @pytest.fixture(scope="module")
 def piece20_and_copy(solved_params):
     # a small piece for the all-pairs box test; res 20 closes its worst cell
@@ -214,6 +244,36 @@ def test_candidate_pairs_match_all_pairs_box_test(piece20_and_copy, monkeypatch,
     assert np.all(got[:, 0] < got[:, 1])
     assert len(np.unique(got, axis=0)) == len(got)          # no repeats
     assert np.array_equal(np.unique(got, axis=0), want)
+
+
+@pytest.mark.parametrize("name", ["piece32", "piece20_and_copy"])
+def test_share_test_and_narrow_phase_match_fancy_index_oracles(request, name):
+    # the column-wise share test and the np.take gathers of the narrow phase
+    # give the masks of the broadcast and fancy-index forms on every candidate
+    m = request.getfixturevalue(name)
+    v, f = (m.vertices, m.faces) if name == "piece32" else m
+    tri = v[f]
+    eps_abs = verify._CROSSING_EPS*np.linalg.norm(v.max(axis=0) - v.min(axis=0))
+    normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    i, j = map(np.concatenate, zip(*verify._candidate_pairs(
+        tri.min(axis=1), tri.max(axis=1), eps_abs)))
+    share = verify._shares_vertex(f.T, i, j)
+    assert share.any() and not share.all()
+    assert np.array_equal(share, shares_vertex_oracle(f, i, j))
+    cross = verify._tri_tri_intersect(tri, normals, i, j, eps_abs)
+    assert np.array_equal(
+        cross, tri_tri_intersect_oracle(tri, normals, i, j, eps_abs))
+    assert cross[~share].any() == (name == "piece20_and_copy")
+
+
+def test_first_percentile_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(11)
+    arrays = [rng.lognormal(size=n) for n in (1, 2, 100, 101)]
+    arrays += [rng.lognormal(sigma=3.0, size=rng.integers(1, 5000))
+               for _ in range(300)]
+    for x in arrays:
+        assert np.array(verify._first_percentile(x)).tobytes() == \
+            np.array(np.percentile(x, 1)).tobytes(), len(x)
 
 
 def test_self_intersection_embedded_piece(piece64):
