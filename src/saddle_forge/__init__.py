@@ -35,9 +35,8 @@ from .periods import (FamilySolution, PeriodReport, F_eval, I_integral,
 from .mesh import (AssembledMesh, DomainGrid, PieceMesh, assemble, build_grid,
                    curvature_stats, edge_increments, export_obj,
                    integrate_piece, mean_curvature_norm)
-from .verify import (VerificationReport, case_diagnostics, check_injectivity,
-                     check_profile_bell, check_self_intersections,
-                     check_symmetry_table, check_tower_embedded,
-                     degree_diagnostic)
+from .verify import (case_diagnostics, check_injectivity, check_profile_bell,
+                     check_self_intersections, check_symmetry_table,
+                     check_tower_embedded, degree_diagnostic)
 
 __version__ = "0.1.0"

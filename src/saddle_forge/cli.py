@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import mesh, periods, verify
-from .errors import (EXIT_INVALID_INPUT, EXIT_IO, EXIT_OK, InvalidResolution,
-                     NotApplicable, SaddleForgeError)
+from .errors import (EXIT_CHECK_FAILED, EXIT_INVALID_INPUT, EXIT_IO, EXIT_OK,
+                     InvalidResolution, NotApplicable, SaddleForgeError)
 
 
 def _read_config(path):
@@ -156,7 +156,7 @@ def cmd_verify(args):
     # the piece is built first, so a bad --resolution is rejected before
     # the curve-level checks run
     piece = mesh.integrate_piece(mesh.build_grid(p, args.resolution))
-    results = verify.check_symmetry_table(p).results
+    results = verify.check_symmetry_table(p)
 
     dd = verify.degree_diagnostic(p)
     results.append(verify.CheckResult("gauss_degree", dd["degree"] == 5,
@@ -184,7 +184,7 @@ def cmd_verify(args):
             ok = False
             print(f"FAIL {r.name}: value={r.value} {r.detail}", file=sys.stderr)
     _emit([("verified", int(ok))])
-    return EXIT_OK if ok else 2
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _grid(lo, hi, n, flag):
@@ -204,7 +204,7 @@ def cmd_sweep(args):
     n_ok = sum(1 for (_, _, s) in rows if s is not None)
     print(f"{n_ok}/{len(rows)} solves converged", file=sys.stderr)
     _emit([("rows", len(rows)), ("converged", n_ok), ("output", args.output)])
-    return EXIT_OK if n_ok == len(rows) else 2
+    return EXIT_OK if n_ok == len(rows) else EXIT_CHECK_FAILED
 
 
 def _sweep_fig6(args):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,18 +46,6 @@ class CheckResult:
     passed: bool
     value: float
     detail: str = ""
-
-
-@dataclass
-class VerificationReport:
-    results: list = field(default_factory=list)
-
-    def add(self, name, passed, value, detail=""):
-        self.results.append(CheckResult(name, bool(passed), float(value), detail))
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +108,21 @@ _SYMMETRY_SAMPLES = 48     # per stretch
 _SYMMETRY_TOL = 1e-9
 
 
-def check_symmetry_table(p: SurfaceParams) -> VerificationReport:
+def check_symmetry_table(p: SurfaceParams) -> list[CheckResult]:
     """The boundary stretches must carry the symmetry data of their
     mirrors: real/imaginary/unit-circle constraints on g and dh with the
     signs of SYMMETRY_TABLE, each met to _SYMMETRY_TOL.  A sample at a
     pole of g constrains dh only."""
     p.validate()
-    rep = VerificationReport()
+    results = []
     for tag, zs in _stretch_samples(p, _SYMMETRY_SAMPLES).items():
         (gk, gs), (dk, ds) = _symmetry_conditions(tag)
         g = g_eval(p, zs, w_closed(p, zs))
-        worst_g = _cond_residual(g[np.isfinite(g)], gk, gs)
-        worst_dh = _cond_residual(phi_vec(p, zs)[:, 2], dk, ds)
-        rep.add(f"symmetry[{tag}].g", worst_g <= _SYMMETRY_TOL, worst_g)
-        rep.add(f"symmetry[{tag}].dh", worst_dh <= _SYMMETRY_TOL, worst_dh)
-    return rep
+        for f, worst in (("g", _cond_residual(g[np.isfinite(g)], gk, gs)),
+                         ("dh", _cond_residual(phi_vec(p, zs)[:, 2], dk, ds))):
+            results.append(CheckResult(f"symmetry[{tag}].{f}",
+                                       worst <= _SYMMETRY_TOL, worst))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +351,10 @@ def _cell_key(cells):
     return (cells[0]*_HASH[0]) ^ (cells[1]*_HASH[1]) ^ (cells[2]*_HASH[2])
 
 
-def _first_percentile(x):
-    """np.percentile(x, 1) of a non-empty 1-D array without NaNs, bit for
-    bit: numpy's linear interpolation at index 0.01*(n - 1) between the
-    two neighbouring ranks, placed by one np.partition."""
-    n = len(x)
-    at = 0.01*(n - 1)
-    k = int(at)
-    g = at - k
-    ranks = [k, min(k + 1, n - 1)]
-    a, b = np.partition(x, ranks)[ranks]
-    return b - (b - a)*(1 - g) if g >= 0.5 else a + (b - a)*g
-
-
 def _candidate_pairs(lo, hi, eps_abs):
-    """Yield (i, j) index arrays (i < j) of the triangle pairs whose bounding
-    boxes lie within eps_abs of each other on every axis; over all yields
-    each pair comes exactly once.
+    """Yield (i, j) index arrays (i < j) of the pairs among one or more
+    triangles whose bounding boxes lie within eps_abs of each other on
+    every axis; over all yields each pair comes exactly once.
 
     Size-binned spatial hash: each triangle is registered at the grid level
     whose cell size bounds its extent, so its box (inflated by eps_abs)
@@ -393,13 +368,13 @@ def _candidate_pairs(lo, hi, eps_abs):
     boxes, so both registered its cell, and its floor is the registration's
     own, so exactly one shared hash key equals its key even under
     collisions."""
-    if len(lo) == 0:
-        return
     ext = np.max(hi - lo, axis=1) + 2*eps_abs
-    # the base cell tracks the smallest triangles: strongly graded meshes
-    # cluster thousands of tiny triangles in a region a large cell would
-    # cover, and same-cell pairing must stay local to their own size class
-    h0 = max(_first_percentile(ext), 10*eps_abs, 1e-300)
+    # the base cell, the extent of rank (n - 1)//100, tracks the smallest
+    # triangles: strongly graded meshes cluster thousands of tiny triangles
+    # in a region a large cell would cover, and same-cell pairing must stay
+    # local to their own size class (it sets the time taken, not the pairs)
+    k = (len(ext) - 1)//100
+    h0 = max(np.partition(ext, k)[k], 10*eps_abs, 1e-300)
     level = np.clip(np.ceil(np.log2(np.maximum(ext/h0, 1e-12))),
                     0, 40).astype(int)
     # one row per axis; hi is inflated by eps_abs from here on
@@ -422,8 +397,9 @@ def _candidate_pairs(lo, hi, eps_abs):
         # entries before it and every pair of the cell is met once
         order = np.lexsort((tid, memb, hk))
         hk, tid, memb = hk[order], tid[order], memb[order]
-        # drop duplicate (cell, triangle) registrations (a box whose corner
-        # combinations coincide registers the same cell several times)
+        # drop duplicate (cell, triangle) registrations, made when corner
+        # combinations coincide or two cells of one box hash to one key;
+        # they would pair a triangle with itself or yield a pair twice
         first = np.r_[True, (np.diff(hk) != 0) | (np.diff(tid) != 0)]
         hk, tid, memb = hk[first], tid[first], memb[first]
         pos = np.arange(len(hk))
@@ -475,6 +451,9 @@ def check_self_intersections(vertices: np.ndarray,
     corner ids column by column).  Narrow phase: vectorized interval test
     with precomputed plane normals.  A mesh without faces has no candidate
     pair."""
+    if len(faces) == 0:
+        return CheckResult("self_intersection", True, 0,
+                           "0 candidate pairs tested")
     tri = vertices[faces]                       # (m, 3, 3)
     lo = tri.min(axis=1)
     hi = tri.max(axis=1)

@@ -169,8 +169,8 @@ def test_criterion_6_mesh_convergence(piece64, piece128, piece256):
 
 def test_criterion_7_symmetry(solved_params):
     """Boundary symmetry table holds to 1e-9 on the solved member."""
-    rep = check_symmetry_table(solved_params)
-    assert rep.passed, [r for r in rep.results if not r.passed]
+    results = check_symmetry_table(solved_params)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def test_criterion_7_injectivity(piece128):
