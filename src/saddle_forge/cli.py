@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import re
 import sys
 
@@ -24,6 +25,7 @@ import numpy as np
 from . import mesh, periods, verify
 from .errors import (EXIT_CHECK_FAILED, EXIT_INVALID_INPUT, EXIT_IO, EXIT_OK,
                      InvalidResolution, NotApplicable, SaddleForgeError)
+from .files import atomic_target
 
 
 def _read_config(path):
@@ -217,8 +219,9 @@ def _sweep_fig6(args):
     a_grid = _grid(a_lo, a_hi, args.n_a, "--n-a")
     b_grid = _grid(b_lo, b_hi, args.n_b, "--n-b")
     n_ok = 0
-    with open(args.output, "w", newline="") as fh:
-        wr = csv.writer(fh)
+    with (atomic_target(args.output) as fh,
+          io.TextIOWrapper(fh, newline="") as text):
+        wr = csv.writer(text)
         wr.writerow(["a", "b", "y", "pi1", "pi2", "ok"])
         for a in a_grid:
             for b in b_grid:

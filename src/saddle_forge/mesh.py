@@ -29,13 +29,12 @@ so the copies are welded by index, never by comparing coordinates.
 from __future__ import annotations
 
 import itertools
-import os
-import stat
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BranchInconsistency, InvalidResolution, WeldMismatch
+from .files import atomic_target
 from .params import SurfaceParams
 from .quad import gauss_legendre_01
 # phi_vec is not called here; bench/tracing.py wraps mesh.phi_vec by name
@@ -526,51 +525,15 @@ def export_obj(mesh, path, pi1: float = 0.0, pi2: float = 0.0,
     ``np.take`` along the rows of a table.  Rows are built in fixed-width
     byte blocks whose padding is NUL, then stripped.
 
-    The file is written under a temporary name in the target directory and
-    renamed over `path` once complete, so a failed write leaves any earlier
-    file in place and no partial one.  Only a missing path or a regular file
-    is replaced that way.  Anything else is written in place: a rename would
-    replace a symlink (``-o /dev/stdout`` is one) rather than the file it
-    points to, and a pipe or a device rather than feed it.  A regular file
-    in a folder that takes no new file is written in place as well.
+    The file is written through files.atomic_target: a failed write leaves
+    any earlier file in place and no partial one, and a symlink, a pipe or
+    a device is written in place.
     """
-    path = os.fspath(path)
     head = f"# pi1={pi1:.17g} pi2={pi2:.17g}\n"
     if comment:
         head += f"# {comment}\n"
-    fh, tmp = _open_target(path)
-    try:
-        with fh:
-            _write_obj(fh, head, mesh)
-        if tmp is not None:
-            os.replace(tmp, path)
-    except BaseException:
-        if tmp is not None:
-            os.remove(tmp)
-        raise
-
-
-def _open_target(path):
-    """(file, temporary name) to write `path` through: a new file beside it
-    to be renamed over it, or `path` itself with name None."""
-    try:
-        kind = os.lstat(path).st_mode
-    except FileNotFoundError:
-        kind = None
-    if kind is None or stat.S_ISREG(kind):
-        folder, name = os.path.split(path)
-        # a killed run leaves its temporary behind; never reuse one
-        for n in itertools.count():
-            tmp = os.path.join(folder, f".{name}.{os.getpid()}.{n}.tmp")
-            try:
-                return open(tmp, "xb"), tmp
-            except FileExistsError:
-                continue
-            except PermissionError:
-                if kind is None:
-                    raise
-                break
-    return open(path, "wb"), None
+    with atomic_target(path) as fh:
+        _write_obj(fh, head, mesh)
 
 
 def _write_obj(fh, head, mesh):

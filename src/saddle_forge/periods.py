@@ -19,12 +19,14 @@ derivatives of the moduli along those two directions.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateRoot, DomainViolation, InvalidResolution,
                      NoConvergence, NoRoot)
+from .files import atomic_target
 from .params import SurfaceParams, SymFuncs, check_moduli, s_coeffs, sym_funcs
 from .quad import integrate_singular, integrate_to_infinity
 
@@ -411,8 +413,37 @@ def _newton2(t, X_offset, v0, tol):
     return v, pv, at
 
 
+def _predicted_start(by_X, by_t, t, X_offset):
+    """(a, b) at (t, X_offset) extrapolated from the members converged so
+    far, each held as by_X[X_offset][t] and by_t[t][X_offset]: the
+    polynomial in t through up to three members of its X_offset column,
+    else the one in X_offset through up to three of its t row, else the
+    nearest member; None if there is none.  A polynomial takes the nodes
+    nearest the target, one per distinct value, so no Lagrange weight
+    divides by zero where a grid value repeats."""
+    for line, u in ((by_X.get(X_offset, {}), t), (by_t.get(t, {}), X_offset)):
+        nodes = sorted(line, key=lambda v: abs(v - u))[:3]
+        if nodes:
+            a = b = 0.0
+            for v in nodes:
+                w = 1.0
+                for vj in nodes:
+                    if vj != v:
+                        w *= (u - vj)/(v - vj)
+                a, b = a + w*line[v].a, b + w*line[v].b
+            return a, b
+    near = min((s for line in by_X.values() for s in line.values()),
+               key=lambda s: (s.t - t)**2 + (s.X_offset - X_offset)**2,
+               default=None)
+    return None if near is None else (near.a, near.b)
+
+
 def sweep_family(t_grid, X_grid, tol: float = 1e-10):
-    """Solve the family over a (t, X_offset) grid with warm starts.
+    """Solve the family over a (t, X_offset) grid, each member from a start
+    predicted by the members already converged (_predicted_start), the
+    predictor step of predictor-corrector continuation.  A solve from the
+    predicted start that fails is retried once from the last converged
+    member, or else the centre of DEFAULT_SEED_BOX.
 
     Returns a list of (t, X_offset, solution_or_None) rows in grid order;
     solve failures are recorded, not fatal.  Grid points outside the family
@@ -421,15 +452,21 @@ def sweep_family(t_grid, X_grid, tol: float = 1e-10):
     grid = [(t, X_offset) for t in t_grid for X_offset in X_grid]
     for t, X_offset in grid:
         check_family_coords(t, X_offset)
-    rows = []
-    seed = None
+    rows, by_X, by_t, last = [], {}, {}, None
     for t, X_offset in grid:
-        try:
-            sol = solve_periods(t, X_offset, tol=tol, seed=seed)
-            seed = (sol.a, sol.b)
-            rows.append((t, X_offset, sol))
-        except (NoRoot, NoConvergence):
-            rows.append((t, X_offset, None))
+        starts = [_predicted_start(by_X, by_t, t, X_offset), last]
+        sol = None
+        # one attempt where the two starts are equal
+        for seed in dict.fromkeys(starts):
+            try:
+                sol = solve_periods(t, X_offset, tol=tol, seed=seed)
+            except (DomainViolation, NoRoot, NoConvergence):
+                continue
+            by_X.setdefault(X_offset, {})[t] = sol
+            by_t.setdefault(t, {})[X_offset] = sol
+            last = (sol.a, sol.b)
+            break
+        rows.append((t, X_offset, sol))
     return rows
 
 
@@ -445,8 +482,11 @@ def solution_values(sol: FamilySolution) -> tuple:
 
 
 def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
+    """The sweep's rows as CSV under SWEEP_HEADER, written through
+    files.atomic_target; a failed member's row holds only t, X_offset and
+    its flag 0."""
+    with atomic_target(path) as fh, io.TextIOWrapper(fh, newline="") as text:
+        wr = csv.writer(text)
         wr.writerow(SWEEP_HEADER)
         for t, X_offset, sol in rows:
             if sol is None:

@@ -16,16 +16,17 @@ central_jacobian_oracle differences the period residuals, where
 period_report_for differentiates under the integral sign, and
 fd_newton_oracle is the period solve on a forward-difference Jacobian.
 collision_pairs_oracle finds every pair of close vertices, where the
-injectivity check samples pairs.  Six oracles keep an earlier form of
+injectivity check samples pairs.  Seven oracles keep an earlier form of
 library code that the library now writes more cheaply, to pin that the
 values did not move: w_six_log_oracle takes the branch of w from six
 logarithms, solve_y_two_call_oracle takes F and its slope from two calls
-per Newton step, grid_nodes_oracle lays the grid's columns row by row,
-assemble_oracle places the tower's vertices and faces by fancy indexing,
-after welding by connected components, shares_vertex_oracle compares the
-corner ids of face pairs in one broadcast table, and
-tri_tri_intersect_oracle runs the narrow phase on rows gathered by fancy
-indexing.
+per Newton step, warm_start_sweep_oracle starts each member of a family
+sweep from the last converged member, grid_nodes_oracle lays the grid's
+columns row by row, assemble_oracle places the tower's vertices and
+faces by fancy indexing, after welding by connected components,
+shares_vertex_oracle compares the corner ids of face pairs in one
+broadcast table, and tri_tri_intersect_oracle runs the narrow phase on
+rows gathered by fancy indexing.
 """
 from __future__ import annotations
 
@@ -373,6 +374,22 @@ def solve_y_two_call_oracle(a: float, b: float, x: float, X: float):
         if abs(step) < periods._Y_TOL*yy:
             break
     return yy, steps
+
+
+def warm_start_sweep_oracle(t_grid, X_grid, tol=1e-10):
+    """periods.sweep_family with each member started from the last
+    converged member, or else the centre of DEFAULT_SEED_BOX."""
+    rows = []
+    seed = None
+    for t in t_grid:
+        for X_offset in X_grid:
+            try:
+                sol = periods.solve_periods(t, X_offset, tol=tol, seed=seed)
+                seed = (sol.a, sol.b)
+                rows.append((t, X_offset, sol))
+            except (NoRoot, NoConvergence):
+                rows.append((t, X_offset, None))
+    return rows
 
 
 def grid_nodes_oracle(p: SurfaceParams, resolution: int):

@@ -316,6 +316,44 @@ def test_sweep_fig6_emits_period_landscape(capsys, tmp_path):
     assert min(pi1) < 0 < max(pi1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", [
+    ["--t-min", "0.02", "--t-max", "0.02", "--n-t", "3"],
+    ["--n-t", "1", "--X-min", "0.01", "--X-max", "0.01", "--n-X", "3"],
+], ids=["t", "X_offset"])
+def test_sweep_over_a_repeated_grid_value(grid, capsys, tmp_path):
+    # a one-point range with several points repeats the value; every
+    # member converges, with no floating-point warning
+    out_path = tmp_path/"sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", *grid, "-o", str(out_path))
+    assert code == 0, err
+    assert parse_kv(out)["converged"] == "3"
+    lines = out_path.read_text().splitlines()
+    assert len(set(lines[1:])) == 1 and lines[1].endswith(",1")
+
+
+def test_sweep_fig6_keeps_the_earlier_file_when_interrupted(
+        capsys, tmp_path, monkeypatch):
+    # an error that is no point failure ends the grid between rows; the
+    # file already at -o survives, and no temporary stays behind
+    out_path = tmp_path/"fig6.csv"
+    out_path.write_text("earlier\n")
+    calls = [0]
+    report_for = periods.period_report_for
+
+    def interrupted(p):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise KeyboardInterrupt
+        return report_for(p)
+    monkeypatch.setattr(periods, "period_report_for", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--fig6", "--n-a", "2", "--n-b", "2",
+              "-o", str(out_path)])
+    assert out_path.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["fig6.csv"]
+
+
 def test_sweep_rejects_nonpositive_t_min(capsys, tmp_path):
     out_path = tmp_path/"sweep.csv"
     code, _, err = run_cli(capsys, "sweep", "--t-min", "0", "-o", str(out_path))

@@ -731,13 +731,13 @@ def test_export_obj_writes_in_place_when_the_folder_takes_no_file(
     # beside it, so the file itself is overwritten.  The folder's refusal
     # is simulated, since permission bits do not bind every user.
     import builtins
-    import saddle_forge.mesh as mesh_mod
+    import saddle_forge.files as files_mod
 
     def no_new_file(file, mode="r", *args, **kwargs):
         if "x" in mode:
             raise PermissionError(13, "Permission denied", file)
         return builtins.open(file, mode, *args, **kwargs)
-    monkeypatch.setattr(mesh_mod, "open", no_new_file, raising=False)
+    monkeypatch.setattr(files_mod, "open", no_new_file, raising=False)
     path = tmp_path/"tower.obj"
     path.write_bytes(b"previous\n")
     m = _small_mesh()

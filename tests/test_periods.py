@@ -5,7 +5,8 @@ import pytest
 
 from _oracles import (central_jacobian_oracle, fd_newton_oracle,
                       residue_contour_oracle, scipy_I_oracle, scipy_J_oracle,
-                      scipy_K_oracle, solve_y_two_call_oracle)
+                      scipy_K_oracle, solve_y_two_call_oracle,
+                      warm_start_sweep_oracle)
 from conftest import draw_params
 from saddle_forge import periods
 from saddle_forge.errors import (DegenerateRoot, DomainViolation,
@@ -315,9 +316,7 @@ def test_solve_periods_rejects_bad_family_coordinates():
 
 # ----------------------------------------------------------------- sweep
 
-def test_sweep_family_and_csv_round_trip(tmp_path, monkeypatch):
-    # each Newton step takes one period report, its Jacobian included: a
-    # differenced Jacobian would take three (40 reports for this sweep)
+def _counting_reports(monkeypatch):
     reports = []
     report_for = periods.period_report_for
 
@@ -325,8 +324,17 @@ def test_sweep_family_and_csv_round_trip(tmp_path, monkeypatch):
         reports.append(p)
         return report_for(p)
     monkeypatch.setattr(periods, "period_report_for", counted)
+    return reports
+
+
+def test_sweep_family_and_csv_round_trip(tmp_path, monkeypatch):
+    # each Newton step takes one period report, its Jacobian included: a
+    # differenced Jacobian would take three (40 reports for this sweep).
+    # On a 2 x 2 grid every predicted start is a neighbour's solution, and
+    # each member takes 4
+    reports = _counting_reports(monkeypatch)
     rows = sweep_family([0.015, 0.02], [0.0, 0.01], tol=1e-9)
-    assert len(reports) <= 20
+    assert len(reports) <= 16
     assert len(rows) == 4
     for t, X_offset, sol in rows:
         assert sol is not None
@@ -351,3 +359,154 @@ def test_sweep_family_rejects_nonpositive_t(monkeypatch):
     monkeypatch.setattr("saddle_forge.periods.solve_periods", no_solve)
     with pytest.raises(DomainViolation):
         sweep_family([0.02, 0.0], [0.0])
+
+
+def _assert_rows_match(rows, expected):
+    # every member converged to the default tol, within 1e-9 of `expected`
+    assert [(t, X) for t, X, _ in rows] == [(t, X) for t, X, _ in expected]
+    for (t, X_offset, sol), (_, _, old) in zip(rows, expected):
+        assert sol is not None and old is not None, (t, X_offset)
+        assert abs(sol.a - old.a) <= 1e-9 and abs(sol.b - old.b) <= 1e-9
+        assert max(abs(sol.report.pi1), abs(sol.report.pi2)) < 1e-10
+
+
+# a 10 x 4 grid shaped like the benchmark's family_sweep (one t per tenth
+# of [0.005, 0.05], its four X_offset columns), and the 7 x 6 family grid
+BENCH_T = tuple(0.005 + 0.0045*(i + 0.5) for i in range(10))
+BENCH_X = (0.00375, 0.01125, 0.01875, 0.02625)
+
+
+@pytest.mark.parametrize("t_grid, X_grid, max_reports", [
+    (BENCH_T, BENCH_X, 100),
+    (FAMILY_T, FAMILY_X, 115),
+], ids=["bench-10x4", "family-7x6"])
+def test_predicted_starts_match_the_warm_start_sweep(
+        t_grid, X_grid, max_reports, monkeypatch):
+    # starts from the last solution took 169 and 175 reports; extrapolated
+    # starts reach the same members in about two reports each away from
+    # the first rows
+    expected = warm_start_sweep_oracle(t_grid, X_grid)
+    reports = _counting_reports(monkeypatch)
+    rows = sweep_family(t_grid, X_grid)
+    _assert_rows_match(rows, expected)
+    assert len(reports) <= max_reports
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_grid, X_grid", [
+    ([0.02]*3, [0.0, 0.01]),
+    ([0.015, 0.02], [0.01]*3),
+    ([0.02]*2, [0.005]*2),
+], ids=["t", "X_offset", "both"])
+def test_sweep_over_repeated_grid_values(t_grid, X_grid, monkeypatch):
+    # `sweep --n-t 3 --t-min 0.02 --t-max 0.02` repeats each t: a repeated
+    # value is one extrapolation node, never a zero divisor, and a member
+    # whose twin converged starts from its solution, which needs one report
+    distinct = [sorted(set(t_grid)), sorted(set(X_grid))]
+    expected = warm_start_sweep_oracle(t_grid, X_grid)
+    reports = _counting_reports(monkeypatch)
+    with np.errstate(all="raise"):
+        once = sweep_family(*distinct)
+        n_once = len(reports)
+        rows = sweep_family(t_grid, X_grid)
+    _assert_rows_match(rows, expected)
+    twins = {(t, X_offset): sol for t, X_offset, sol in once}
+    for t, X_offset, sol in rows:
+        twin = twins[t, X_offset]
+        assert (sol.a, sol.b, sol.report) == (twin.a, twin.b, twin.report)
+    assert len(reports) - n_once == n_once + len(rows) - len(once)
+
+
+def test_predicted_start_rejected_by_resolve_params_falls_back(monkeypatch):
+    # a start with a > 1 > b: resolve_params raises DomainViolation at the
+    # first report, and the member is solved again from the warm start,
+    # which is the oracle's start, so every member is the oracle's bit for
+    # bit
+    t_grid, X_grid = [0.015, 0.02], [0.0, 0.01]
+    expected = warm_start_sweep_oracle(t_grid, X_grid)
+    seeds = []
+    solve = periods.solve_periods
+
+    def recording(t, X_offset, tol=1e-10, seed=None):
+        seeds.append(seed)
+        return solve(t, X_offset, tol=tol, seed=seed)
+    monkeypatch.setattr(periods, "_predicted_start", lambda *args: (1.2, 0.9))
+    monkeypatch.setattr(periods, "solve_periods", recording)
+    rows = sweep_family(t_grid, X_grid)
+    assert seeds[0::2] == [(1.2, 0.9)]*4
+    warm = [None] + [(old.a, old.b) for *_, old in expected[:-1]]
+    assert seeds[1::2] == warm
+    for (*_, sol), (*_, old) in zip(rows, expected):
+        assert (sol.a, sol.b, sol.report) == (old.a, old.b, old.report)
+
+
+@pytest.mark.parametrize("exc", [DomainViolation, NoRoot, DegenerateRoot,
+                                 NoConvergence])
+def test_failed_predicted_start_is_retried_from_the_warm_start(exc,
+                                                               monkeypatch):
+    t_grid, X_grid = [0.015, 0.02], [0.0, 0.01]
+    expected = warm_start_sweep_oracle(t_grid, X_grid)
+    start = (0.7, 1.25)
+    solve = periods.solve_periods
+
+    def failing(t, X_offset, tol=1e-10, seed=None):
+        if seed == start:
+            raise exc("from the predicted start")
+        return solve(t, X_offset, tol=tol, seed=seed)
+    monkeypatch.setattr(periods, "_predicted_start", lambda *args: start)
+    monkeypatch.setattr(periods, "solve_periods", failing)
+    rows = sweep_family(t_grid, X_grid)
+    for (*_, sol), (*_, old) in zip(rows, expected):
+        assert (sol.a, sol.b, sol.report) == (old.a, old.b, old.report)
+
+
+def test_failed_member_is_never_an_extrapolation_node(monkeypatch):
+    # the member (0.015, 0.0) fails from every start: it is recorded as a
+    # failure, no prediction sees it, and the members after it still
+    # converge, the one below it from its column's other members
+    t_grid, X_grid = [0.01, 0.015, 0.02, 0.025], [0.0, 0.01]
+    failed = (0.015, 0.0)
+    solve, predict = periods.solve_periods, periods._predicted_start
+    nodes = []
+
+    def failing(t, X_offset, tol=1e-10, seed=None):
+        if (t, X_offset) == failed:
+            raise NoConvergence("stalled", best=(0.7, 1.25), residual=1.0)
+        return solve(t, X_offset, tol=tol, seed=seed)
+
+    def recording(by_X, by_t, t, X_offset):
+        solved = [s for by in (by_X, by_t) for line in by.values()
+                  for s in line.values()]
+        nodes.append([(s.t, s.X_offset) for s in solved])
+        assert all(max(abs(s.report.pi1), abs(s.report.pi2)) < 1e-10
+                   for s in solved)
+        return predict(by_X, by_t, t, X_offset)
+    monkeypatch.setattr(periods, "solve_periods", failing)
+    monkeypatch.setattr(periods, "_predicted_start", recording)
+    rows = sweep_family(t_grid, X_grid)
+    assert [(t, X) for t, X, sol in rows if sol is None] == [failed]
+    assert len(nodes) == len(rows)
+    assert not any(failed in seen for seen in nodes)
+    # the oracle, with the same member failing
+    expected = warm_start_sweep_oracle(t_grid, X_grid)
+    for (*_, sol), (*_, old) in zip(rows, expected):
+        if sol is not None:
+            assert abs(sol.a - old.a) <= 1e-9 and abs(sol.b - old.b) <= 1e-9
+
+
+def test_write_sweep_csv_keeps_the_earlier_file_when_it_fails(tmp_path,
+                                                               monkeypatch):
+    rows = sweep_family([0.015, 0.02], [0.0, 0.01], tol=1e-9)
+    out = tmp_path/"sweep.csv"
+    out.write_text("earlier\n")
+    values = periods.solution_values
+
+    def interrupted(sol):
+        if sol is rows[2][2]:
+            raise RuntimeError("interrupted between rows")
+        return values(sol)
+    monkeypatch.setattr(periods, "solution_values", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_sweep_csv(rows, out)
+    assert out.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
