@@ -4,7 +4,8 @@ Checks fall into three groups:
   * curve-level: boundary symmetry table of (g, dh) sampled along each
     stretch (mesh.stretch_intervals), winding-number degree count of the
     Gauss map, interior vertical-normal configuration;
-  * mesh-level: injectivity sampling, triangle self-intersection scan,
+  * mesh-level: injectivity sampling, triangle self-intersection search
+    over a box tree (non-finite vertices fail both),
     embeddedness of the tower certified from the reflection chamber,
     shape of the lower-mirror profile curve in the X = a case;
   * negative controls: deliberately broken inputs must make the checks fail
@@ -25,7 +26,6 @@ oracle.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -252,6 +252,16 @@ def _sample_pairs(n: int, seed: int):
     return np.take(i, keep), np.take(j, keep)
 
 
+def _non_finite(name: str, vertices: np.ndarray) -> CheckResult | None:
+    """The named check's failure on a mesh with non-finite vertices, whose
+    NaN bounding box would make every comparison false; else None."""
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if len(bad):
+        return CheckResult(name, False, len(bad),
+                           f"{len(bad)} non-finite vertices, the first "
+                           f"{bad[0]} at {tuple(map(float, vertices[bad[0]]))}")
+
+
 def check_injectivity(vertices: np.ndarray, seed: int = DEFAULT_SEED) -> CheckResult:
     """Distinct sampled mesh points must not coincide in space.
 
@@ -259,8 +269,12 @@ def check_injectivity(vertices: np.ndarray, seed: int = DEFAULT_SEED) -> CheckRe
     collisions are pairs closer than _COLLISION_TOL times the bounding-box
     diagonal, so an immersed (non-injective) piece shows up as a nonzero
     count.  Squared distances are compared, summed one axis at a time.  A
-    mesh of fewer than two vertices has no pair to sample.
+    mesh with a non-finite vertex fails; one of fewer than two vertices has
+    no pair to sample.
     """
+    bad = _non_finite("injectivity", vertices)
+    if bad:
+        return bad
     i, j = _sample_pairs(len(vertices), seed)
     if len(i) == 0:
         return CheckResult("injectivity", True, 0, "0 pairs sampled")
@@ -306,11 +320,13 @@ def _tri_tri_intersect(tri, normals, i, j, eps):
 
     The plane tests run in stages: tri[j] against the plane of tri[i] on
     every pair, then tri[i] against the plane of tri[j] on the pairs left,
-    so tri[i] is gathered for those only."""
+    so tri[i] is gathered for those only; its first corners come from the
+    corner rows tri.reshape(-1, 3), since np.take would copy all of the
+    strided tri[:, 0] on every call."""
     out = np.zeros(len(i), bool)
     t2, n1 = np.take(tri, j, axis=0), np.take(normals, i, axis=0)
     d2 = np.einsum("mkj,mj->mk",
-                   t2 - np.take(tri[:, 0], i, axis=0)[:, None], n1)
+                   t2 - np.take(tri.reshape(-1, 3), 3*i, axis=0)[:, None], n1)
     k = np.flatnonzero(_straddles(d2, n1, eps))
     t1 = np.take(tri, np.take(i, k), axis=0)
     n2 = np.take(normals, np.take(j, k), axis=0)
@@ -339,99 +355,71 @@ def _straddles(d, n, eps):
     return ~((lo > -s) | (hi < s))
 
 
-_HASH = (np.int64(73856093), np.int64(19349663), np.int64(83492791))
-# bound on the (member, cell entry) pairings enumerated at once; it sets the
-# peak memory of both phases, and chunks this small also run faster than
-# much larger ones
-_CHUNK_PAIRS = 1_000_000
-
-
-def _cell_key(cells):
-    """Spatial-hash key of integer cell coordinates, one row per axis."""
-    return (cells[0]*_HASH[0]) ^ (cells[1]*_HASH[1]) ^ (cells[2]*_HASH[2])
+def _tree_order(lo, hi):
+    """Leaf order of the boxes (lo, hi), one row each, for _candidate_pairs:
+    padded to a power of two, each node from the root down is split at the
+    median of its box centres along their longest axis, the padding (NaN)
+    sorting last, so only the last node of each level is short."""
+    n, dim = lo.shape
+    size = 1 << max(n - 1, 0).bit_length()
+    centres = np.full((dim, size), np.nan)
+    centres[:, :n] = (lo + hi).T
+    order = np.arange(size)
+    while size > 2:
+        c = np.take(centres, order, axis=1).reshape(dim, -1, size)
+        axis = np.argmax(np.fmax.reduce(c, axis=2) - np.fmin.reduce(c, axis=2),
+                         axis=0)
+        key = np.take_along_axis(c, axis[None, :, None], axis=0)[0]
+        half = np.argpartition(key, size//2 - 1, axis=1)
+        order = np.take_along_axis(order.reshape(-1, size), half, axis=1).ravel()
+        size //= 2
+    return order[order < n]
 
 
 def _candidate_pairs(lo, hi, eps_abs):
-    """Yield (i, j) index arrays (i < j) of the pairs among one or more
-    triangles whose bounding boxes lie within eps_abs of each other on
-    every axis; over all yields each pair comes exactly once.
+    """Yield (i, j) index arrays (i < j) of the pairs among the boxes
+    (lo, hi), one row each, that lie within eps_abs of each other on every
+    axis; over all yields each pair comes exactly once.
 
-    Size-binned spatial hash: each triangle is registered at the grid level
-    whose cell size bounds its extent, so its box (inflated by eps_abs)
-    covers at most two cells per axis and is registered in those eight
-    corner cells.  At each level the triangles of exactly that size class
-    are paired, within shared cells, against everything of their own size
-    class and below, so a pair spanning two levels is met at the coarser
-    one only.  The exact box test removes hash collisions.  Of the cells
-    two overlapping boxes share, a pair is kept only in the one holding the
-    low corner of their intersection: that corner lies in both inflated
-    boxes, so both registered its cell, and its floor is the registration's
-    own, so exactly one shared hash key equals its key even under
-    collisions."""
-    ext = np.max(hi - lo, axis=1) + 2*eps_abs
-    # the base cell, the extent of rank (n - 1)//100, tracks the smallest
-    # triangles: strongly graded meshes cluster thousands of tiny triangles
-    # in a region a large cell would cover, and same-cell pairing must stay
-    # local to their own size class (it sets the time taken, not the pairs)
-    k = (len(ext) - 1)//100
-    h0 = max(np.partition(ext, k)[k], 10*eps_abs, 1e-300)
-    level = np.clip(np.ceil(np.log2(np.maximum(ext/h0, 1e-12))),
-                    0, 40).astype(int)
-    # one row per axis; hi is inflated by eps_abs from here on
-    lo, hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T + eps_abs)
-
-    for lev in range(int(level.max()) + 1):
-        h = h0*2.0**lev
-        below = np.where(level <= lev)[0]
-        members = level[below] == lev
-        if not members.any():
-            continue
-        c0 = np.floor((lo[:, below] - eps_abs)/h).astype(np.int64)
-        c1 = np.floor(hi[:, below]/h).astype(np.int64)
-        hk = np.concatenate([_cell_key(cell)
-                             for cell in itertools.product(*zip(c0, c1))])
-        tid = np.tile(below, 8)
-        memb = np.tile(members, 8)
-        # within a cell, the triangles of smaller size classes come first and
-        # this level's members follow by id, so each member pairs with the
-        # entries before it and every pair of the cell is met once
-        order = np.lexsort((tid, memb, hk))
-        hk, tid, memb = hk[order], tid[order], memb[order]
-        # drop duplicate (cell, triangle) registrations, made when corner
-        # combinations coincide or two cells of one box hash to one key;
-        # they would pair a triangle with itself or yield a pair twice
-        first = np.r_[True, (np.diff(hk) != 0) | (np.diff(tid) != 0)]
-        hk, tid, memb = hk[first], tid[first], memb[first]
-        pos = np.arange(len(hk))
-        n_before = pos - np.maximum.accumulate(
-            np.where(np.r_[True, hk[1:] != hk[:-1]], pos, 0))
-        midx = np.where(memb & (n_before > 0))[0]
-        if len(midx) == 0:
-            continue
-        # generated in bounded chunks so a dense level cannot exhaust memory
-        cum = np.cumsum(n_before[midx])
-        splits = np.searchsorted(cum, np.arange(_CHUNK_PAIRS, cum[-1], _CHUNK_PAIRS))
-        for mc in np.split(midx, splits):
-            if len(mc) == 0:
-                continue
-            reps = n_before[mc]
-            entry = np.repeat(mc, reps)
-            ii = np.take(tid, entry)
-            jj = np.take(tid, np.arange(len(entry))
-                         + np.repeat(mc - np.cumsum(reps), reps))
-            # exact box test, one axis at a time on the survivors
-            for lo_k, hi_k in zip(lo, hi):
-                near = np.flatnonzero(
-                    (np.take(lo_k, ii) <= np.take(hi_k, jj))
-                    & (np.take(lo_k, jj) <= np.take(hi_k, ii)))
-                entry, ii, jj = (np.take(a, near) for a in (entry, ii, jj))
-            corner = np.floor((np.maximum(np.take(lo, ii, axis=1),
-                                          np.take(lo, jj, axis=1))
-                               - eps_abs)/h)
-            own = np.flatnonzero(_cell_key(corner.astype(np.int64))
-                                 == np.take(hk, entry))
-            ii, jj = np.take(ii, own), np.take(jj, own)
-            yield np.minimum(ii, jj), np.maximum(ii, jj)
+    The boxes, in the order given (fastest in _tree_order), are the leaves
+    of a binary tree whose nodes bound their children.  Overlapping node
+    pairs are descended from the root pair (0, 0), depth first in chunks
+    that grow with the number of boxes: a pair (k, k) to its three distinct
+    child pairs, a pair (k, l) to all four, so each leaf pair is met once.
+    Each axis is tested on the survivors of the last."""
+    if len(lo) < 2:
+        return
+    # per level, leaves last, one contiguous array per axis, each ending in
+    # an empty (inf, -inf) box that a short last node pairs with
+    los = [[np.append(c, np.inf) for c in lo.T]]
+    his = [[np.append(c + eps_abs, -np.inf) for c in hi.T]]
+    while len(los[0][0]) > 2:
+        m = len(los[0][0]) - 1
+        m += m % 2
+        los.insert(0, [np.append(np.minimum(c[0:m:2], c[1:m:2]), np.inf)
+                       for c in los[0]])
+        his.insert(0, [np.append(np.maximum(c[0:m:2], c[1:m:2]), -np.inf)
+                       for c in his[0]])
+    # node pairs per step: enough to spread the numpy call overhead, and a
+    # share of the boxes so the working set stays a fraction of the tree
+    chunk = max(1 << 12, len(lo)//16)
+    stack = [(0, np.zeros(1, np.intp), np.zeros(1, np.intp))]
+    while stack:
+        level, a, b = stack.pop()
+        level += 1
+        split = np.flatnonzero(a != b)
+        i = np.concatenate([2*a, 2*a, 2*a + 1, 2*np.take(a, split) + 1])
+        j = np.concatenate([2*b, 2*b + 1, 2*b + 1, 2*np.take(b, split)])
+        for lo_k, hi_k in zip(los[level], his[level]):
+            near = np.flatnonzero((np.take(lo_k, i) <= np.take(hi_k, j))
+                                  & (np.take(lo_k, j) <= np.take(hi_k, i)))
+            i, j = np.take(i, near), np.take(j, near)
+        if level == len(los) - 1:
+            keep = np.flatnonzero(i != j)
+            yield np.take(i, keep), np.take(j, keep)
+        else:
+            stack.extend((level, i[s:s + chunk], j[s:s + chunk])
+                         for s in range(0, len(i), chunk))
 
 
 # pairs within this share of the bounding-box diagonal of each other are
@@ -444,24 +432,29 @@ def check_self_intersections(vertices: np.ndarray,
                              faces: np.ndarray) -> CheckResult:
     """Count transversally crossing triangle pairs.
 
-    Broad phase: size-binned spatial hashing, streamed in bounded chunks so
-    the candidate set (which grows large for strongly graded, near-coincident
-    sheet meshes) is never materialized at once.  Pairs sharing a vertex
-    are seam neighbours and excluded (_shares_vertex, which compares the
-    corner ids column by column).  Narrow phase: vectorized interval test
-    with precomputed plane normals.  A mesh without faces has no candidate
-    pair."""
+    Broad phase: a box tree over the triangles (_candidate_pairs), both
+    phases on the triangles in its leaf order (_tree_order), streamed in
+    bounded chunks so the candidate set (which grows large for strongly
+    graded, near-coincident sheet meshes) is never materialized at once.
+    Pairs sharing a vertex are seam neighbours and excluded (_shares_vertex,
+    which compares the corner ids column by column).  Narrow phase:
+    vectorized interval test with precomputed plane normals.  A mesh with a
+    non-finite vertex fails; one without faces has no candidate pair."""
+    bad = _non_finite("self_intersection", vertices)
+    if bad:
+        return bad
     if len(faces) == 0:
         return CheckResult("self_intersection", True, 0,
                            "0 candidate pairs tested")
     tri = vertices[faces]                       # (m, 3, 3)
-    lo = tri.min(axis=1)
-    hi = tri.max(axis=1)
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    order = _tree_order(lo, hi)
+    tri, lo, hi = (np.take(a, order, axis=0) for a in (tri, lo, hi))
     bbox = np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0))
     eps_abs = _CROSSING_EPS*bbox
     normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
 
-    corners = np.ascontiguousarray(faces.T)
+    corners = np.take(faces.T, order, axis=1)
     n_cand = count = 0
     for i, j in _candidate_pairs(lo, hi, eps_abs):
         n_cand += len(i)
@@ -490,21 +483,23 @@ def _seam_crossings(pts, chains):
     """Number of segment pairs that touch or cross among planar polylines.
 
     pts: (n, 2) points; chains: index arrays into pts, one per polyline.
-    Segments sharing a vertex are neighbours and not tested, as in
-    check_self_intersections."""
+    The pairs whose boxes meet come from _candidate_pairs at eps 0 (the
+    segments, in polyline order, are coherent leaves); as in
+    check_self_intersections, segments sharing a vertex are not tested."""
     seg = np.concatenate([np.stack([c[:-1], c[1:]], axis=1) for c in chains])
-    i, j = np.triu_indices(len(seg), k=1)
-    a, b, c, d = pts[seg[i, 0]], pts[seg[i, 1]], pts[seg[j, 0]], pts[seg[j, 1]]
+    ends = pts[seg]                             # (m, 2, 2)
 
     def side(p, q, r):
         return (q[:, 0] - p[:, 0])*(r[:, 1] - p[:, 1]) \
             - (q[:, 1] - p[:, 1])*(r[:, 0] - p[:, 0])
 
-    boxes = np.all((np.minimum(a, b) <= np.maximum(c, d))
-                   & (np.minimum(c, d) <= np.maximum(a, b)), axis=1)
-    meet = (side(a, b, c)*side(a, b, d) <= 0) & (side(c, d, a)*side(c, d, b) <= 0)
-    share = _shares_vertex(seg.T, i, j)
-    return int(np.count_nonzero(meet & boxes & ~share))
+    count = 0
+    for i, j in _candidate_pairs(ends.min(axis=1), ends.max(axis=1), 0.0):
+        a, b, c, d = ends[i, 0], ends[i, 1], ends[j, 0], ends[j, 1]
+        meet = (side(a, b, c)*side(a, b, d) <= 0) \
+            & (side(c, d, a)*side(c, d, b) <= 0)
+        count += int(np.count_nonzero(meet & ~_shares_vertex(seg.T, i, j)))
+    return count
 
 
 def check_tower_embedded(piece: PieceMesh, tower: AssembledMesh) -> CheckResult:
@@ -546,7 +541,11 @@ def check_tower_embedded(piece: PieceMesh, tower: AssembledMesh) -> CheckResult:
         if n:
             crossings.append(f"seam on {name}: {n} segment pairs meet")
         margins.append(f"{name} {np.min(d[~on_stretch]):.2e}")
-    why = min(outside)[1] if outside else "; ".join(crossings)
+    non_finite = _non_finite("self_intersection", v)
+    if non_finite:
+        why = f"piece has {non_finite.detail}"
+    else:
+        why = min(outside)[1] if outside else "; ".join(crossings)
     if not why:
         res = check_self_intersections(v, piece.faces)
         if res.passed:

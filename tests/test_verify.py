@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -127,6 +129,15 @@ def test_sample_pairs_follow_the_seed():
         verify._sample_pairs(n, -1)
 
 
+def test_sample_pairs_stream_is_pinned():
+    # the bytes behind _sample_pairs at the default seed; the same digest on
+    # every Python version and platform the suite runs on is what lets a
+    # seed draw the same pairs everywhere
+    stream = random.Random(verify.DEFAULT_SEED).randbytes(
+        8*verify._INJECTIVITY_PAIRS)
+    assert hashlib.sha256(stream).hexdigest().startswith("18675846b8ad9a8d")
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_injectivity_without_a_vertex_pair(n):
     res = check_injectivity(np.zeros((n, 3)))
@@ -181,6 +192,22 @@ def test_self_intersection_detects_crossing_pair():
     assert res.value == 1
 
 
+def test_non_finite_vertex_fails_the_mesh_checks():
+    # a NaN vertex makes the bounding box NaN and every tolerance comparison
+    # false, so without the verdict a crossing pair and a duplicated vertex
+    # would pass
+    v, f = _tri_mesh([
+        [(0, 0, 0), (2, 0, 0), (0, 2, 0)],
+        [(0.5, 0.5, -1), (1.0, 0.5, 1), (0.5, 1.0, 1)],
+    ])
+    v = np.vstack([v, v[:1], [(np.nan, 0.0, 1.0)], [(0.0, np.inf, 0.0)]])
+    for res in (check_self_intersections(v, f), check_injectivity(v)):
+        assert (res.passed, res.value) == (False, 2)
+        assert res.detail == "2 non-finite vertices, the first 7 at (nan, 0.0, 1.0)"
+    assert check_self_intersections(v[:6], f).value == 1
+    assert check_injectivity(v[:7]).value > 0
+
+
 def test_self_intersection_ignores_disjoint_and_touching():
     v, f = _tri_mesh([
         [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
@@ -220,30 +247,57 @@ def piece20_and_copy(solved_params):
     return v, f
 
 
-@pytest.mark.parametrize("hash_mult", [None, (1, 1, 1)])
-@pytest.mark.parametrize("eps", [1e-9, 1e-3])
-def test_candidate_pairs_match_all_pairs_box_test(piece20_and_copy, piece32,
-                                                  monkeypatch, eps, hash_mult):
-    # the broad phase yields every near pair of boxes exactly once, also when
-    # a degenerate hash makes most cells collide; the res-32 piece is the
-    # needle-heavy mesh `verify --resolution 32` checks, in 9 size levels
-    if hash_mult is not None:
-        monkeypatch.setattr(verify, "_HASH", tuple(map(np.int64, hash_mult)))
+def _box_cases(piece20_and_copy, piece32, eps):
+    """(lo, hi, eps_abs) inputs of the broad phase: two meshes, random boxes
+    of a power-of-two count and one more, identical boxes (every median
+    split ties), one and two boxes, and touching 2-D boxes at eps 0."""
+    cases = []
+    # the res-32 piece is the needle-heavy mesh `verify --resolution 32`
+    # checks
     for v, f in (piece20_and_copy, (piece32.vertices, piece32.faces)):
         tri = v[f]
         lo, hi = tri.min(axis=1), tri.max(axis=1)
         eps_abs = eps*np.linalg.norm(v.max(axis=0) - v.min(axis=0))
         ext = np.max(hi - lo, axis=1) + 2*eps_abs
-        assert ext.max() > 8*np.percentile(ext, 1)      # 3 size levels or more
+        assert ext.max() > 8*np.percentile(ext, 1)      # strongly graded
+        cases.append((lo, hi, eps_abs))
+    rng = np.random.default_rng(5)
+    for n in (256, 257):
+        lo = rng.uniform(0.0, 1.0, (n, 3))
+        cases.append((lo, lo + rng.exponential(0.05, (n, 3)), eps))
+    lo, hi = np.full((9, 3), 0.25), np.full((9, 3), 0.5)
+    cases += [(lo, hi, eps), (lo[:1], hi[:1], eps), (lo[:2], hi[:2], eps)]
+    for gap in (0.5*eps, 2*eps):        # two boxes within eps, and not
+        lo = np.array([(0.0, 0.0, 0.0), (0.0, 0.0, 1.0 + gap)])
+        cases.append((lo, lo + 1.0, eps))
+    # unit squares on a grid meet their 8 neighbours on an edge or a corner,
+    # and degenerate boxes (a point, a segment) only what they touch
+    grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(4.0)), -1).reshape(-1, 2)
+    lo = np.vstack([grid, [(1.5, 1.0), (3.0, 2.5)]])
+    hi = np.vstack([grid + 1.0, [(1.5, 1.0), (3.0, 3.5)]])
+    cases.append((lo, hi, 0.0))
+    return cases
 
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_candidate_pairs_match_all_pairs_box_test(piece20_and_copy, piece32,
+                                                  eps):
+    # the broad phase yields every near pair of boxes exactly once, on the
+    # boxes in the order given and in the tree's leaf order
+    for lo, hi, eps_abs in _box_cases(piece20_and_copy, piece32, eps):
         near = np.all((lo[:, None] <= hi[None] + eps_abs)
                       & (lo[None] <= hi[:, None] + eps_abs), axis=2)
         want = np.argwhere(np.triu(near, k=1))
-        got = np.concatenate([np.stack(ij, axis=1) for ij in
-                              verify._candidate_pairs(lo, hi, eps_abs)])
-        assert np.all(got[:, 0] < got[:, 1])
-        assert len(np.unique(got, axis=0)) == len(got)          # no repeats
-        assert np.array_equal(np.unique(got, axis=0), want)
+        order = verify._tree_order(lo, hi)
+        assert np.array_equal(np.sort(order), np.arange(len(lo)))
+        for perm in (np.arange(len(lo)), order):
+            got = np.zeros((0, 2), int)
+            for i, j in verify._candidate_pairs(lo[perm], hi[perm], eps_abs):
+                assert np.all(i < j)
+                got = np.vstack([got, np.stack([perm[i], perm[j]], axis=1)])
+            got.sort(axis=1)
+            assert len(np.unique(got, axis=0)) == len(got)      # no repeats
+            assert np.array_equal(np.unique(got, axis=0), want)
 
 
 @pytest.mark.parametrize("name", ["piece32", "piece20_and_copy"])
@@ -346,6 +400,17 @@ def test_crossing_inside_the_chamber_is_not_certified(piece32, where, reason):
     assert res.detail.startswith(f"not certified: {reason}"), res.detail
     generic = check_self_intersections(tower.vertices, tower.faces)
     assert res.value == generic.value > 0
+
+
+def test_tower_with_a_non_finite_vertex_is_not_certified(piece32):
+    v = piece32.vertices.copy()
+    v[100] = np.nan
+    piece = dataclasses.replace(piece32, vertices=v)
+    res = check_tower_embedded(piece, assemble(piece, n_periods=2))
+    assert not res.passed
+    assert res.detail.startswith(
+        "not certified: piece has 1 non-finite vertices, the first 100 at "
+        "(nan, nan, nan); generic check on "), res.detail
 
 
 def test_seam_crossings_in_the_plane():
