@@ -8,16 +8,16 @@ The three conditions that make the immersion single-valued are
     pi1 = I + J = 0  and  pi2 = K - R/2 = 0   (solved for (a, b)).
 
 Along the family x = a - t and X = a + X_offset, and y = y(a, b) follows
-from F = 0, so the periods are functions of (a, b) alone.  Their (a, b)
-gradient is differentiated under the integral sign on the rule's fixed
-nodes (Takahasi and Mori 1974), in the same quadrature pass as the value:
-each integrand returns a stack of three rows, its value and its
-derivatives along d/da and d/db, which the chain rule forms from its
-partials in the moduli and the family tangent (family_tangent), the
-derivatives of the moduli along those two directions.
+from F = 0, so the periods are functions of (a, b) alone.  K (a complete
+elliptic integral), F, the S_k and R are closed forms, differentiated by
+complex step.  I and J are differentiated under the integral sign on the
+rule's fixed nodes (Takahasi and Mori 1974), in the same pass as the
+value: each integrand returns its value and its derivatives along d/da
+and d/db, from its partials in the moduli and the family tangent.
 """
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 from dataclasses import dataclass
@@ -28,6 +28,7 @@ from .errors import (DegenerateRoot, DomainViolation, InvalidResolution,
                      NoConvergence, NoRoot)
 from .files import atomic_target
 from .params import SurfaceParams, SymFuncs, check_moduli, s_coeffs, sym_funcs
+# integrate_singular is not called here; bench/tracing.py wraps it by name
 from .quad import integrate_singular, integrate_to_infinity
 
 
@@ -191,39 +192,46 @@ def J_integral(p: SurfaceParams, s: SymFuncs,
     return _named("J", "(0, inf)", p, integrate_to_infinity, f, 0.0)
 
 
+def _cel(kc, p, c, s):
+    """Bulirsch's cel (Numer. Math. 13, 1969) for p > 0, the integral over
+    (0, pi/2) of (c cos^2 + s sin^2)/((cos^2 + p sin^2) sqrt(cos^2 + kc^2
+    sin^2)) by quadratically convergent Gauss transformations."""
+    e, em, p = kc, 1.0, cmath.sqrt(p)
+    s /= p
+    while True:
+        c, s, p, em, g = c + s/p, 2*(s + c*e/p), p + e/p, em + kc, em
+        if not abs(g - kc) > 1e-9*abs(g):    # a NaN ends the loop too
+            return 0.5*np.pi*(s + c*em)/(em*(em + p))
+        kc = 2*cmath.sqrt(e)
+        e = kc*em
+
+
+def _vertical(a, b, x, y, S2, S4):
+    """K and pi2 = K - R/2, complex at complex moduli.  Under t^2 = b^2 -
+    (b^2 - y^2) sin^2 theta, the partial fractions of K's integrand at
+    t^2 = 1 and a^2 (with A and B of _residue_match) give two cels."""
+    A, B, _, rad_R, _ = _residue_match(a, b, x, y, S2, S4)
+    q, bx, ba, b1 = 1 - a*a, b*b - x*x, b*b - a*a, (b - 1)*(b + 1)
+    kc, p1 = cmath.sqrt((y*y - x*x)/bx), (y - 1)*(y + 1)/b1
+    c1, c2 = A/(q*b1), -B/(q*ba)
+    K = (_cel(kc, p1, 1 + c1, p1 + c1)
+         + _cel(kc, (y*y - a*a)/ba, c2, c2))/cmath.sqrt(bx)
+    return K, K - 0.5*np.pi*B/(q*np.sqrt(rad_R))
+
+
+def _vertical_rows(p: SurfaceParams, s: SymFuncs, tan: dict) -> np.ndarray:
+    """(K, pi2) at p over their d/da and d/db rows, by complex step."""
+    at = _vertical(p.a, p.b, p.x, p.y, s.S2, s.S4)
+    return np.array([np.real(at)]
+                    + [np.imag(_vertical(*m))/_H for m in tan["steps"]])
+
+
 def K_integral(p: SurfaceParams, s: SymFuncs,
                tan: dict) -> tuple[float, np.ndarray]:
-    """Vertical flux integral over the branch cut (y, b): inverse-square-root
-    singularities at both endpoints, no interior singularity.  Returns the
-    value and its (a, b) gradient along the family tangent tan."""
-    a, b, x, y = p.a, p.b, p.x, p.y
-    span = b - y
-
-    def f(v, dlo, dhi):
-        # on t = y + (b - y) v, v in (0, 1), the endpoints do not move with
-        # (a, b); dt cancels (b - y) out of the root of (t - y)(b - t)
-        t = y + span*v
-        tt = t*t
-        a_tt, t_b, t_x, t_y = a*a - tt, b + t, tt - x*x, t + y
-        num = (tt*tt + s.S2*tt + s.S4)*t
-        rest = a_tt*np.sqrt(t_b*t_x*t_y*dlo*dhi)
-        # the gradient rows are a further 1/(t - 1) more peaked at v -> 0,
-        # so they take 1 - t^2 from t - 1, exact in y - 1: as y -> 1 the
-        # rounding of 1 - t*t, which the value keeps (the t -> 0 defect),
-        # would stop them converging
-        one_tt = -((y - 1.0) + span*v)*(1.0 + t)
-        # the radicand factors b + t and t + y, rooted, give -1/2 of their
-        # log-derivatives
-        hb, hy = 0.5/t_b*num, 0.5/t_y*num
-        # d(num c)/dt / c; t moves with y by 1 - v and with b by v
-        Gt = ((5*tt + 3*s.S2)*tt + s.S4 - hb - hy
-              + num*(2*t/one_tt + 2*t/a_tt - t/t_x))
-        G = {"a": -2*a/a_tt*num, "x": x/t_x*num, "b": dlo*Gt - hb,
-             "y": dhi*Gt - hy, "S2": tt*t, "S4": t}
-        return _with_gradient(num/((1.0 - tt)*rest), tan, G,
-                              1.0/(one_tt*rest))
-
-    return _named("K", "(y, b)", p, integrate_singular, f, 0.0, 1.0)
+    """Vertical flux integral over the branch cut (y, b) and its (a, b)
+    gradient along the family tangent tan, in closed form (_vertical)."""
+    rows = _vertical_rows(p, s, tan)
+    return float(rows[0, 0]), rows[1:, 0]
 
 
 def F_eval(a: float, b: float, x: float, X: float, y: float) -> float:
@@ -246,8 +254,8 @@ def _F_coeffs(a: float, b: float, x: float, X: float) -> np.ndarray:
 
 # Newton on y stops once its step falls below this share of y
 _Y_TOL = 1e-12
-# complex step of the closed forms F, s_coeffs and R: Im f(v + i h dv)/h is
-# the derivative along dv to rounding (Squire and Trapp 1998)
+# complex step of the closed forms F, s_coeffs, R and K: Im f(v + i h dv)/h
+# is the derivative along dv to rounding (Squire and Trapp 1998)
 _H = 1e-20
 
 
@@ -293,9 +301,9 @@ def resolve_params(t: float, X_offset: float, a: float, b: float) -> SurfacePara
 
 def family_tangent(p: SurfaceParams) -> dict:
     """The derivatives along d/da and d/db at fixed (t, X_offset) of each
-    modulus, each S-coefficient and the residue R, keyed by name, each a
-    pair of floats: x and X move with a, and y with (a, b) by -F_a/F_y and
-    -F_b/F_y, which keep F = 0.  All come by complex step."""
+    modulus and S_k, keyed by name, each a pair of floats, by complex step:
+    x and X move with a, and y with (a, b) by -F_a/F_y and -F_b/F_y, which
+    keep F = 0.  "steps" holds (a, b, x, y, S2, S4) stepped along each."""
     a, b, x, X, y = p.a, p.b, p.x, p.X, p.y
     h = 1j*_H
     # F_a, F_b and F_y, each times _H, which cancels
@@ -309,9 +317,8 @@ def family_tangent(p: SurfaceParams) -> dict:
     along_b = s_coeffs(b + h, x, X, y + h*y_b)
     for k, (Sa, Sb) in enumerate(zip(along_a, along_b)):
         tan[f"S{k + 1}"] = (Sa.imag/_H, Sb.imag/_H)
-    R_a = _residues(a + h, b, x + h, y + h*y_a, along_a[1], along_a[3])[1]
-    R_b = _residues(a, b + h, x, y + h*y_b, along_b[1], along_b[3])[1]
-    tan["R"] = (R_a.imag/_H, R_b.imag/_H)
+    tan["steps"] = ((a + h, b, x + h, y + h*y_a, along_a[1], along_a[3]),
+                    (a, b + h, x, y + h*y_b, along_b[1], along_b[3]))
     return tan
 
 
@@ -323,9 +330,9 @@ def period_report_for(p: SurfaceParams) -> PeriodReport:
     r, R, F = map(float, _residues(p.a, p.b, p.x, p.y, s.S2, s.S4))
     I, dI = I_integral(p, s, tan)
     J, dJ = J_integral(p, s, tan)
-    K, dK = K_integral(p, s, tan)
-    d1, d2 = dI + dJ, dK - 0.5*np.array(tan["R"])
-    return PeriodReport(r=r, R=R, I=I, J=J, K=K, pi1=I + J, pi2=K - 0.5*R,
+    rows = _vertical_rows(p, s, tan)
+    (K, pi2), d1, d2 = map(float, rows[0]), dI + dJ, rows[1:, 1]
+    return PeriodReport(r=r, R=R, I=I, J=J, K=K, pi1=I + J, pi2=pi2,
                         F_residual=F,
                         dpi1_da=float(d1[0]), dpi1_db=float(d1[1]),
                         dpi2_da=float(d2[0]), dpi2_db=float(d2[1]))
@@ -358,22 +365,15 @@ def check_family_coords(t: float, X_offset: float) -> None:
                               f"got {X_offset}")
 
 
-def check_tol(tol: float) -> None:
-    """Validate a period-solve tolerance: a finite number > 0."""
-    if not 0.0 < tol < np.inf:
-        raise InvalidResolution(f"tol must be a finite number > 0, got {tol}")
-
-
 def solve_periods(t: float, X_offset: float, tol: float = 1e-10,
                   seed: tuple[float, float] | None = None) -> FamilySolution:
     """Damped Newton on (pi1, pi2)(a, b) with the exact Jacobian of each
     period report, from the warm start seed or else the centre of
-    DEFAULT_SEED_BOX.  A stall raises NoConvergence carrying the last
-    iterate.
-    tol must be a finite number > 0.
-    """
+    DEFAULT_SEED_BOX; tol must be a finite number > 0.  A stall raises
+    NoConvergence carrying the last iterate."""
     check_family_coords(t, X_offset)
-    check_tol(tol)
+    if not 0.0 < tol < np.inf:
+        raise InvalidResolution(f"tol must be a finite number > 0, got {tol}")
     if seed is None:
         a_lo, a_hi, b_lo, b_hi = DEFAULT_SEED_BOX
         seed = (0.5*(a_lo + a_hi), 0.5*(b_lo + b_hi))

@@ -1,7 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the code paths under test: the elliptic
-oracle uses the arithmetic-geometric mean, w_eval and the residue oracle
+oracle uses the arithmetic-geometric mean, the mpmath oracles take the
+flux integral K and Bulirsch's cel in Legendre's form from mpmath's
+complete integrals at 40 digits, w_eval and the residue oracle
 continue the curve branch step by step (along a polyline, around an
 explicit circle), and the improper integral oracles use scipy's adaptive
 quadrature with explicit substitutions that remove the endpoint
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad as scipy_quad
 from scipy.sparse import coo_matrix
@@ -244,6 +247,40 @@ def scipy_K_oracle(p: SurfaceParams) -> float:
         return val*2.0
     v, _ = scipy_quad(f, 0.0, np.pi/2, epsabs=1e-13, epsrel=1e-12, limit=200)
     return v
+
+
+def mpmath_cel_oracle(kc, p, c, s, dps=40):
+    """Bulirsch's cel(kc, p, c, s) for p > 0 in Legendre's form: with
+    m = 1 - kc^2 and n = 1 - p, c cos^2 + s sin^2 = c (cos^2 + p sin^2)
+    + (s - c p) sin^2 and sin^2/(1 - n sin^2) = (1/(1 - n sin^2) - 1)/n
+    give c K(m) + (s - c p)(Pi(n, m) - K(m))/n, taken by mpmath at dps
+    digits from the exact values of the doubles."""
+    with mpmath.workdps(dps):
+        kc, p, c, s = map(mpmath.mpf, (kc, p, c, s))
+        m, n = 1 - kc*kc, 1 - p
+        K = mpmath.ellipk(m)
+        return float(c*K + (s - c*p)*(mpmath.ellippi(n, m) - K)/n)
+
+
+def mpmath_K_oracle(p: SurfaceParams, s: SymFuncs, dps=40) -> float:
+    """The vertical flux integral K in Legendre's form, taken by mpmath at
+    dps digits from the exact values of the doubles.  Under u = t^2, K is
+    half the integral over (y^2, b^2) of N/((1 - u)(a^2 - u)) du over
+    sqrt((b^2 - u)(u - y^2)(u - x^2)), N = u^2 + S2 u + S4, and
+    N/((1 - u)(a^2 - u)) = 1 + A/((1 - a^2)(u - 1)) - B/((1 - a^2)(u - a^2))
+    with A = N(1) and B = N(a^2).  On u = b^2 - (b^2 - y^2) sin^2 theta,
+    u - c = (b^2 - c)(1 - n_c sin^2 theta) with n_c = (b^2 - y^2)/(b^2 - c),
+    so K sqrt(b^2 - x^2) = K(m) + A Pi(n_1, m)/((1 - a^2)(b^2 - 1))
+    - B Pi(n_a2, m)/((1 - a^2)(b^2 - a^2)) with m = n_{x^2}."""
+    with mpmath.workdps(dps):
+        a, b, x, y, S2, S4 = map(mpmath.mpf, (p.a, p.b, p.x, p.y, s.S2, s.S4))
+        aa, bb, yy = a*a, b*b, y*y
+        A, B = 1 + S2 + S4, aa*aa + S2*aa + S4
+        m = (bb - yy)/(bb - x*x)
+        K = (mpmath.ellipk(m)
+             + A*mpmath.ellippi((bb - yy)/(bb - 1), m)/((1 - aa)*(bb - 1))
+             - B*mpmath.ellippi((bb - yy)/(bb - aa), m)/((1 - aa)*(bb - aa)))
+        return float(K/mpmath.sqrt(bb - x*x))
 
 
 def _de_refine(weighted, half):

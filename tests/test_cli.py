@@ -8,6 +8,7 @@ import pytest
 
 import saddle_forge
 import saddle_forge.periods as periods
+import saddle_forge.quad as quad
 import saddle_forge.verify as verify
 from saddle_forge.cli import main
 
@@ -71,13 +72,17 @@ def test_no_convergence_reports_plain_floats(capsys, monkeypatch):
     assert 0.7 < a < 1.0 < b
 
 
-def test_quadrature_failure_names_the_integral(capsys):
-    # at t = 1e-6 the flux integral K over (y, b) does not converge in the
-    # first period report; the message says which integral and where
-    code, out, err = run_cli(capsys, "solve", "--t", "1e-6")
+def test_quadrature_failure_names_the_integral(capsys, monkeypatch):
+    # with no refinement allowed and no error tolerated, the integral I over
+    # (b, inf) does not converge in the first period report; the message
+    # says which integral and where
+    monkeypatch.setattr(quad, "_MAX_LEVELS", quad._MIN_LEVELS)
+    monkeypatch.setattr(quad, "_REL_TOL", 0.0)
+    monkeypatch.setattr(quad, "_ABS_TOL", 0.0)
+    code, out, err = run_cli(capsys, "solve")
     assert code == 2
     assert out == ""
-    assert "NoConvergence: K over (y, b) did not converge" in err
+    assert "NoConvergence: I over (b, inf) did not converge" in err
     assert "for (a,b,x,X,y)=(0.7, 1.25, " in err
     assert "double-exponential refinement did not converge" in err
 

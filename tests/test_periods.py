@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from _oracles import (central_jacobian_oracle, fd_newton_oracle,
+from _oracles import (agm, central_jacobian_oracle, fd_newton_oracle,
+                      mpmath_cel_oracle, mpmath_K_oracle,
                       residue_contour_oracle, scipy_I_oracle, scipy_J_oracle,
                       scipy_K_oracle, solve_y_two_call_oracle,
                       warm_start_sweep_oracle)
 from conftest import draw_params
-from saddle_forge import periods
+from saddle_forge import periods, quad
 from saddle_forge.errors import (DegenerateRoot, DomainViolation,
                                  NoConvergence, NoRoot)
 from saddle_forge.params import SurfaceParams, sym_funcs
@@ -76,6 +77,35 @@ def test_J_matches_scipy_oracle(p):
 def test_K_matches_scipy_oracle(p):
     value, _ = K_integral(p, sym_funcs(p), family_tangent(p))
     assert value == pytest.approx(scipy_K_oracle(p), rel=1e-9, abs=1e-11)
+
+
+def test_K_matches_mpmath_legendre_form():
+    # K's closed form against Legendre's complete integrals at 40 digits, on
+    # the 7 x 6 family grid and t = 1e-5, where y - 1 ~ 4e-7 and K ~ 370
+    members = [sol for *_, sol in sweep_family(FAMILY_T, FAMILY_X)]
+    members += [solve_periods(1e-5, X_offset, tol=1e-6)
+                for X_offset in np.linspace(0.0, 0.049, 8)]
+    for sol in members:
+        p = sol.params
+        s = sym_funcs(p)
+        value, _ = K_integral(p, s, family_tangent(p))
+        assert value == pytest.approx(mpmath_K_oracle(p, s), rel=2e-14), p
+
+
+@pytest.mark.parametrize("kc", [1.0, 0.9, 0.6, 0.3, 0.05, 1e-3])
+def test_cel_of_the_first_kind_matches_the_agm(kc):
+    # cel(kc, 1, 1, 1) is the complete integral of the first kind,
+    # pi/(2 agm(1, kc))
+    assert periods._cel(kc, 1.0, 1.0, 1.0).real == pytest.approx(
+        0.5*np.pi/agm(1.0, kc), rel=4e-16)
+
+
+def test_cel_next_to_its_pole_matches_mpmath():
+    # p -> 0 moves the third-kind pole to theta = pi/2: cel grows like
+    # pi s/(2 kc sqrt(p)), here 9.0e5, with nothing to cancel
+    args = (0.7, 1e-12, 1.3, 0.4)
+    assert periods._cel(*args).real == pytest.approx(mpmath_cel_oracle(*args),
+                                                     rel=1e-15)
 
 
 # ------------------------------------------------------- implicit y solve
@@ -293,14 +323,32 @@ def test_solves_next_to_the_puncture_raise_no_floating_point_error():
                 assert max(abs(sol.report.pi1), abs(sol.report.pi2)) < 1e-6
 
 
-def test_quadrature_failure_carries_plain_floats():
-    # at t = 1e-6 the flux integral K does not converge at the cold start
+def test_quadrature_failure_carries_plain_floats(monkeypatch):
+    # with no refinement allowed and no error tolerated, the first
+    # quadrature of the first report, I's, fails at the cold start
+    monkeypatch.setattr(quad, "_MAX_LEVELS", quad._MIN_LEVELS)
+    monkeypatch.setattr(quad, "_REL_TOL", 0.0)
+    monkeypatch.setattr(quad, "_ABS_TOL", 0.0)
     with pytest.raises(NoConvergence) as exc:
-        solve_periods(1e-6, 0.0)
-    assert str(exc.value).startswith("K over (y, b)")
+        solve_periods(0.02, 0.0)
+    assert str(exc.value).startswith("I over (b, inf)")
     assert type(exc.value.best) is float
     assert type(exc.value.residual) is float
     assert isinstance(exc.value.__cause__, NoConvergence)
+
+
+def test_cold_solve_at_t_1e_6_stalls_in_newton():
+    # K is a closed form and cannot fail: at t = 1e-6 the cold solve now
+    # runs the Newton iteration out, and pi2, a staircase in (a, b) there
+    # (ROADMAP, first known defect), is left far above the tolerance
+    with pytest.raises(NoConvergence) as exc:
+        solve_periods(1e-6, 0.0)
+    assert str(exc.value).startswith("period solve stalled at (a,b)=")
+    assert exc.value.__cause__ is None
+    a, b = exc.value.best
+    assert type(a) is float and type(b) is float
+    assert 0.7 < a < 1.0 < b
+    assert 1e-10 < exc.value.residual < 1e-3
 
 
 def test_solve_periods_rejects_bad_family_coordinates():

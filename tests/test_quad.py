@@ -257,7 +257,6 @@ def test_interval_nodes_are_reused_and_refuse_writes():
 
 
 # the solved member at (t, X_offset) = (1e-5, 0.049), where y - 1 ~ 3e-7
-# makes K's integrand sharply peaked
 _EDGE_MEMBER = (1e-5, 0.049, 0.654726569382211, 1.3349559787754532)
 
 
@@ -278,13 +277,14 @@ def test_period_integrals_match_oracle(monkeypatch, solved_params):
                         paired(integrate_to_infinity))
     for p in (solved_params, periods.resolve_params(*_EDGE_MEMBER)):
         periods.period_report_for(p)
-    assert matches == [True]*6
+    # I and J, two reports; K is a closed form and takes no rule
+    assert matches == [True]*4
 
 
 def test_period_report_takes_one_call_per_integral(monkeypatch,
                                                    solved_params):
-    # at the reference member each of I, J and K converges on the first
-    # grid: one integrand call on 289 nodes apiece
+    # at the reference member each of I and J converges on the first grid:
+    # one integrand call on 289 nodes apiece, and K takes none
     seen = []
 
     def counted(rule):
@@ -298,4 +298,4 @@ def test_period_report_takes_one_call_per_integral(monkeypatch,
     monkeypatch.setattr(periods, "integrate_to_infinity",
                         counted(integrate_to_infinity))
     periods.period_report_for(solved_params)
-    assert seen == [[289]]*3
+    assert seen == [[289]]*2
