@@ -26,7 +26,7 @@ from .errors import (BranchInconsistency, ContourTooClose, DegenerateRoot,
                      NoRoot, NotApplicable, SaddleForgeError,
                      WeldMismatch)
 from .params import SurfaceParams, SymFuncs, sym_funcs
-from .quad import integrate_singular, integrate_to_infinity
+from .quad import integrate_to_infinity
 from .weier import g_eval, phi_vec, vertical_normal_points, w_closed
 from .periods import (FamilySolution, PeriodReport, F_eval, I_integral,
                       J_integral, K_integral, family_tangent,

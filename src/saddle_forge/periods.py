@@ -28,8 +28,10 @@ from .errors import (DegenerateRoot, DomainViolation, InvalidResolution,
                      NoConvergence, NoRoot)
 from .files import atomic_target
 from .params import SurfaceParams, SymFuncs, check_moduli, s_coeffs, sym_funcs
-# integrate_singular is not called here; bench/tracing.py wraps it by name
-from .quad import integrate_singular, integrate_to_infinity
+from .quad import integrate_to_infinity
+
+# integrate_singular is not called; bench/tracing.py wraps it by name
+integrate_singular = integrate_to_infinity
 
 
 @dataclass(frozen=True)
@@ -136,15 +138,14 @@ def I_integral(p: SurfaceParams, s: SymFuncs,
     family tangent tan."""
     a, b, x, y = p.a, p.b, p.x, p.y
 
-    def f(t, dlo, dhi):
-        del dhi
+    def f(t, d):
         # the quartics divided by t^4 and each radicand factor rooted on its
         # own, so that no intermediate overflows at the outermost nodes
         tt = t*t
         u = 1.0/tt
         one_u, one_au = 1.0 - u, 1.0 - a*a*u
         num = s.S1 + (s.S3 + s.S5*u)*u
-        c = 1.0/(one_u*one_au*(np.sqrt(dlo*(t + b))*np.sqrt(tt - x*x)
+        c = 1.0/(one_u*one_au*(np.sqrt(d*(t + b))*np.sqrt(tt - x*x)
                                 * np.sqrt(tt - y*y)))
         ua, ux, uy = u/one_au, u/(1.0 - x*x*u), u/(1.0 - y*y*u)
         # integrate_to_infinity keeps its nodes at fixed t/b, so t scales
@@ -168,8 +169,7 @@ def J_integral(p: SurfaceParams, s: SymFuncs,
     and its (a, b) gradient along the family tangent tan."""
     a, b, x, X, y = p.a, p.b, p.x, p.X, p.y
 
-    def f(t, dlo, dhi):
-        del dlo, dhi
+    def f(t, _):
         psi = (2*np.arctan(t/X) - np.arctan(t/b)
                + np.arctan(t/x) - np.arctan(t/y))
         # as in I, so that no intermediate overflows
@@ -324,8 +324,9 @@ def family_tangent(p: SurfaceParams) -> dict:
 
 def period_report_for(p: SurfaceParams) -> PeriodReport:
     """The residues, the period integrals and the residuals (pi1, pi2) at p,
-    with the (a, b) Jacobian of (pi1, pi2) along the family."""
-    s = sym_funcs(p)
+    with the (a, b) Jacobian of (pi1, pi2) along the family.  Moduli out
+    of order raise DomainViolation."""
+    s = sym_funcs(p.validate())
     tan = family_tangent(p)
     r, R, F = map(float, _residues(p.a, p.b, p.x, p.y, s.S2, s.S4))
     I, dI = I_integral(p, s, tan)

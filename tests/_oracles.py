@@ -8,12 +8,10 @@ continue the curve branch step by step (along a polyline, around an
 explicit circle), and the improper integral oracles use scipy's adaptive
 quadrature with explicit substitutions that remove the endpoint
 singularities.  curve_rhs, rotated_data and quartic_identity_residual write
-out identities the library's data must satisfy.  de_singular_oracle and
-de_to_infinity_oracle are the double-exponential rules with every node
-table recomputed: one integrand call on the first grid, whose even nodes
-give the rule of twice the step, then one call per halving
-(de_to_infinity_oracle is de_singular_oracle on (0, 1) under the map
-x = lo + scale*u/(1 - u)); the library must reproduce them bit for bit.
+out identities the library's data must satisfy.  de_to_infinity_oracle is
+the exp-sinh rule with every node recomputed from its t: one integrand
+call on the first grid, whose even nodes give the rule of twice the step,
+then one call per halving; the library must reproduce it bit for bit.
 central_jacobian_oracle differences the period residuals, where
 period_report_for differentiates under the integral sign, and
 fd_newton_oracle is the period solve on a forward-difference Jacobian.
@@ -283,22 +281,31 @@ def mpmath_K_oracle(p: SurfaceParams, s: SymFuncs, dps=40) -> float:
         return float(K/mpmath.sqrt(bb - x*x))
 
 
-def _de_refine(weighted, half):
-    """Trapezoid refinement of the tanh-sinh rule until every row of a
-    stacked integrand has converged.  weighted(h, ks) returns the kept k
-    and the weighted integrand on them.  It is called once on every k with
-    |k h| <= 4.5 at h = 2^-_MIN_LEVELS, whose even k give the rule of step
-    2h, then once per halving on the odd k; the tolerances and levels are
-    read from quad at call time."""
+def de_to_infinity_oracle(f, lo: float, scale: float = 1.0):
+    """The exp-sinh rule on (lo, inf), as quad.integrate_to_infinity: the
+    trapezoid rule in t under x = lo + scale*e^(pi sinh t), refined by
+    halving the step h until every row of a stacked integrand has
+    converged, with the nodes of each level recomputed from t = k h.  The
+    integrand is called once on every k with |k h| <= 4.5 at
+    h = 2^-_MIN_LEVELS, whose even k give the rule of step 2h, then once
+    per halving on the odd k; the tolerances and levels are read from quad
+    at call time."""
     def grid(h):
         kmax = int(np.ceil(4.5/h))
         return np.arange(-kmax, kmax + 1)
 
+    def weighted(h, ks):
+        t = ks*h
+        e = np.exp(np.pi*np.sinh(t))
+        d = scale*e
+        return np.asarray(f(lo + d, d))*(scale*(np.pi*np.cosh(t)*e))
+
     level = quad._MIN_LEVELS
     h = 0.5**level
-    ks, fw = weighted(h, grid(h))
-    val = 2*h*(half*np.sum(np.compress(ks % 2 == 0, fw, axis=-1), axis=-1))
-    new = h*(half*np.sum(fw, axis=-1))
+    ks = grid(h)
+    fw = weighted(h, ks)
+    val = 2*h*np.sum(np.compress(ks % 2 == 0, fw, axis=-1), axis=-1)
+    new = h*np.sum(fw, axis=-1)
     while True:
         delta = np.abs(new - val)
         val = new
@@ -313,38 +320,7 @@ def _de_refine(weighted, half):
         level += 1
         h *= 0.5
         ks = grid(h)
-        _, fw = weighted(h, ks[ks % 2 != 0])
-        new = 0.5*val + h*(half*np.sum(fw, axis=-1))
-
-
-def de_singular_oracle(f, lo: float, hi: float):
-    """tanh-sinh rule on (lo, hi), as quad.integrate_singular."""
-    half = 0.5*(hi - lo)
-
-    def weighted(h, ks):
-        t = ks*h
-        q = 0.5*np.pi*np.sinh(t)
-        xk = np.tanh(q)
-        wk = 0.5*np.pi*np.cosh(t)/np.cosh(q)**2
-        # 1 +- tanh(q) without cancellation
-        dlo = half*np.exp(q)/np.cosh(q)
-        dhi = half*np.exp(-q)/np.cosh(q)
-        xs = np.where(xk < 0, lo + dlo, hi - dhi)
-        ok = (dlo > 0) & (dhi > 0) & np.isfinite(wk)
-        return ks[ok], np.asarray(f(xs[ok], dlo[ok], dhi[ok]))*wk[ok]
-
-    return _de_refine(weighted, half)
-
-
-def de_to_infinity_oracle(f, lo: float, scale: float = 1.0):
-    """tanh-sinh rule on (0, 1) under x = lo + scale*u/(1 - u), as
-    quad.integrate_to_infinity."""
-
-    def mapped(u, du_lo, du_hi):
-        d = scale*du_lo/du_hi
-        return np.asarray(f(lo + d, d, np.full_like(d, np.inf)))*(scale/du_hi**2)
-
-    return de_singular_oracle(mapped, 0.0, 1.0)
+        new = 0.5*val + h*np.sum(weighted(h, ks[ks % 2 != 0]), axis=-1)
 
 
 def period_residuals(t, X_offset, a, b):

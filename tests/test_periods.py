@@ -362,6 +362,14 @@ def test_solve_periods_rejects_bad_family_coordinates():
         solve_periods(0.2, 0.0)  # outside the perturbative regime
 
 
+def test_period_report_rejects_moduli_out_of_order():
+    # y = 1 had raised ZeroDivisionError in K's cel, and x > a had returned
+    # a report with R = pi2 = nan
+    for x, y in ((0.7, 1.0), (0.75, 1.1)):
+        with pytest.raises(DomainViolation):
+            period_report_for(SurfaceParams(a=0.72, b=1.21, x=x, X=0.72, y=y))
+
+
 # ----------------------------------------------------------------- sweep
 
 def _counting_reports(monkeypatch):
