@@ -1,26 +1,6 @@
 """saddle-forge: construction and numerical verification of singly periodic
 genus-two saddle towers from explicit Weierstrass data.
-
-SADDLE_FORGE_THREADS caps the BLAS thread pool.  It is applied here, before
-the first submodule import loads numpy, so it reaches the pool for any entry
-point that imports this package; it has no effect if numpy was imported
-earlier in the same process.  An explicitly set OMP_NUM_THREADS,
-OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or NUMEXPR_NUM_THREADS takes
-precedence.
 """
-import os as _os
-
-
-def _apply_thread_env():
-    n = _os.environ.get("SADDLE_FORGE_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            _os.environ.setdefault(var, n)
-
-
-_apply_thread_env()
-
 from .errors import (BranchInconsistency, ContourTooClose, DegenerateRoot,
                      DomainViolation, InvalidResolution, NoConvergence,
                      NoRoot, NotApplicable, SaddleForgeError,

@@ -9,14 +9,15 @@ Options may also be supplied through a config file of `key = value` lines
 (--config); explicit command-line flags override file values.  An option
 the chosen mode ignores (`sweep --t` without --fig6, a grid option or --tol
 with it, `mesh --n-periods` with --piece-only) is a usage error.
-SADDLE_FORGE_THREADS caps the BLAS thread pool; the `saddle_forge` package
-docstring says when it applies.
+A write that fails, to an output file or to stdout (its reader gone, say),
+exits 4 with one `error:` line naming the file or stdout.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import io
+import os
 import re
 import sys
 
@@ -113,12 +114,19 @@ def _config_value(key, text, action):
         sys.exit(EXIT_INVALID_INPUT)
 
 
+class _StdoutError(Exception):
+    """A write to stdout failed."""
+
+
 def _emit(pairs):
-    for k, v in pairs:
-        if isinstance(v, float):
-            print(f"{k} = {v:.17g}")
-        else:
-            print(f"{k} = {v}")
+    """`key = value` lines on stdout, flushed, so that a failed write to
+    stdout shows here, whatever its buffering, as _StdoutError."""
+    try:
+        for k, v in pairs:
+            print(f"{k} = {v:.17g}" if isinstance(v, float) else f"{k} = {v}")
+        sys.stdout.flush()
+    except OSError as e:
+        raise _StdoutError(e) from e
 
 
 def cmd_solve(args):
@@ -323,6 +331,13 @@ def main(argv=None) -> int:
     except SaddleForgeError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         code = e.exit_code
+    except _StdoutError as e:
+        print(f"error: cannot write stdout: {e}", file=sys.stderr)
+        # what stdout still buffers would fail again at exit, with a
+        # traceback: it goes to the null device instead
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        code = EXIT_IO
     except OSError as e:
         # once the options are read, only the mesh and sweep writers open files
         print(f"error: cannot write {args.output}: {e}", file=sys.stderr)

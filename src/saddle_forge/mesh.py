@@ -15,10 +15,10 @@ Gauss quadrature, every edge along one path family z = v + delta(s) with s
 linear: delta = s from v = 0 for a straight edge, delta = s^2 from a nearby
 branch point v, delta = e^s from a nearby puncture v.  Deforming the path
 is legitimate because the forms are holomorphic between the singularities.
-The increments are summed along a spanning tree of the grid; per-cell
-loop-closure residuals (the signed sum of each quad's four edge increments)
-certify the integration; they sit at the rounding floor for a correct
-branch of w.
+The increments are summed along the grid's top row and then down each
+column; per-cell loop-closure residuals (the signed sum of each quad's
+four edge increments) certify the integration; they sit at the rounding
+floor for a correct branch of w.
 
 The assembled tower is the orbit of the piece under the three coordinate
 reflections and vertical translations by the period T.  One table,
@@ -110,9 +110,8 @@ class DomainGrid:
     edges: np.ndarray        # (n_edges, 2) node index pairs
     quads: np.ndarray        # (n_quads, 4) node indices, ccw in the grid
     quad_edges: np.ndarray   # (n_quads, 4) edge indices along the ccw walk
-    tree_parent: np.ndarray  # spanning tree: parent node (the root: itself)
-    tree_edge: np.ndarray    # edge joining each node to its parent
-    tree_sign: np.ndarray    # +1 if that edge runs parent -> node, -1 if not
+    hid: np.ndarray          # horizontal edge at its left node, or -1
+    vid: np.ndarray          # vertical edge at its lower node, or -1
     tags: dict = field(default_factory=dict)   # tag -> node index array
 
 
@@ -203,23 +202,6 @@ def build_grid(p: SurfaceParams, resolution: int) -> DomainGrid:
     quad_edges = np.stack([hid[:-1][q], vid[:, 1:][q],
                            hid[1:][q], vid[:, :-1][q]], axis=1)
 
-    # spanning tree rooted at the top-left node: the top row is chained left
-    # to right and every other node hangs from the node above it (each
-    # column is alive from the top row down to a window).  A node left as
-    # its own parent is not reached.
-    tree_parent = np.arange(len(z))
-    tree_edge = np.zeros(len(z), int)
-    tree_sign = np.zeros(len(z))
-    top = h[-1]
-    kids = idx[-1, 1:][top]
-    tree_parent[kids] = idx[-1, :-1][top]
-    tree_edge[kids] = hid[-1][top]
-    tree_sign[kids] = 1.0
-    kids = idx[:-1][v]
-    tree_parent[kids] = idx[1:][v]
-    tree_edge[kids] = vid[v]
-    tree_sign[kids] = -1.0
-
     # boundary tags: AL is the imaginary-axis column; the rest partition the
     # bottom row by the marked points, endpoints shared between neighbours
     tags = {"AL": idx[:, 0][alive[:, 0]]}
@@ -231,8 +213,7 @@ def build_grid(p: SurfaceParams, resolution: int) -> DomainGrid:
         tags[tag] = idx[0][m]
     return DomainGrid(p=p, cut_a=cut_a, cut_1=cut_1, alive=alive, idx=idx,
                       z=z, edges=edges, quads=quads, quad_edges=quad_edges,
-                      tree_parent=tree_parent, tree_edge=tree_edge,
-                      tree_sign=tree_sign, tags=tags)
+                      hid=hid, vid=vid, tags=tags)
 
 
 def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
@@ -287,13 +268,20 @@ def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
 
 
 def integrate_piece(grid: DomainGrid) -> PieceMesh:
-    """Positions by accumulating real edge increments along the grid's
-    spanning tree.
+    """Positions by summing real edge increments along the grid's top row,
+    then down each column: the domain is simply connected, so every path
+    gives the same positions, and the cells' loop closure certifies them.
 
     Every grid quad provides a loop-closure residual; each must stay below
     LC_TOL times the cell scale (largest edge increment of the quad), with
     an absolute floor at the rounding level of the coordinates.
     """
+    # the sums need the top row alive and each column alive from there down
+    # to a window
+    alive = grid.alive
+    if not alive[-1].all() or np.any(alive[:-1] & ~alive[1:]):
+        raise BranchInconsistency("grid is disconnected: a dead node on the "
+                                  "top row or above a live one")
     p = grid.p
     E0, E1 = grid.edges[:, 0], grid.edges[:, 1]
     inc = edge_increments(p, grid.z[E0], grid.z[E1])
@@ -303,20 +291,13 @@ def integrate_piece(grid: DomainGrid) -> PieceMesh:
     lc = np.linalg.norm(e.sum(axis=1), axis=1)
     scale = np.linalg.norm(e, axis=2).max(axis=1)
 
-    # pointer jumping: pos holds each node's offset from par, and par climbs
-    # twice as far up the tree per step until it is a root
-    par = grid.tree_parent
-    pos = grid.tree_sign[:, None]*rinc[grid.tree_edge]
-    while True:
-        up = par[par]
-        if np.array_equal(up, par):
-            break
-        pos += pos[par]
-        par = up
-    unreached = int(np.sum(par != grid.idx[-1, 0]))
-    if unreached:
-        raise BranchInconsistency(f"grid is disconnected: {unreached} "
-                                  "nodes unreachable")
+    # the top row's positions, then each other node's step from the node
+    # above it, summed down the columns
+    step = np.zeros(alive.shape + (3,))
+    step[-1, 1:] = np.cumsum(rinc[grid.hid[-1]], axis=0)
+    below = grid.vid >= 0
+    step[:-1][below] = -rinc[grid.vid[below]]
+    pos = np.cumsum(step[::-1], axis=0)[::-1][alive]
 
     boundary = {tag: np.asarray(nodes) for tag, nodes in grid.tags.items()}
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourTooClose, NotApplicable
+from .errors import ContourTooClose, InvalidResolution, NotApplicable
 from .mesh import (STRETCHES, WELD_TOL, AssembledMesh, PieceMesh,
                    mirror_planes, stretch_intervals)
 from .params import SurfaceParams, sym_funcs
@@ -244,7 +244,7 @@ def _sample_pairs(n: int, seed: int):
     a seed draws the same pairs on every platform; the bias this leaves is
     below n/2^32."""
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise InvalidResolution(f"seed must be non-negative, got {seed}")
     draw = np.frombuffer(random.Random(seed).randbytes(8*_INJECTIVITY_PAIRS),
                          "<u4")
     i, j = np.split(draw % n if n else draw[:0], 2)

@@ -554,46 +554,58 @@ def test_sweep_rejects_config_options_of_the_other_mode(capsys, tmp_path):
     assert "--t is ignored without --fig6" in capsys.readouterr().err
 
 
-# Run in a fresh interpreter: records OPENBLAS_NUM_THREADS at the moment numpy
-# is first looked up, then runs the CLI entry point as `python -m` would.
-_ENTRY_PROBE = """
-import os, runpy, sys
-
-seen = []
-
-
-class _NumpyFirstImport:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not seen:
-            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-        return None
-
-
-sys.meta_path.insert(0, _NumpyFirstImport())
-sys.argv = ["saddle-forge", "solve", "--t", "0.02", "--tol", "1e-9"]
-try:
-    runpy.run_module("saddle_forge.cli", run_name="__main__")
-finally:
-    print(f"openblas_at_numpy_import = {seen[0] if seen else None!r}")
-"""
+def _child_env(pythonpath):
+    # a child of the suite: one BLAS thread, as the standard variables set it
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath,
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 def test_entry_point_runs_in_subprocess(tmp_path):
-    # SADDLE_FORGE_THREADS alone must set the BLAS thread cap, and it must be
-    # exported before numpy is first imported, where the pool size is fixed.
-    # The child imports the same saddle_forge as this process and inherits
-    # none of the BLAS thread variables.
+    # the CLI entry point as `python -m` runs it; the child imports the same
+    # saddle_forge as this process
     src = str(Path(saddle_forge.__file__).parents[1])
     pythonpath = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
     res = subprocess.run(
-        [sys.executable, "-c", _ENTRY_PROBE],
+        [sys.executable, "-m", "saddle_forge.cli", "solve", "--t", "0.02",
+         "--tol", "1e-9"],
         capture_output=True, text=True, cwd=tmp_path, timeout=300,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath,
-             "SADDLE_FORGE_THREADS": "1"})
+        env=_child_env(pythonpath))
     assert res.returncode == 0, res.stderr
     assert "pi1 = " in res.stdout
-    assert parse_kv(res.stdout)["openblas_at_numpy_import"] == "'1'"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--tol", "1e-9"],
+    ["mesh", "--tol", "1e-9", "--resolution", "28", "--piece-only",
+     "-o", "piece.obj"],
+])
+def test_closed_stdout_is_exit_4(tmp_path, argv, unbuffered):
+    # stdout is a pipe with no reader: whether the failed write is a print
+    # or the flush of a buffer, it is one error line naming stdout, and
+    # nothing is left to fail when the interpreter exits
+    src = str(Path(saddle_forge.__file__).parents[1])
+    env = _child_env(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "saddle_forge.cli", *argv],
+            stdout=w, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+            timeout=300, env=env)
+    finally:
+        os.close(w)
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.count("error:") == 1, res.stderr
+    assert "error: cannot write stdout: " in res.stderr
+    assert "Traceback" not in res.stderr
+    assert "Exception ignored" not in res.stderr
+    if argv[0] == "mesh":
+        # the OBJ was written whole before stdout was
+        assert (tmp_path/"piece.obj").read_text().endswith("\n")
 
 
 _MESH_PROBE = """
@@ -614,8 +626,7 @@ def test_mesh_runs_on_numpy_alone(tmp_path):
     res = subprocess.run(
         [sys.executable, "-c", _MESH_PROBE, str(tmp_path/"t.obj")],
         capture_output=True, text=True, cwd=tmp_path, timeout=300,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src,
-             "SADDLE_FORGE_THREADS": "1"})
+        env=_child_env(src))
     assert res.returncode == 0, res.stderr
     vals = parse_kv(res.stdout)
     assert vals["exit"] == "0", res.stderr
@@ -645,8 +656,7 @@ def test_cli_runs_import_no_lazy_numpy_submodule(tmp_path):
     res = subprocess.run(
         [sys.executable, "-c", _LAZY_PROBE, str(tmp_path/"t.obj")],
         capture_output=True, text=True, cwd=tmp_path, timeout=300,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src,
-             "SADDLE_FORGE_THREADS": "1"})
+        env=_child_env(src))
     assert res.returncode == 0, res.stderr
     vals = parse_kv(res.stdout)
     assert vals["exit"] == "(0, 0)", res.stderr

@@ -193,8 +193,9 @@ def test_loop_closure_at_machine_level(piece64):
 
 def test_positions_reproduce_edge_increments(solved_params):
     # every edge difference equals its increment up to the loop-closure
-    # residuals enclosed between the edge and the spanning-tree path; tree
-    # edges reproduce it to rounding
+    # residuals enclosed between the edge and the summation path; the
+    # len(z) - 1 edges summed along, the top row's horizontal edges and
+    # every vertical edge, reproduce it to rounding
     g = build_grid(solved_params, 32)
     piece = integrate_piece(g)
     E0, E1 = g.edges[:, 0], g.edges[:, 1]
@@ -202,9 +203,25 @@ def test_positions_reproduce_edge_increments(solved_params):
     dev = np.linalg.norm(piece.vertices[E1] - piece.vertices[E0] - rinc, axis=1)
     floor = 64*np.finfo(float).eps*np.max(np.abs(piece.vertices))
     assert np.max(dev) <= np.sum(piece.loop_residuals) + floor
-    tree = g.tree_edge[g.tree_parent != np.arange(len(g.z))]
-    assert len(tree) == len(g.z) - 1
-    assert np.max(dev[tree]) <= floor
+    summed = np.concatenate([g.hid[-1], g.vid[g.vid >= 0]])
+    assert len(summed) == len(g.z) - 1 and np.all(summed >= 0)
+    assert np.max(dev[summed]) <= floor
+
+
+@pytest.mark.parametrize("hole", ["mid_column", "top_row", "whole_column"])
+def test_broken_column_is_a_branch_inconsistency(solved_params, hole):
+    # the positions are summed down columns alive from the top row: a dead
+    # node above a live one, or a column dead up to the top row, breaks
+    # the sums
+    g = build_grid(solved_params, 32)
+    alive = g.alive.copy()
+    col = alive.shape[1]//2
+    assert alive[:, col].all()
+    rows = {"mid_column": alive.shape[0]//2, "top_row": -1,
+            "whole_column": slice(None)}[hole]
+    alive[rows, col] = False
+    with pytest.raises(BranchInconsistency, match="disconnected"):
+        integrate_piece(dataclasses.replace(g, alive=alive))
 
 
 def test_vertical_period_equals_horizontal_flux(solved, piece64):
@@ -702,7 +719,8 @@ def test_export_obj_to_stdout_link_sent_to_a_file(tmp_path):
                              stdout=fh, stderr=subprocess.PIPE, cwd=tmp_path,
                              timeout=300,
                              env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src,
-                                  "SADDLE_FORGE_THREADS": "1"})
+                                  "OPENBLAS_NUM_THREADS": "1",
+                                  "OMP_NUM_THREADS": "1"})
     assert res.returncode == 0, res.stderr.decode()
     m = _small_mesh()
     assert out.read_bytes() == _line_writer(m.vertices, m.faces)

@@ -10,7 +10,8 @@ import saddle_forge.mesh as mesh
 import saddle_forge.verify as verify
 from _oracles import (collision_pairs_oracle, shares_vertex_oracle,
                       tri_tri_intersect_oracle)
-from saddle_forge.errors import ContourTooClose, NotApplicable
+from saddle_forge.errors import (ContourTooClose, InvalidResolution,
+                                 NotApplicable)
 from saddle_forge.mesh import (STRETCHES, AssembledMesh, assemble,
                                build_grid, integrate_piece)
 from saddle_forge.params import SurfaceParams, sym_funcs
@@ -125,7 +126,7 @@ def test_sample_pairs_follow_the_seed():
     counts = np.bincount(np.concatenate([i, j]), minlength=n)
     mean = 2*len(i)/n
     assert np.all(np.abs(counts - mean) < 7*np.sqrt(mean))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidResolution):
         verify._sample_pairs(n, -1)
 
 
