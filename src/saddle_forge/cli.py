@@ -10,7 +10,8 @@ Options may also be supplied through a config file of `key = value` lines
 the chosen mode ignores (`sweep --t` without --fig6, a grid option or --tol
 with it, `mesh --n-periods` with --piece-only) is a usage error.
 A write that fails, to an output file or to stdout (its reader gone, say),
-exits 4 with one `error:` line naming the file or stdout.
+exits 4 with one `error:` line naming the file or stdout; one to stderr
+exits 4 with nothing said.
 """
 from __future__ import annotations
 
@@ -44,10 +45,10 @@ def _read_config(path):
                 values[k.strip().replace("-", "_")] = v.strip()
         return values
     except OSError as e:
-        print(f"error: cannot read config {path}: {e}", file=sys.stderr)
+        _note(f"error: cannot read config {path}: {e}")
         sys.exit(EXIT_IO)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _note(f"error: {e}")
         sys.exit(EXIT_INVALID_INPUT)
 
 
@@ -81,7 +82,7 @@ def parse_args(argv):
     if "config" in given:
         for k, v in _read_config(given["config"]).items():
             if k not in options:
-                print(f"error: unknown config key {k!r}", file=sys.stderr)
+                _note(f"error: unknown config key {k!r}")
                 sys.exit(EXIT_INVALID_INPUT)
             defaults[k] = _config_value(k, v, options[k])
         sp.set_defaults(**defaults)
@@ -109,8 +110,7 @@ def _config_value(key, text, action):
             return _BOOLS[text.lower()]
         return action.type(text) if action.type else text
     except (KeyError, TypeError, ValueError):
-        print(f"error: config key {key!r}: invalid value {text!r}",
-              file=sys.stderr)
+        _note(f"error: config key {key!r}: invalid value {text!r}")
         sys.exit(EXIT_INVALID_INPUT)
 
 
@@ -127,6 +127,23 @@ def _emit(pairs):
         sys.stdout.flush()
     except OSError as e:
         raise _StdoutError(e) from e
+
+
+def _note(text):
+    """A diagnostic line on stderr.  If it cannot be written, nothing more
+    can be said: exit 4."""
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except OSError:
+        _discard(sys.stderr)
+        sys.exit(EXIT_IO)
+
+
+def _discard(stream):
+    """What the stream still buffers would fail again at exit, with a
+    traceback: its file descriptor goes to the null device instead."""
+    with open(os.devnull, "w") as null:
+        os.dup2(null.fileno(), stream.fileno())
 
 
 def cmd_solve(args):
@@ -176,23 +193,23 @@ def cmd_verify(args):
     try:
         results.append(verify.check_profile_bell(piece))
     except NotApplicable as e:
-        print(f"profile_bell: skipped ({e})", file=sys.stderr)
+        _note(f"profile_bell: skipped ({e})")
 
     asm = mesh.assemble(piece, n_periods=2)
     results.append(verify.check_tower_embedded(piece, asm))
-    print(f"self_intersection: {results[-1].detail}", file=sys.stderr)
+    _note(f"self_intersection: {results[-1].detail}")
 
     diag = verify.case_diagnostics(p)
-    print(f"diagnostics: discriminant={diag['discriminant']:.6g} "
+    _note(f"diagnostics: discriminant={diag['discriminant']:.6g} "
           f"conjugate_quadruple={diag['conjugate_quadruple']} "
-          f"theta_outer_range={diag['theta_outer_range']}", file=sys.stderr)
+          f"theta_outer_range={diag['theta_outer_range']}")
 
     ok = True
     for r in results:
         _emit([(f"check[{r.name}]", "pass" if r.passed else "FAIL")])
         if not r.passed:
             ok = False
-            print(f"FAIL {r.name}: value={r.value} {r.detail}", file=sys.stderr)
+            _note(f"FAIL {r.name}: value={r.value} {r.detail}")
     _emit([("verified", int(ok))])
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -212,7 +229,7 @@ def cmd_sweep(args):
     rows = periods.sweep_family(t_grid, X_grid, tol=args.tol)
     periods.write_sweep_csv(rows, args.output)
     n_ok = sum(1 for (_, _, s) in rows if s is not None)
-    print(f"{n_ok}/{len(rows)} solves converged", file=sys.stderr)
+    _note(f"{n_ok}/{len(rows)} solves converged")
     _emit([("rows", len(rows)), ("converged", n_ok), ("output", args.output)])
     return EXIT_OK if n_ok == len(rows) else EXIT_CHECK_FAILED
 
@@ -242,7 +259,7 @@ def _sweep_fig6(args):
                 except SaddleForgeError:
                     wr.writerow([f"{a:.17g}", f"{b:.17g}", "", "", "", "0"])
     total = len(a_grid)*len(b_grid)
-    print(f"{n_ok}/{total} grid points evaluated", file=sys.stderr)
+    _note(f"{n_ok}/{total} grid points evaluated")
     _emit([("rows", total), ("evaluated", n_ok), ("output", args.output)])
     return EXIT_OK
 
@@ -329,18 +346,17 @@ def main(argv=None) -> int:
     try:
         code = args.fn(args)
     except SaddleForgeError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        _note(f"error: {type(e).__name__}: {e}")
         code = e.exit_code
     except _StdoutError as e:
-        print(f"error: cannot write stdout: {e}", file=sys.stderr)
-        # what stdout still buffers would fail again at exit, with a
-        # traceback: it goes to the null device instead
-        with open(os.devnull, "w") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
+        _discard(sys.stdout)
+        _note(f"error: cannot write stdout: {e}")
         code = EXIT_IO
     except OSError as e:
-        # once the options are read, only the mesh and sweep writers open files
-        print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
+        # once the options are read, only the mesh and sweep writers open
+        # files; `verify` has none to name
+        _note(f"error: cannot write {args.output}: {e}" if "output" in args
+              else f"error: {e}")
         code = EXIT_IO
     return code
 

@@ -15,9 +15,10 @@ Gauss quadrature, every edge along one path family z = v + delta(s) with s
 linear: delta = s from v = 0 for a straight edge, delta = s^2 from a nearby
 branch point v, delta = e^s from a nearby puncture v.  Deforming the path
 is legitimate because the forms are holomorphic between the singularities.
-The increments are summed along the grid's top row and then down each
-column; per-cell loop-closure residuals (the signed sum of each quad's
-four edge increments) certify the integration; they sit at the rounding
+The increments lie on the grid's layout, one array per edge direction with
+zeros on dead edges.  They are summed along the top row and then down each
+column; per-cell loop-closure residuals (the signed sum of the four edge
+slices around each quad) certify the integration; they sit at the rounding
 floor for a correct branch of w.
 
 The assembled tower is the orbit of the piece under the three coordinate
@@ -94,24 +95,14 @@ def _u_left(s):
 _COLUMNS = {"LF": (_u_right, 20), "FE": (_u_sym, 20), "ED": (_u_sym, 70),
             "DC": (_u_sym, 22), "CB": (_u_sym, 15), "BA": (_u_left, 25)}
 
-# the sign that orients each edge of a grid quad along its ccw walk: the
-# bottom and right edges run forward, the top and left ones backward
-QUAD_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-
 
 @dataclass
 class DomainGrid:
     p: SurfaceParams
-    cut_a: float
-    cut_1: float
-    alive: np.ndarray        # node mask (windows removed)
+    alive: np.ndarray        # (rows, cols) node mask (windows removed)
     idx: np.ndarray          # node index or -1
     z: np.ndarray            # flat complex node positions
-    edges: np.ndarray        # (n_edges, 2) node index pairs
     quads: np.ndarray        # (n_quads, 4) node indices, ccw in the grid
-    quad_edges: np.ndarray   # (n_quads, 4) edge indices along the ccw walk
-    hid: np.ndarray          # horizontal edge at its left node, or -1
-    vid: np.ndarray          # vertical edge at its lower node, or -1
     tags: dict = field(default_factory=dict)   # tag -> node index array
 
 
@@ -181,26 +172,10 @@ def build_grid(p: SurfaceParams, resolution: int) -> DomainGrid:
     idx[alive] = np.arange(alive.sum())
     z = (xs2d + 1j*eta[:, None])[alive]
 
-    # edges: horizontal row-major, then vertical column-major; hid/vid hold
-    # each edge's index at its lower-left node (-1 where an end is dead)
-    h = alive[:, :-1] & alive[:, 1:]
-    v = alive[:-1, :] & alive[1:, :]
-    nh = int(h.sum())
-    hid = -np.ones(h.shape, int)
-    hid[h] = np.arange(nh)
-    vid = -np.ones(v.shape, int)
-    vid.T[v.T] = nh + np.arange(int(v.sum()))
-    edges = np.concatenate([
-        np.stack([idx[:, :-1][h], idx[:, 1:][h]], axis=1),
-        np.stack([idx[:-1, :].T[v.T], idx[1:, :].T[v.T]], axis=1)])
-
-    # quads row-major, ccw, with the edges around each one in the order of
-    # the ccw walk (bottom, right, top, left; see QUAD_SIGNS)
-    q = h[:-1] & h[1:] & v[:, :-1] & v[:, 1:]
+    # quads row-major, ccw from the lower-left corner
+    q = alive[:-1, :-1] & alive[:-1, 1:] & alive[1:, 1:] & alive[1:, :-1]
     quads = np.stack([idx[:-1, :-1][q], idx[:-1, 1:][q],
                       idx[1:, 1:][q], idx[1:, :-1][q]], axis=1)
-    quad_edges = np.stack([hid[:-1][q], vid[:, 1:][q],
-                           hid[1:][q], vid[:, :-1][q]], axis=1)
 
     # boundary tags: AL is the imaginary-axis column; the rest partition the
     # bottom row by the marked points, endpoints shared between neighbours
@@ -211,9 +186,7 @@ def build_grid(p: SurfaceParams, resolution: int) -> DomainGrid:
         lo, hi = intervals[tag]
         m = alive0 & (xi0 >= lo - tol) & (xi0 <= hi + tol)
         tags[tag] = idx[0][m]
-    return DomainGrid(p=p, cut_a=cut_a, cut_1=cut_1, alive=alive, idx=idx,
-                      z=z, edges=edges, quads=quads, quad_edges=quad_edges,
-                      hid=hid, vid=vid, tags=tags)
+    return DomainGrid(p=p, alive=alive, idx=idx, z=z, quads=quads, tags=tags)
 
 
 def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
@@ -272,9 +245,12 @@ def integrate_piece(grid: DomainGrid) -> PieceMesh:
     then down each column: the domain is simply connected, so every path
     gives the same positions, and the cells' loop closure certifies them.
 
-    Every grid quad provides a loop-closure residual; each must stay below
-    LC_TOL times the cell scale (largest edge increment of the quad), with
-    an absolute floor at the rounding level of the coordinates.
+    The increments lie on the grid's layout: dx on the horizontal edges,
+    (rows, cols - 1), and dy on the vertical ones, (rows - 1, cols), zero
+    where an end is dead.  Every grid quad provides a loop-closure residual
+    from the four slices around it; each must stay below LC_TOL times the
+    cell scale (largest edge increment of the quad), with an absolute floor
+    at the rounding level of the coordinates.
     """
     # the sums need the top row alive and each column alive from there down
     # to a window
@@ -282,21 +258,27 @@ def integrate_piece(grid: DomainGrid) -> PieceMesh:
     if not alive[-1].all() or np.any(alive[:-1] & ~alive[1:]):
         raise BranchInconsistency("grid is disconnected: a dead node on the "
                                   "top row or above a live one")
-    p = grid.p
-    E0, E1 = grid.edges[:, 0], grid.edges[:, 1]
-    inc = edge_increments(p, grid.z[E0], grid.z[E1])
-    rinc = np.real(inc)
+    # every edge between live nodes in one call, horizontal then vertical
+    h, v = alive[:, :-1] & alive[:, 1:], alive[:-1] & alive[1:]
+    i0 = np.concatenate([grid.idx[:, :-1][h], grid.idx[:-1][v]])
+    i1 = np.concatenate([grid.idx[:, 1:][h], grid.idx[1:][v]])
+    inc = np.real(edge_increments(grid.p, grid.z[i0], grid.z[i1]))
+    dx = np.zeros(h.shape + (3,))
+    dy = np.zeros(v.shape + (3,))
+    dx[h], dy[v] = np.split(inc, [int(h.sum())])
 
-    e = QUAD_SIGNS[:, None]*rinc[grid.quad_edges]
-    lc = np.linalg.norm(e.sum(axis=1), axis=1)
-    scale = np.linalg.norm(e, axis=2).max(axis=1)
+    # each quad's edges along its ccw walk: bottom, right, -top, -left
+    q = h[:-1] & h[1:] & v[:, :-1] & v[:, 1:]
+    sides = dx[:-1][q], dy[:, 1:][q], dx[1:][q], dy[:, :-1][q]
+    bottom, right, top, left = sides
+    lc = np.linalg.norm(bottom + right - top - left, axis=1)
+    scale = np.max([np.linalg.norm(e, axis=1) for e in sides], axis=0)
 
     # the top row's positions, then each other node's step from the node
     # above it, summed down the columns
     step = np.zeros(alive.shape + (3,))
-    step[-1, 1:] = np.cumsum(rinc[grid.hid[-1]], axis=0)
-    below = grid.vid >= 0
-    step[:-1][below] = -rinc[grid.vid[below]]
+    step[-1, 1:] = np.cumsum(dx[-1], axis=0)
+    step[:-1] = -dy
     pos = np.cumsum(step[::-1], axis=0)[::-1][alive]
 
     boundary = {tag: np.asarray(nodes) for tag, nodes in grid.tags.items()}

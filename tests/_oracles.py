@@ -26,7 +26,8 @@ columns row by row, assemble_oracle places the tower's vertices and
 faces by fancy indexing, after welding by connected components,
 shares_vertex_oracle compares the corner ids of face pairs in one
 broadcast table, and tri_tri_intersect_oracle runs the narrow phase on
-rows gathered by fancy indexing.
+rows gathered by fancy indexing.  grid_edges lists a grid's edges as node
+index pairs, read off its layout as mesh.integrate_piece reads them.
 """
 from __future__ import annotations
 
@@ -428,6 +429,14 @@ def grid_nodes_oracle(p: SurfaceParams, resolution: int):
             xs.extend((A + (B - A)*u).tolist())
         rows.append(xs)
     return np.array(rows) + 1j*eta[:, None]
+
+
+def grid_edges(grid):
+    """Node index pairs of the live edges, horizontal then vertical."""
+    a, i = grid.alive, grid.idx
+    h, v = a[:, :-1] & a[:, 1:], a[:-1] & a[1:]
+    return np.concatenate([np.stack([i[:, :-1][h], i[:, 1:][h]], axis=1),
+                           np.stack([i[:-1][v], i[1:][v]], axis=1)])
 
 
 def assemble_oracle(piece, n_periods: int):

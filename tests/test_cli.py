@@ -608,6 +608,34 @@ def test_closed_stdout_is_exit_4(tmp_path, argv, unbuffered):
         assert (tmp_path/"piece.obj").read_text().endswith("\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n-t", "1", "-o", "sweep.csv"],
+    ["verify", "--resolution", "16"],     # the error line of a failed build
+    ["verify", "--resolution", "32"],     # the diagnostic lines
+])
+def test_closed_stderr_is_exit_4(tmp_path, capsys, argv):
+    # stderr is a pipe with no reader: the run exits 4, and no traceback
+    # (exit 1) or failed flush at exit (120) follows; the sweep CSV, written
+    # before the "converged" line, is whole
+    src = str(Path(saddle_forge.__file__).parents[1])
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "saddle_forge.cli", *argv],
+            stdout=subprocess.PIPE, stderr=w, text=True, cwd=tmp_path,
+            timeout=300, env=_child_env(src))
+    finally:
+        os.close(w)
+    assert res.returncode == 4
+    if argv[0] == "sweep":
+        code, _, _ = run_cli(capsys, "sweep", "--n-t", "1",
+                             "-o", str(tmp_path/"whole.csv"))
+        assert code == 0
+        assert (tmp_path/"sweep.csv").read_bytes() == \
+            (tmp_path/"whole.csv").read_bytes()
+
+
 _MESH_PROBE = """
 import sys
 from saddle_forge import cli

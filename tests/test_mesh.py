@@ -8,10 +8,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 import saddle_forge.mesh as mesh
-from _oracles import assemble_oracle, grid_nodes_oracle
+from _oracles import assemble_oracle, grid_edges, grid_nodes_oracle
 from saddle_forge.errors import (BranchInconsistency, InvalidResolution,
                                  WeldMismatch)
-from saddle_forge.mesh import (FAR_RADIUS, QUAD_SIGNS, STRETCHES, AssembledMesh,
+from saddle_forge.mesh import (FAR_RADIUS, STRETCHES, AssembledMesh,
                                assemble, build_grid, curvature_stats,
                                edge_increments, export_obj, integrate_piece,
                                mean_curvature_norm, _seam_deviation)
@@ -51,29 +51,31 @@ def test_grid_tags_cover_boundary(solved_params):
     assert len(np.intersect1d(g.tags["ED"], g.tags["DC"])) == 0
 
 
-def test_grid_arrays_match_nested_loops(solved_params):
-    # edges: horizontal row-major, then vertical column-major; quads
-    # row-major -- the order the face arrays depend on
-    g = build_grid(solved_params, 16)
+def test_grid_arrays_match_nested_loops(solved_params, monkeypatch):
+    # quads row-major, the order the face arrays depend on; each quad's loop
+    # residual walks its edges ccw: bottom, right, then top and left backward
+    monkeypatch.setattr(mesh, "LC_TOL", 1.0)   # res 16 fails the gate
+    p = solved_params
+    g = build_grid(p, 16)
     alive, idx = g.alive, g.idx
     nr, nc = alive.shape
-    edges = [(idx[i, j], idx[i, j + 1]) for i in range(nr)
-             for j in range(nc - 1) if alive[i, j] and alive[i, j + 1]]
-    edges += [(idx[i, j], idx[i + 1, j]) for j in range(nc)
-              for i in range(nr - 1) if alive[i, j] and alive[i + 1, j]]
-    quads = [(idx[i, j], idx[i, j + 1], idx[i + 1, j + 1], idx[i + 1, j])
-             for i in range(nr - 1) for j in range(nc - 1)
-             if alive[i, j] and alive[i, j + 1]
-             and alive[i + 1, j + 1] and alive[i + 1, j]]
-    assert np.array_equal(g.edges, np.array(edges))
+    E = grid_edges(g)
+    rinc = np.real(edge_increments(p, g.z[E[:, 0]], g.z[E[:, 1]]))
+    inc = dict(zip(map(tuple, E.tolist()), rinc))
+    quads, residuals = [], []
+    for i in range(nr - 1):
+        for j in range(nc - 1):
+            if not (alive[i, j] and alive[i, j + 1]
+                    and alive[i + 1, j + 1] and alive[i + 1, j]):
+                continue
+            a, b, c, d = corners = (idx[i, j], idx[i, j + 1],
+                                    idx[i + 1, j + 1], idx[i + 1, j])
+            quads.append(corners)
+            walk = inc[a, b] + inc[b, c] - inc[d, c] - inc[a, d]
+            residuals.append(np.linalg.norm(walk, axis=0))
     assert np.array_equal(g.quads, np.array(quads))
-    # each quad's signed edges walk its corners ccw
-    walk = g.edges[g.quad_edges]
-    fwd = QUAD_SIGNS > 0
-    start = np.where(fwd, walk[:, :, 0], walk[:, :, 1])
-    end = np.where(fwd, walk[:, :, 1], walk[:, :, 0])
-    assert np.array_equal(start, g.quads)
-    assert np.array_equal(end, np.roll(g.quads, -1, axis=1))
+    assert np.array_equal(integrate_piece(g).loop_residuals,
+                          np.array(residuals))
 
 
 @pytest.mark.parametrize("resolution", [16, 32, 64, 128, 256])
@@ -88,12 +90,14 @@ def test_grid_columns_match_the_row_loop(solved_params, resolution):
 
 def test_grid_windows_are_dead(solved_params):
     # no node inside either puncture window
-    g = build_grid(solved_params, 32)
-    a = solved_params.a
-    inside_a = (np.abs(g.z.real - a) < g.cut_a - 1e-12) \
-        & (g.z.imag < g.cut_a - 1e-12)
-    inside_1 = (np.abs(g.z.real - 1.0) < g.cut_1 - 1e-12) \
-        & (g.z.imag < g.cut_1 - 1e-12)
+    p = solved_params
+    g = build_grid(p, 32)
+    cut_a = mesh._CUT_FRACTION*min(p.a - p.x, 1.0 - p.a)
+    cut_1 = mesh._CUT_FRACTION*min(1.0 - p.a, p.y - 1.0)
+    inside_a = (np.abs(g.z.real - p.a) < cut_a - 1e-12) \
+        & (g.z.imag < cut_a - 1e-12)
+    inside_1 = (np.abs(g.z.real - 1.0) < cut_1 - 1e-12) \
+        & (g.z.imag < cut_1 - 1e-12)
     assert not inside_a.any()
     assert not inside_1.any()
 
@@ -147,7 +151,8 @@ def test_blocked_edge_increments_equal_per_edge_calls(solved_params):
     # side of every block boundary and on every path kind
     p = solved_params
     g = build_grid(p, 128)
-    z0, z1 = g.z[g.edges[:, 0]], g.z[g.edges[:, 1]]
+    E = grid_edges(g)
+    z0, z1 = g.z[E[:, 0]], g.z[E[:, 1]]
     assert len(z0) > 3*mesh._BLOCK
     inc = edge_increments(p, z0, z1)
     bounds = np.arange(mesh._BLOCK, len(z0), mesh._BLOCK)
@@ -198,13 +203,14 @@ def test_positions_reproduce_edge_increments(solved_params):
     # every vertical edge, reproduce it to rounding
     g = build_grid(solved_params, 32)
     piece = integrate_piece(g)
-    E0, E1 = g.edges[:, 0], g.edges[:, 1]
+    E0, E1 = grid_edges(g).T
     rinc = np.real(edge_increments(solved_params, g.z[E0], g.z[E1]))
     dev = np.linalg.norm(piece.vertices[E1] - piece.vertices[E0] - rinc, axis=1)
     floor = 64*np.finfo(float).eps*np.max(np.abs(piece.vertices))
     assert np.max(dev) <= np.sum(piece.loop_residuals) + floor
-    summed = np.concatenate([g.hid[-1], g.vid[g.vid >= 0]])
-    assert len(summed) == len(g.z) - 1 and np.all(summed >= 0)
+    row = np.nonzero(g.alive)[0]       # the grid row of each node
+    summed = (row[E0] != row[E1]) | (row[E0] == len(g.alive) - 1)
+    assert np.sum(summed) == len(g.z) - 1
     assert np.max(dev[summed]) <= floor
 
 
@@ -351,8 +357,8 @@ def test_tower_is_welded_along_every_seam(piece_name, n_periods, request):
         assert np.all(keys[pos] == k)
         return count[pos]
 
-    g = piece.grid
-    seam_edges = {tag: g.edges[np.isin(g.edges, piece.boundary[tag]).all(axis=1)]
+    E = grid_edges(piece.grid)
+    seam_edges = {tag: E[np.isin(E, piece.boundary[tag]).all(axis=1)]
                   for tag in STRETCHES}
     # the half-period mirror of copy (k, s3) sits at height k*T + s3*ED level;
     # the copy of opposite s3 at the same height is in period k + s3*up

@@ -8,6 +8,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import saddle_forge.mesh as mesh
 import saddle_forge.periods as periods
 import saddle_forge.verify as verify
@@ -72,7 +74,10 @@ def test_after_hooks_read_what_the_library_passes(monkeypatch, tmp_path):
     assert rec.sizes["piece_faces"] == len(piece.faces)
     assert rec.sizes["tower_faces"] == len(tower.faces)
     assert c["mesh.assemble.faces_short"] == 0
-    edges = len(grid.edges)
+    # one call per piece, with every edge between two live nodes
+    a = grid.alive
+    edges = int(np.sum(a[:, :-1] & a[:, 1:]) + np.sum(a[:-1] & a[1:]))
+    assert c["mesh.edge_increments.calls"] == 1
     assert c["mesh.edge_increments.edges"] == edges
     # one phi_vec_delta call per Gauss node, each on every edge
     n_gauss = inspect.signature(mesh.edge_increments).parameters["n_gauss"]

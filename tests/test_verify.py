@@ -227,6 +227,42 @@ def test_self_intersection_excludes_shared_vertex_neighbours(piece64):
     assert check_self_intersections(v, f).passed
 
 
+# ROADMAP known defect 1: the pair search drops every candidate pair that
+# shares a vertex before the narrow phase, which does not count coplanar
+# overlap either
+_BLIND_SPOT = ("ROADMAP direction 15: pairs that share a vertex are never "
+               "tested, so a pierce beside the shared corner or a coplanar "
+               "fold across the shared edge passes")
+# the second triangle shares corner 0 with the first, and its far edge
+# pierces the first at (0.3, 0.3, 0)
+_PIERCE = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (.3, .3, -1), (.3, .3, 1)],
+                   float)
+
+
+@pytest.mark.xfail(strict=True, reason=_BLIND_SPOT)
+def test_self_intersection_sees_a_pierce_beside_a_shared_vertex():
+    res = check_self_intersections(_PIERCE, np.array([(0, 1, 2), (0, 3, 4)]))
+    assert res.detail == "1 candidate pairs tested"
+    assert (res.passed, res.value) == (False, 1)
+
+
+@pytest.mark.xfail(strict=True, reason=_BLIND_SPOT)
+def test_self_intersection_sees_a_coplanar_fold():
+    # the second triangle folds back across the shared edge 0-1 and lies
+    # inside the first, in its plane
+    v = np.array([(0, 0, 0), (1, 0, 0), (.5, 1, 0), (.5, .5, 0)], float)
+    res = check_self_intersections(v, np.array([(0, 1, 2), (1, 0, 3)]))
+    assert not res.passed
+
+
+def test_self_intersection_sees_the_pierce_with_the_corner_duplicated():
+    # the control of the shared-vertex pierce: corner 0 of the second
+    # triangle under an index of its own
+    v = np.vstack([_PIERCE, _PIERCE[:1]])
+    res = check_self_intersections(v, np.array([(0, 1, 2), (5, 3, 4)]))
+    assert (res.passed, res.value) == (False, 1)
+
+
 @pytest.mark.parametrize("n_faces, n_vertices",
                          [(0, 0), (0, 1), (0, 3), (1, 3)])
 def test_self_intersection_without_a_face_pair(n_faces, n_vertices):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import saddle_forge.mesh as mesh
 import saddle_forge.weier as weier
-from _oracles import (PathThroughBranchPoint, curve_rhs, rotated_data, w_eval,
-                      w_six_log_oracle)
+from _oracles import (PathThroughBranchPoint, curve_rhs, grid_edges, rotated_data,
+                      w_eval, w_six_log_oracle)
 from conftest import draw_params
 from saddle_forge.params import SurfaceParams, sym_funcs
 from saddle_forge.verify import _stretch_samples
@@ -198,7 +198,8 @@ def _gauss_nodes(p, resolution, monkeypatch):
         return phi_vec_delta(p_, v, delta)
 
     grid = mesh.build_grid(p, resolution)
-    z0, z1 = grid.z[grid.edges[:, 0]], grid.z[grid.edges[:, 1]]
+    E = grid_edges(grid)
+    z0, z1 = grid.z[E[:, 0]], grid.z[E[:, 1]]
     with monkeypatch.context() as m:
         m.setattr(mesh, "phi_vec_delta", recording)
         mesh.edge_increments(p, z0, z1)
