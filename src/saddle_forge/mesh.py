@@ -25,11 +25,20 @@ The assembled tower is the orbit of the piece under the three coordinate
 reflections and vertical translations by the period T.  One table,
 STRETCHES, names the mirror each boundary stretch lies in; it fixes the
 normalization of the piece and which copies share each stretch's vertices,
-so the copies are welded by index, never by comparing coordinates.
+so the copies are welded by index, never by comparing coordinates.  Each
+tower vertex keeps the id of the piece vertex and copy it came from, and
+the OBJ writer formats the piece's numbers once for the whole orbit.
+
+The edge integration and the OBJ writer's rows go in blocks of _BLOCK,
+built on one thread per usable CPU (_blocks); every step of a block is
+elementwise, so the results do not depend on the number of threads.
 """
 from __future__ import annotations
 
 import itertools
+import os
+import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +57,8 @@ _ETA_ROWS_PER_64 = 3.3
 _CUT_FRACTION = 0.3   # puncture window, share of the gap to the next point
 FAR_RADIUS = 20.0     # the grid covers the quadrant out to this |Re z|, Im z
 # rows per block of the edge integration and of the OBJ writer: a block's
-# temporaries stay in cache, and larger OBJ blocks are no faster and only
-# raise the peak memory of an export
+# temporaries stay in cache, and each thread of _blocks holds at most two
+# blocks, so larger blocks are no faster and only raise the peak memory
 _BLOCK = 1 << 14
 
 # The boundary stretches in boundary order, each with the mirror it lies
@@ -124,6 +133,11 @@ class AssembledMesh:
     faces: np.ndarray
     T: float
     n_periods: int
+    # the copy-major id c*n + i of each vertex: piece vertex i of copy c,
+    # n = piece_size.  None for a mesh built by hand, which the OBJ writer
+    # takes as its own orbit
+    source: np.ndarray | None = None
+    piece_size: int = 0
 
 
 def build_grid(p: SurfaceParams, resolution: int) -> DomainGrid:
@@ -202,10 +216,11 @@ def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
     because the forms are holomorphic between singularities, so the
     loop-closure telescoping of shared edges is preserved exactly.
 
-    The edges are integrated in blocks of _BLOCK, one phi_vec_delta call
-    per block and Gauss node, and each substitution and its derivative is
-    evaluated on its own edges only.  Every step is elementwise, so an
-    edge's increment has the same bits in any block.
+    The edges are integrated in blocks of _BLOCK (_blocks), one
+    phi_vec_delta call per block and Gauss node, and each substitution and
+    its derivative is evaluated on its own edges only.  Every step is
+    elementwise and a block writes only its own rows, so an edge's
+    increment has the same bits in any block and on any thread.
     """
     gl_x, gl_w = gauss_legendre_01(n_gauss)
     # branch points first, so that a tie takes the square-root path; an
@@ -223,10 +238,11 @@ def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
     s0[at_p], s1[at_p] = np.log(s0[at_p]), np.log(s1[at_p])
     ds = s1 - s0
     acc = np.zeros((len(z0), 3), complex)
-    for lo in range(0, len(z0), _BLOCK):
-        e = slice(lo, lo + _BLOCK)
+
+    def integrate(lo, hi):
+        e = slice(lo, hi)
         ib, ip = np.flatnonzero(at_b[e]), np.flatnonzero(at_p[e])
-        ddelta = np.ones(len(acc[e]), complex)
+        ddelta = np.ones(hi - lo, complex)
         for xg, wg in zip(gl_x, gl_w):
             delta = s0[e] + xg*ds[e]      # s, and delta on a straight edge
             s = delta[ib]
@@ -236,8 +252,76 @@ def edge_increments(p: SurfaceParams, z0: np.ndarray, z1: np.ndarray,
             f *= wg     # in place: no (n, 3) temporary per node
             f *= ddelta[:, None]
             acc[e] += f
+
+    for _ in _blocks(integrate, len(z0)):
+        pass
     acc *= ds[:, None]
     return acc
+
+
+def _blocks(build, n):
+    """build(lo, hi) on the consecutive blocks [lo, hi) of _BLOCK rows of
+    range(n), the results yielded in block order; n = 0 is one empty block.
+
+    One thread per usable CPU builds the blocks: with k of them, the
+    calling thread builds blocks 0, k, 2k, ... as it reaches them, and
+    worker j of k - 1 builds blocks j, j + k, ..., starting none more than
+    2k blocks past the last one yielded (two per thread).  The calling
+    thread keeps its share of the work because a worker's freed memory
+    stays in its own malloc arena.  With one CPU, or one block, everything
+    runs inline.  An exception of build is raised here, at its block.
+    Every worker is joined before the generator returns, raises or is
+    closed.
+    """
+    bounds = [(lo, min(lo + _BLOCK, n))
+              for lo in range(0, max(n, 1), _BLOCK)]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    k = min(cpus, len(bounds))
+    cv = threading.Condition()
+    done = {}                   # block -> (result, exception)
+    taken = 0                   # blocks yielded
+    stop = False
+
+    def work(j):
+        for b in range(j, len(bounds), k):
+            with cv:
+                cv.wait_for(lambda: stop or b < taken + 2*k)
+                if stop:
+                    return
+            try:
+                out = build(*bounds[b]), None
+            except BaseException as exc:
+                out = None, exc
+            with cv:
+                done[b] = out
+                cv.notify_all()
+
+    workers = [threading.Thread(target=work, args=(j,)) for j in range(1, k)]
+    for t in workers:
+        t.start()
+    try:
+        for b in range(len(bounds)):
+            if b % k == 0:
+                result = build(*bounds[b])
+            else:
+                with cv:
+                    cv.wait_for(lambda: b in done)
+                    result, exc = done.pop(b)
+                if exc is not None:
+                    raise exc
+            with cv:
+                taken = b + 1
+                cv.notify_all()
+            yield result
+    finally:
+        with cv:
+            stop = True
+            cv.notify_all()
+        for t in workers:
+            t.join()
 
 
 def integrate_piece(grid: DomainGrid) -> PieceMesh:
@@ -340,6 +424,10 @@ def assemble(piece: PieceMesh, n_periods: int = 1) -> AssembledMesh:
     these index maps, never by coordinates.  A stretch vertex off its
     mirror (unsolved period parameters) or welded vertices more than
     WELD_TOL times the bounding-box diagonal apart raise WeldMismatch.
+
+    The tower's vertices are its weld groups in the order of their least
+    id c*n + i, which is each vertex's `source`; copy 0 holds the least id
+    of every group it meets, so the first n vertices are the piece's.
     """
     if not isinstance(n_periods, (int, np.integer)) or n_periods < 1:
         raise InvalidResolution(f"n_periods must be an integer >= 1, got {n_periods!r}")
@@ -406,6 +494,7 @@ def assemble(piece: PieceMesh, n_periods: int = 1) -> AssembledMesh:
     # placed before the faces are allocated, so that the temporaries of
     # placing do not add to the faces at the peak memory
     vertices = place(rep)
+    source = rep.astype(np.min_scalar_type(len(label)))
 
     # a copy with an odd number of flips reverses its triangles' orientation
     F = piece.faces
@@ -414,7 +503,8 @@ def assemble(piece: PieceMesh, n_periods: int = 1) -> AssembledMesh:
     for c in copies:
         np.take(per_copy[c], F[:, ::-1] if odd[c] else F, out=faces[c])
     return AssembledMesh(vertices=vertices, faces=faces.reshape(-1, 3),
-                         T=piece.T, n_periods=n_periods)
+                         T=piece.T, n_periods=n_periods, source=source,
+                         piece_size=n)
 
 
 def curvature_stats(vertices: np.ndarray, faces: np.ndarray):
@@ -473,20 +563,31 @@ def export_obj(mesh, path, pi1: float = 0.0, pi2: float = 0.0,
 
     The text is byte for byte that of the row formats ``"v %.12e %.12e
     %.12e"`` and ``"f %d %d %d"`` (1-based), written without formatting every
-    number in Python.  A tower is reflections and translations of one piece,
-    so a column holds few distinct magnitudes.  Each distinct ``|x|`` of a
-    column is formatted once; a coordinate is that text behind a '-' when
-    its sign bit is set.  This is exact because the decimal conversion is
-    correctly rounded, hence symmetric in sign: ``"%.12e" % -x == "-" +
-    "%.12e" % x``, for -0.0 and -inf too.  NaN is the exception: ``"%.12e"``
-    prints ``nan`` whatever its sign bit, so a NaN never takes the '-'.  The
+    number in Python.  A tower is the orbit of one piece: its vertex of
+    source id c*n + i (AssembledMesh.source) is piece vertex i under the
+    reflections of copy c, lifted by T per period.  So |x1| and |x2| are the
+    piece's, and |x3| is the piece's in the first period and, after that,
+    one variant per period and x3 sign.  One row with blank signs is
+    formatted per piece vertex and x3 variant; each vertex gathers its row
+    by id and takes a '-' in each sign slot whose coordinate has its sign
+    bit set.  This is exact because the decimal conversion is correctly
+    rounded, hence symmetric in sign: ``"%.12e" % -x == "-" + "%.12e" % x``,
+    for -0.0 and -inf too.  NaN is the exception: ``"%.12e"`` prints ``nan``
+    whatever its sign bit, so a NaN never takes the '-'.  Each block checks
+    that the magnitudes it gathered are those of its vertices and raises
+    WeldMismatch where an id names another point of the orbit.  A mesh
+    without ids (the piece, or one built by hand) is its own orbit.  The
     magnitudes are formatted in numpy from a double-double product with a
     power of ten (see _magnitude_fields); Python's ``"%.12e"`` formats only
-    those within 1e-6 of a rounding tie in the 13th digit, zero, subnormals,
-    infinities, NaN and three-digit exponents.  Face indices are gathered
-    from a table of the digits of 1..n_vertices.  Every row gather is one
-    ``np.take`` along the rows of a table.  Rows are built in fixed-width
-    byte blocks whose padding is NUL, then stripped.
+    those within 1e-6 of a rounding tie in the 13th digit, zero,
+    subnormals, infinities, NaN and three-digit exponents.  Face indices
+    are gathered from a table of the digits of 1..n_vertices.  Every row
+    gather is one ``np.take`` along the rows of a table.  Rows are built in
+    fixed-width byte blocks whose padding is NUL, then stripped.
+
+    The blocks of vertex rows and of face rows are built on one thread per
+    usable CPU (_blocks), and the calling thread writes them out in order,
+    so the bytes do not depend on the number of threads.
 
     The file is written through files.atomic_target: a failed write leaves
     any earlier file in place and no partial one, and a symlink, a pipe or
@@ -503,36 +604,79 @@ def _write_obj(fh, head, mesh):
     fh.write(head.encode())
     groups = _digit_groups()
     V = np.asarray(mesh.vertices, dtype=float)
-    cols = [_coordinate_table(V[:, c], groups) for c in range(3)]
-    # 'v' + 3 x (' ' + sign + 19-byte magnitude) + '\n'
-    buf = np.zeros((min(len(V), _BLOCK), 65), np.uint8)
-    buf[:, [1, 22, 43]] = ord(" ")
-    buf[:, 0], buf[:, 64] = ord("v"), ord("\n")
-    for s in range(0, len(V), _BLOCK):
-        rows = buf[:min(_BLOCK, len(V) - s)]
-        for c, (key, table) in enumerate(cols):
-            rows[:, 2 + 21*c:22 + 21*c] = np.take(table, key[s:s + len(rows)],
-                                                  axis=0)
-        _write_block(fh, rows)
-    del cols
+    source = getattr(mesh, "source", None)
+    n, n_periods = ((len(V), 1) if source is None
+                    else (mesh.piece_size, mesh.n_periods))
+    # the first n vertices are the piece (see assemble).  |x3| variant 0 is
+    # the first period's; period k > 0 has variant 2k - 1 where copy c
+    # keeps the sign of x3 and 2k where it flips it (bit 1 of c), which
+    # variant[2k + bit] looks up
+    piece = V[:n]
+    mag = np.empty((2*n_periods - 1, n, 3))
+    mag[:, :, :2] = np.abs(piece[:, :2])
+    mag[0, :, 2] = np.abs(piece[:, 2])
+    for k in range(1, n_periods):
+        mag[2*k - 1, :, 2] = np.abs(piece[:, 2] + k*mesh.T)
+        mag[2*k, :, 2] = np.abs(-piece[:, 2] + k*mesh.T)
+    variant = np.maximum(np.arange(2*n_periods) - 1, 0)
+    u = np.concatenate([mag[0, :, 0], mag[0, :, 1], mag[:, :, 2].ravel()])
+    fields = np.concatenate(list(_blocks(
+        lambda lo, hi: _magnitude_fields(u[lo:hi], groups)[0], len(u))))
+    # 'v' + 3 x (' ' + sign + 19-byte magnitude) + '\n', signs NUL
+    table = np.zeros((len(mag), n, 65), np.uint8)
+    table[:, :, [1, 22, 43]] = ord(" ")
+    table[:, :, 0], table[:, :, 64] = ord("v"), ord("\n")
+    table[:, :, 3:22] = fields[:n]
+    table[:, :, 24:43] = fields[n:2*n]
+    table[:, :, 45:64] = fields[2*n:].reshape(len(mag), n, 19)
+    table, mag = table.reshape(-1, 65), mag.reshape(-1, 3)
+    del u, fields
+
+    def vertex_rows(lo, hi):
+        x = V[lo:hi]
+        if source is None:
+            r = np.arange(lo, hi)
+        else:
+            c, i = np.divmod(source[lo:hi], n)
+            r = np.take(variant, c//8*2 + c % 2)*n + i
+            if not np.array_equal(np.take(mag, r, axis=0), np.abs(x),
+                                  equal_nan=True):
+                raise WeldMismatch(
+                    f"a source id of vertices {lo}..{hi - 1} names a piece "
+                    f"vertex of other coordinate magnitudes")
+        rows = np.take(table, r, axis=0)
+        rows[:, [2, 23, 44]] = (np.signbit(x) & ~np.isnan(x))*np.uint8(ord("-"))
+        return _strip(rows)
+
+    _write_blocks(fh, vertex_rows, len(V))
 
     F = np.asarray(mesh.faces)
     if F.size and (F.min() < 0 or F.max() >= len(V)):
         raise ValueError(f"face index out of range 0..{len(V) - 1}")
     digits = _index_table(len(V), groups)
     w = 3*digits.shape[1]
-    buf = np.zeros((min(len(F), _BLOCK), w + 2), np.uint8)
-    buf[:, 0], buf[:, -1] = ord("f"), ord("\n")
-    for s in range(0, len(F), _BLOCK):
-        rows = buf[:min(_BLOCK, len(F) - s)]
-        rows[:, 1:-1] = np.take(digits, F[s:s + len(rows)],
-                                axis=0).reshape(len(rows), w)
-        _write_block(fh, rows)
+
+    def face_rows(lo, hi):
+        rows = np.empty((hi - lo, w + 2), np.uint8)
+        rows[:, 0], rows[:, -1] = ord("f"), ord("\n")
+        rows[:, 1:-1] = np.take(digits, F[lo:hi], axis=0).reshape(hi - lo, w)
+        return _strip(rows)
+
+    _write_blocks(fh, face_rows, len(F))
 
 
-def _write_block(fh, rows):
+def _write_blocks(fh, build, n):
+    """Write the blocks of build in order as the threads of _blocks make
+    them; a failed write stops the threads."""
+    with closing(_blocks(build, n)) as blocks:
+        for data in blocks:
+            fh.write(data)
+
+
+def _strip(rows):
+    """The bytes of fixed-width rows without their NUL padding."""
     flat = rows.reshape(-1)
-    fh.write(flat[flat != 0])
+    return flat[flat != 0]
 
 
 def _digit_groups():
@@ -540,27 +684,6 @@ def _digit_groups():
     i = np.arange(10**4)
     return (np.stack([i//1000, i//100 % 10, i//10 % 10, i % 10], axis=1)
             + ord("0")).astype(np.uint8)
-
-
-def _coordinate_table(x, groups):
-    """(key, table) with table[key[i]] the 20-byte NUL-padded field holding
-    '%.12e' % x[i]; each distinct |x| is formatted once."""
-    mag = np.abs(x)
-    order = np.argsort(mag)
-    srt = mag[order]
-    first = np.empty(len(srt), bool)
-    first[:1] = True
-    np.not_equal(srt[1:], srt[:-1], out=first[1:])
-    uniq = srt[first]
-    # row 2i of the table is uniq[i], row 2i + 1 the same behind a '-'
-    key = np.empty(len(x), np.int32)
-    key[order] = 2*(np.cumsum(first, dtype=np.int32) - 1)
-    del order, srt, first
-    key += np.signbit(x) & ~np.isnan(x)
-    table = np.zeros((len(uniq), 2, 20), np.uint8)
-    table[:, :, 1:] = _magnitude_fields(uniq, groups)[0][:, None]
-    table[:, 1, 0] = ord("-")
-    return key, table.reshape(-1, 20)
 
 
 # the distance from a rounding tie, in units of the 13th digit, within which

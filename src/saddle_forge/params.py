@@ -7,6 +7,7 @@ are determined by the three period conditions (see the periods module).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainViolation
@@ -14,12 +15,13 @@ from .errors import DomainViolation
 
 def check_moduli(a: float, b: float, x: float, X: float,
                  y: float | None = None) -> None:
-    """Raise DomainViolation unless 0 < x < a < 1 < y < b and a <= X < 1;
-    before y is known, 1 < b stands in for 1 < y < b."""
-    upper = 1.0 < b if y is None else 1.0 < y < b
+    """Raise DomainViolation unless 0 < x < a < 1 < y < b < inf and
+    a <= X < 1; before y is known, 1 < b stands in for 1 < y < b."""
+    upper = 1.0 < b < math.inf if y is None else 1.0 < y < b < math.inf
     if not (0.0 < x < a < 1.0 and upper and a <= X < 1.0):
-        raise DomainViolation(f"need 0 < x < a < 1 < y < b and a <= X < 1, "
-                              f"got x={x}, a={a}, X={X}, y={y}, b={b}")
+        raise DomainViolation(f"need 0 < x < a < 1 < y < b < inf and "
+                              f"a <= X < 1, got x={x}, a={a}, X={X}, y={y}, "
+                              f"b={b}")
 
 
 @dataclass(frozen=True)

@@ -263,9 +263,14 @@ def solve_y(a: float, b: float, x: float, X: float) -> float:
     """Smallest root of F in (1, b), from the quartic's companion matrix,
     polished by Newton on the factored F_eval (the monomial form cancels
     badly as y -> 1), F and its slope from one complex-step call.  Raises
-    NoRoot if there is none, and DegenerateRoot if it sits so close to
+    DomainViolation if a coefficient overflows (b near 1e100 or beyond),
+    NoRoot if there is no root, and DegenerateRoot if it sits so close to
     y = 1 that r = R cannot be resolved in double precision."""
-    c = _F_coeffs(a, b, x, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _F_coeffs(a, b, x, X)
+    if not np.all(np.isfinite(c)):
+        raise DomainViolation(f"F's coefficients are not finite for "
+                              f"(a,b,x,X)=({a},{b},{x},{X})")
     roots = np.roots(c)
     real = roots.real[(roots.imag == 0) & (roots.real > 1.0) & (roots.real < b)]
     if real.size == 0:

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -220,12 +221,16 @@ def test_mesh_rejects_n_periods_with_piece_only(n_periods, capsys, tmp_path,
     ("--X-offset", "0.04", "--a", "1.5", "--b", "2"),
     ("--a", "0.9", "--b", "0.95"),
     ("--X-offset", "0.04", "--a", "0.97", "--b", "1.3"),   # X = 1.01
-], ids=["a>1", "b<1", "X>1"])
+    ("--a", "0.7", "--b", "inf"),
+    ("--a", "0.7", "--b", "1e200"),     # F's coefficients overflow
+], ids=["a>1", "b<1", "X>1", "b=inf", "b=1e200"])
 def test_periods_rejects_moduli_out_of_order(capsys, argv):
-    # checked before F is evaluated: no numpy warning, no root search
+    # checked before the root search, with no numpy warning: an infinite b
+    # before F is evaluated, a b too large for F's coefficients after
     code, out, err = run_cli(capsys, "periods", "--t", "0.02", *argv)
     assert code == 3
     assert "DomainViolation" in err
+    assert err.count("error:") == 1 and "Traceback" not in err
     assert out == ""
 
 
@@ -555,9 +560,29 @@ def test_sweep_rejects_config_options_of_the_other_mode(capsys, tmp_path):
 
 
 def _child_env(pythonpath):
-    # a child of the suite: one BLAS thread, as the standard variables set it
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath,
-            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    # a child of the suite: one BLAS thread, as the standard variables set
+    # it, and no bytecode written where this process writes none
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath,
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    if sys.dont_write_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+def test_child_writes_no_bytecode_when_the_suite_writes_none(tmp_path,
+                                                             monkeypatch):
+    # with PYTHONDONTWRITEBYTECODE set for the suite, a CLI child leaves no
+    # __pycache__ in the tree it imports (a tree benchmarked in place would
+    # otherwise time a stale cache's recompile)
+    shutil.copytree(Path(saddle_forge.__file__).parent,
+                    tmp_path/"saddle_forge",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    res = subprocess.run([sys.executable, "-c", "import saddle_forge.cli"],
+                         capture_output=True, text=True, timeout=120,
+                         env=_child_env(str(tmp_path)))
+    assert res.returncode == 0, res.stderr
+    assert not list(tmp_path.rglob("__pycache__"))
 
 
 def test_entry_point_runs_in_subprocess(tmp_path):

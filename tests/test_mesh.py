@@ -1,6 +1,10 @@
+import contextlib
 import dataclasses
 import itertools
 import os
+import sys
+import threading
+import time
 from collections import defaultdict
 
 import numpy as np
@@ -164,6 +168,150 @@ def test_blocked_edge_increments_equal_per_edge_calls(solved_params):
         assert np.array_equal(one[0], inc[e]), e
         kinds.add(_path_kind(p, z0[e], z1[e]))
     assert kinds == {"straight", "branch", "puncture"}
+
+
+# ----------------------------------------------------------- threads
+
+def _usable_cpus(monkeypatch, k):
+    """k usable CPUs, as mesh._blocks counts them."""
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: k)
+
+
+@contextlib.contextmanager
+def _switching_often():
+    """A thread switch every microsecond, so that workers interleave."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+def _within(seconds, fn, *args):
+    """fn(*args) on a thread joined with a timeout, so that a deadlock fails
+    the test instead of hanging it; fn's exception is raised here."""
+    out = []
+
+    def run():
+        try:
+            out.append((fn(*args), None))
+        except BaseException as exc:
+            out.append((None, exc))
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    assert not t.is_alive(), f"no result within {seconds} s"
+    result, exc = out[0]
+    if exc is not None:
+        raise exc
+    return result
+
+
+def test_edge_increments_do_not_depend_on_the_thread_count(solved_params,
+                                                           monkeypatch):
+    # 8 workers on the res-128 grid's blocks, switching every microsecond:
+    # each block writes only its own rows, so every bit is the one-worker
+    # run's
+    p = solved_params
+    g = build_grid(p, 128)
+    E = grid_edges(g)
+    z0, z1 = g.z[E[:, 0]], g.z[E[:, 1]]
+    assert len(z0) > 3*mesh._BLOCK
+    _usable_cpus(monkeypatch, 1)
+    one = edge_increments(p, z0, z1)
+    _usable_cpus(monkeypatch, 8)
+    before = threading.active_count()
+    with _switching_often():
+        many = _within(120, edge_increments, p, z0, z1)
+    assert np.array_equal(many.view(np.uint64), one.view(np.uint64))
+    assert threading.active_count() == before
+
+
+def test_export_obj_does_not_depend_on_the_thread_count(piece64, monkeypatch,
+                                                        tmp_path):
+    tower = assemble(piece64, n_periods=2)
+    assert len(tower.faces) > 8*mesh._BLOCK
+    _usable_cpus(monkeypatch, 1)
+    export_obj(tower, tmp_path/"one.obj")
+    _usable_cpus(monkeypatch, 8)
+    with _switching_often():
+        _within(120, export_obj, tower, tmp_path/"many.obj")
+    assert (tmp_path/"many.obj").read_bytes() == \
+        (tmp_path/"one.obj").read_bytes()
+
+
+@pytest.mark.parametrize("failure", ["build", "write"])
+def test_export_obj_failure_on_a_middle_block_stops_every_thread(
+        piece64, failure, monkeypatch, tmp_path):
+    # a worker's exception (the fourth face block) or a failed write of
+    # the calling thread (the fourth vertex block) reaches the caller; the
+    # workers are joined and the previous file stays, with no temporary
+    tower = assemble(piece64, n_periods=2)
+    if failure == "build":
+        strip, face_blocks = mesh._strip, itertools.count()
+
+        def strip_failing(rows):
+            if rows[0, 0] == ord("f") and next(face_blocks) == 3:
+                raise RuntimeError("face block failed")
+            return strip(rows)
+        monkeypatch.setattr(mesh, "_strip", strip_failing)
+        expected = RuntimeError
+    else:
+        monkeypatch.setattr(mesh, "atomic_target",
+                            _failing_target(mesh.atomic_target, 5))
+        expected = OSError
+    path = tmp_path/"tower.obj"
+    path.write_bytes(b"previous\n")
+    _usable_cpus(monkeypatch, 8)
+    before = threading.active_count()
+    with _switching_often(), pytest.raises(expected):
+        _within(120, export_obj, tower, path)
+    assert threading.active_count() == before
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["tower.obj"]
+
+
+def test_blocks_keeps_order_and_bounds_the_blocks_in_flight(monkeypatch):
+    # 8 threads and a slow caller: results come in block order, no worker
+    # starts a block more than two per thread ahead of the caller, and
+    # closing the generator early, with workers amid a block, joins them
+    _usable_cpus(monkeypatch, 8)
+    n = 40*mesh._BLOCK + 7
+    lock, started = threading.Lock(), [0]
+
+    def build(lo, hi):
+        with lock:
+            started[0] += 1
+        time.sleep(0.003)
+        return lo, hi
+
+    def consume(stop_after):
+        got = []
+        blocks = mesh._blocks(build, n)
+        for b, block in enumerate(blocks):
+            time.sleep(0.002)
+            with lock:
+                assert started[0] <= b + 1 + 2*8
+            got.append(block)
+            if b + 1 == stop_after:
+                blocks.close()
+        return got
+
+    before = threading.active_count()
+    with _switching_often():
+        got = _within(120, consume, None)
+    assert got == [(lo, min(lo + mesh._BLOCK, n))
+                   for lo in range(0, n, mesh._BLOCK)]
+    assert threading.active_count() == before
+    started[0] = 0
+    with _switching_often():
+        assert len(_within(120, consume, 3)) == 3
+    assert threading.active_count() == before
+    assert started[0] <= 3 + 2*8
 
 
 def _path_kind(p, z0, z1):
@@ -613,14 +761,74 @@ def test_magnitude_fields_match_python_formatting(piece32):
     assert "%.12e" % 2.0**-20 == "9.536743164062e-07"   # half to even
 
 
-def test_export_obj_matches_line_writer_on_two_period_tower(solved_params,
-                                                            tmp_path):
-    # the second period's x3 is the first's shifted by T, so its magnitudes
-    # repeat less than the reflections' within one period
-    tower = assemble(integrate_piece(build_grid(solved_params, 32)),
-                     n_periods=2)
-    assert (_export_bytes(tower.vertices, tower.faces, tmp_path/"t.obj")
-            == _line_writer(tower.vertices, tower.faces))
+@pytest.mark.parametrize("piece_name, n_periods", [
+    ("piece32", 0), ("piece32", 1), ("piece32", 2), ("piece32", 3),
+    ("piece64_x3", 2)], ids=["piece", "tower-1", "tower-2", "tower-3",
+                             "x3-mirrored-tower-2"])
+def test_export_obj_matches_line_writer_on_orbits(piece_name, n_periods,
+                                                  request, tmp_path):
+    # a tower's rows come from its source ids: x1 and x2 of the piece, x3
+    # of the piece in the first period and from one variant per period and
+    # x3 sign after that (the mirrored piece has its half-period mirror
+    # above it); a piece has no ids and is its own orbit
+    piece = request.getfixturevalue(piece_name)
+    m = assemble(piece, n_periods=n_periods) if n_periods else piece
+    assert (getattr(m, "source", None) is not None) == bool(n_periods)
+    path = tmp_path/"t.obj"
+    export_obj(m, path)
+    assert path.read_bytes() == _line_writer(m.vertices, m.faces)
+
+
+@pytest.mark.parametrize("wrong", ["rolled", "x3-variant"])
+def test_export_obj_rejects_ids_that_name_other_magnitudes(piece32, wrong,
+                                                           tmp_path):
+    # negative control: ids that pair a vertex with another point of the
+    # orbit raise, and the previous file stays
+    m = assemble(piece32, n_periods=2)
+    n = m.piece_size
+    source = m.source.copy()
+    if wrong == "rolled":
+        source = np.roll(source, 1)
+    else:
+        # one vertex of period 1 named by the copy with the other x3 sign:
+        # the same |x1|, |x2| and piece vertex, x3 from the wrong variant
+        c, i = np.divmod(source, n)
+        j = np.flatnonzero((c >= 8) & (np.abs(piece32.vertices[i, 2]) > 1.0))[0]
+        source[j] = (c[j] ^ 1)*n + i[j]
+    path = tmp_path/"t.obj"
+    path.write_bytes(b"previous\n")
+    with pytest.raises(WeldMismatch):
+        export_obj(dataclasses.replace(m, source=source), path)
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.obj"]
+
+
+class _FailingWriter:
+    """A file whose write number `fail_at` raises ENOSPC."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.fail_at, self.writes = fh, fail_at, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+
+def _failing_target(atomic_target, fail_at):
+    """atomic_target, with write number fail_at failing."""
+    @contextlib.contextmanager
+    def target(path):
+        with atomic_target(path) as fh:
+            yield _FailingWriter(fh, fail_at)
+    return target
+
+
+def test_export_obj_of_an_empty_mesh_is_its_header(tmp_path):
+    # no vertex and no face: one empty block of each, and no rows
+    V, F = np.zeros((0, 3)), np.zeros((0, 3), int)
+    assert _export_bytes(V, F, tmp_path/"e.obj") == _line_writer(V, F)
 
 
 @pytest.mark.parametrize("failure", ["disk_full", "bad_face_index"])
@@ -630,15 +838,9 @@ def test_export_obj_failure_keeps_previous_file(failure, tmp_path,
     V = np.arange(3*50, dtype=float).reshape(-1, 3)
     F = np.arange(3*40).reshape(-1, 3) % len(V)
     if failure == "disk_full":
-        write_block = mesh_mod._write_block
-        calls = []
-
-        def fail_on_second_block(fh, rows):
-            calls.append(1)
-            if len(calls) == 2:
-                raise OSError(28, "No space left on device")
-            write_block(fh, rows)
-        monkeypatch.setattr(mesh_mod, "_write_block", fail_on_second_block)
+        # the third write, after the header and the vertex block
+        monkeypatch.setattr(mesh_mod, "atomic_target",
+                            _failing_target(mesh_mod.atomic_target, 3))
         expected = OSError
     else:
         F[-1, 1] = len(V)
